@@ -16,7 +16,7 @@ use twoqan::pipeline::{CompilationContext, Pass};
 use twoqan::{CompileError, QubitMap};
 use twoqan_circuit::{Circuit, Gate, ScheduledCircuit};
 use twoqan_device::Device;
-use twoqan_graphs::{simulated_annealing_budgeted, AnnealingConfig, QapProblem};
+use twoqan_graphs::{simulated_annealing, AnnealingConfig, QapProblem};
 
 /// The order-respecting baselines' initial-placement pass: either the
 /// trivial identity placement (Qiskit-like) or placement of logical qubits
@@ -75,9 +75,10 @@ impl Pass for AnnealingPlacementPass {
             &ctx.circuit.interaction_pairs(),
             device.distances(),
         );
-        let solution = simulated_annealing_budgeted(
+        let solution = simulated_annealing(
             &qap,
             &AnnealingConfig::default(),
+            None,
             &ctx.budget,
             &mut ctx.rng,
         );

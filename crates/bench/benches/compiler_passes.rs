@@ -11,10 +11,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use twoqan::mapping::{initial_mapping, InitialMappingStrategy};
+use twoqan::mapping::{initial_mapping, MappingConfig};
 use twoqan::routing::{route, RoutingConfig};
 use twoqan::scheduling::{schedule, SchedulingStrategy};
-use twoqan::{TwoQanCompiler, TwoQanConfig};
+use twoqan::{SolverBudget, TwoQanCompiler, TwoQanConfig};
 use twoqan_baselines::GenericCompiler;
 use twoqan_bench::{scaling_device, SCALING_SIZES};
 use twoqan_device::Device;
@@ -32,7 +32,8 @@ fn bench_mapping(c: &mut Criterion) {
                 initial_mapping(
                     &circuit,
                     &device,
-                    InitialMappingStrategy::TabuSearch,
+                    &MappingConfig::default(),
+                    &SolverBudget::unlimited(),
                     &mut rng,
                 )
                 .unwrap()
@@ -52,7 +53,8 @@ fn bench_routing_and_scheduling(c: &mut Criterion) {
         let map = initial_mapping(
             &circuit,
             &device,
-            InitialMappingStrategy::TabuSearch,
+            &MappingConfig::default(),
+            &SolverBudget::unlimited(),
             &mut rng,
         )
         .unwrap();

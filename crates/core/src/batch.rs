@@ -192,7 +192,6 @@ mod tests {
                 compiler: &compiler,
             })
             .collect();
-        let _census = CENSUS_LOCK.lock().unwrap();
         let serial = BatchCompiler::new(1).compile_batch(&jobs);
         let parallel = BatchCompiler::new(4).compile_batch(&jobs);
         assert_eq!(serial.len(), jobs.len());
@@ -238,10 +237,6 @@ mod tests {
 
     /// Serialises the tests that replace the global panic hook.
     static HOOK_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Serialises the tests that spawn pool workers, so the global
-    /// spawned-thread census test observes only its own pools.
-    static CENSUS_LOCK: Mutex<()> = Mutex::new(());
 
     /// A compiler that panics on every call.
     struct PanickyCompiler;
@@ -309,7 +304,6 @@ mod tests {
             },
         ];
         // Silence the default panic-hook backtrace noise for the expected panic.
-        let _census = CENSUS_LOCK.lock().unwrap();
         let _guard = HOOK_LOCK.lock().unwrap();
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -360,45 +354,6 @@ mod tests {
         // The retry budget was respected: only 2 attempts consumed 2 of the
         // 3 planted failures.
         assert_eq!(flaky.failures.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn batch_spawns_exactly_the_requested_workers_with_no_nested_threads() {
-        // The restarts inside each job are parallel by default; before the
-        // shared pool they spawned their own scoped threads *under* the
-        // batch workers.  Now a batch at `--threads N` must account for
-        // exactly N − 1 spawned OS threads (the caller is the N-th worker),
-        // with the nested multi-start parallelism riding the same pool.
-        let device = Device::montreal();
-        let circuits: Vec<Circuit> = (0..4)
-            .map(|s| trotter_step(&nnn_ising(7 + s % 2, s as u64), 1.0))
-            .collect();
-        let compiler = TwoQanCompiler::new(TwoQanConfig::default());
-        let jobs: Vec<BatchJob<'_>> = circuits
-            .iter()
-            .map(|c| BatchJob {
-                circuit: c,
-                device: &device,
-                compiler: &compiler,
-            })
-            .collect();
-        let _census = CENSUS_LOCK.lock().unwrap();
-        for threads in [1usize, 2, 4] {
-            let batch = BatchCompiler::new(threads);
-            // The resolved count is the *request* clamped to cores and jobs;
-            // the pool then spawns resolved − 1 threads (caller included).
-            let resolved = batch.resolved_threads(jobs.len());
-            let before = twoqan_pool::spawned_thread_census();
-            let results = batch.compile_batch(&jobs);
-            let spawned = twoqan_pool::spawned_thread_census() - before;
-            assert_eq!(
-                spawned,
-                resolved - 1,
-                "--threads {threads} resolves to {resolved} worker(s) and must spawn exactly {}",
-                resolved - 1
-            );
-            assert!(results.iter().all(Result::is_ok));
-        }
     }
 
     #[test]

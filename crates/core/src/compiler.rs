@@ -4,9 +4,7 @@ use crate::budget::CompileBudget;
 use crate::error::CompileError;
 use crate::fault::FaultInjector;
 use crate::mapping::{CostModel, InitialMappingStrategy, MappingConfig, QubitMap};
-use crate::passes::{
-    AlapSchedulePass, DecomposePass, PermutationRoutingPass, QapMappingPass, UnifyPass,
-};
+use crate::passes::{AlapSchedulePass, DecomposePass, PermutationRoutingPass, QapMappingPass};
 use crate::pipeline::{
     CompilationContext, CompiledOutput, Compiler, DegradationRung, PassManager, PassRecord,
     PipelineReport,
@@ -58,8 +56,8 @@ pub struct TwoQanConfig {
     /// Worker count for the compile's internal parallelism (the multi-start
     /// Tabu/annealing restarts).  `0` (the default) inherits: restarts run
     /// on the already-installed [`twoqan_pool::CompilePool`] when one exists
-    /// (e.g. inside a [`crate::BatchCompiler`] run) and otherwise keep the
-    /// legacy `TabuConfig::parallel` behaviour.  `n ≥ 1` provisions a
+    /// (e.g. inside a [`crate::BatchCompiler`] run) and otherwise on scoped
+    /// threads, one per core.  `n ≥ 1` provisions a
     /// dedicated `n`-worker pool for this compile — unless a pool is
     /// already installed, which always wins so nesting never over-spawns.
     /// Results are bit-identical for every setting.
@@ -193,6 +191,21 @@ impl CompilationResult {
         }
         out
     }
+
+    /// Collects the artifact of a finished 2QAN pipeline run.
+    fn from_context(ctx: CompilationContext<'_>) -> Self {
+        Self {
+            initial_map: ctx
+                .initial_layout
+                .expect("the mapping pass sets the initial layout"),
+            routed: ctx
+                .routed
+                .expect("the routing pass sets the routed circuit"),
+            hardware_circuit: ctx.schedule.expect("the scheduling pass sets the schedule"),
+            metrics: ctx.metrics.expect("the decompose pass sets the metrics"),
+            basis: ctx.basis,
+        }
+    }
 }
 
 /// Scales the interaction coefficients / rotation angles of a gate (used for
@@ -253,25 +266,24 @@ impl TwoQanCompiler {
         self
     }
 
-    /// The pass pipeline this configuration describes: `[unify,
-    /// qap-mapping, permutation-routing, alap-schedule, decompose]` (the
-    /// unifying pre-pass is dropped when `unify_input` is off).
-    ///
-    /// [`TwoQanCompiler::compile_with_report`] hoists the deterministic
-    /// unify pre-pass out of its mapping-trial loop; this method returns
-    /// the full conceptual pipeline for introspection and one-shot runs.
-    pub fn pipeline(&self) -> PassManager {
-        let mut passes: Vec<Box<dyn crate::pipeline::Pass>> = Vec::with_capacity(5);
-        if self.config.unify_input {
-            passes.push(Box::new(UnifyPass));
-        }
-        passes.push(Box::new(QapMappingPass::new(self.config.mapping_config())));
-        passes.push(Box::new(PermutationRoutingPass::new(
-            self.config.routing_config(),
-        )));
-        passes.push(Box::new(AlapSchedulePass::new(self.config.scheduling)));
-        passes.push(Box::new(DecomposePass));
-        PassManager::with_passes(passes)
+    /// The pass pipeline of one portfolio run, and of the trivial fallback,
+    /// after the hoisted unify pre-pass: `[qap-mapping,
+    /// permutation-routing, alap-schedule, decompose]`, with `strategy` and
+    /// `cost` in place of the configured placement strategy and cost model.
+    fn pipeline(&self, strategy: InitialMappingStrategy, cost: CostModel) -> PassManager {
+        let mut pipeline = PassManager::new();
+        pipeline.push(QapMappingPass::new(MappingConfig {
+            strategy,
+            cost,
+            ..self.config.mapping_config()
+        }));
+        pipeline.push(PermutationRoutingPass::new(RoutingConfig {
+            cost,
+            ..self.config.routing_config()
+        }));
+        pipeline.push(AlapSchedulePass::new(self.config.scheduling));
+        pipeline.push(DecomposePass);
+        pipeline
     }
 
     /// Compiles one Trotter step / QAOA layer onto a device.
@@ -362,27 +374,14 @@ impl TwoQanCompiler {
         // and degenerates exactly.)
         let error_aware =
             self.config.cost_model == CostModel::CalibrationAware && !device.target().is_uniform();
-        let pipeline_for = |cost: CostModel| {
-            PassManager::with_passes(vec![
-                Box::new(QapMappingPass::new(MappingConfig {
-                    cost,
-                    ..self.config.mapping_config()
-                })) as Box<dyn crate::pipeline::Pass>,
-                Box::new(PermutationRoutingPass::new(RoutingConfig {
-                    cost,
-                    ..self.config.routing_config()
-                })),
-                Box::new(AlapSchedulePass::new(self.config.scheduling)),
-                Box::new(DecomposePass),
-            ])
-        };
-        let pipelines: Vec<PassManager> = if error_aware {
+        let strategy = self.config.mapping_strategy;
+        let pipelines = if error_aware {
             vec![
-                pipeline_for(CostModel::HopCount),
-                pipeline_for(CostModel::CalibrationAware),
+                self.pipeline(strategy, CostModel::HopCount),
+                self.pipeline(strategy, CostModel::CalibrationAware),
             ]
         } else {
-            vec![pipeline_for(self.config.cost_model)]
+            vec![self.pipeline(strategy, self.config.cost_model)]
         };
         let legacy_rank = |r: &CompilationResult| {
             (
@@ -428,17 +427,7 @@ impl TwoQanCompiler {
                 };
                 completed += 1;
                 let timeline = ctx.timeline.take();
-                let candidate = CompilationResult {
-                    initial_map: ctx
-                        .initial_layout
-                        .expect("the mapping pass sets the initial layout"),
-                    routed: ctx
-                        .routed
-                        .expect("the routing pass sets the routed circuit"),
-                    hardware_circuit: ctx.schedule.expect("the scheduling pass sets the schedule"),
-                    metrics: ctx.metrics.expect("the decompose pass sets the metrics"),
-                    basis: ctx.basis,
-                };
+                let candidate = CompilationResult::from_context(ctx);
                 // Trial selection: fewest SWAPs (then gates, then depth) as
                 // in the paper; the error-aware portfolio ranks by ESP
                 // first so the kept candidate is the one likeliest to
@@ -510,34 +499,12 @@ impl TwoQanCompiler {
         device: &Device,
         report: &mut PipelineReport,
     ) -> Result<CompilationResult, CompileError> {
-        let pipeline = PassManager::with_passes(vec![
-            Box::new(QapMappingPass::new(MappingConfig {
-                strategy: InitialMappingStrategy::Trivial,
-                cost: CostModel::HopCount,
-                ..self.config.mapping_config()
-            })) as Box<dyn crate::pipeline::Pass>,
-            Box::new(PermutationRoutingPass::new(RoutingConfig {
-                cost: CostModel::HopCount,
-                ..self.config.routing_config()
-            })),
-            Box::new(AlapSchedulePass::new(self.config.scheduling)),
-            Box::new(DecomposePass),
-        ]);
+        let pipeline = self.pipeline(InitialMappingStrategy::Trivial, CostModel::HopCount);
         let mut ctx = CompilationContext::for_device(prepared.clone(), device, self.config.seed);
         ctx.faults = self.faults.clone();
         let fallback_report = pipeline.run(&mut ctx)?;
         report.absorb_trial(&fallback_report, true);
-        Ok(CompilationResult {
-            initial_map: ctx
-                .initial_layout
-                .expect("the mapping pass sets the initial layout"),
-            routed: ctx
-                .routed
-                .expect("the routing pass sets the routed circuit"),
-            hardware_circuit: ctx.schedule.expect("the scheduling pass sets the schedule"),
-            metrics: ctx.metrics.expect("the decompose pass sets the metrics"),
-            basis: ctx.basis,
-        })
+        Ok(CompilationResult::from_context(ctx))
     }
 }
 
@@ -564,12 +531,15 @@ impl Compiler for TwoQanCompiler {
 
     fn cache_fingerprint(&self) -> u64 {
         // Every config knob that can change the artifact is covered (seed,
-        // trials, strategies, cost model, budget).  `threads` only changes
+        // trials, strategies, cost model, deadline).  `threads` only changes
         // how the solver restarts are parallelised — results are documented
         // bit-identical for every setting — so it is normalized out to keep
-        // differently-provisioned requests on the same cache line.
+        // differently-provisioned requests on the same cache line.  The
+        // cancellation token is normalized out too: its live flag is request
+        // state, and a cancelled compile is degraded and never cached.
         let mut config = self.config.clone();
         config.threads = 0;
+        config.budget.cancel = None;
         crate::hash::fnv1a_64(&format!("{}|{config:?}", Compiler::name(self)))
     }
 
@@ -786,6 +756,37 @@ mod tests {
         assert_eq!(report.rung, DegradationRung::TrivialFallback);
         assert_eq!(report.deadline_ms, None);
         assert!(result.hardware_compatible(&device));
+    }
+
+    #[test]
+    fn cancellation_state_stays_out_of_the_cache_fingerprint() {
+        use crate::budget::CancelToken;
+        use std::time::Duration;
+        let with_deadline = |secs: u64| TwoQanConfig {
+            budget: CompileBudget::with_deadline(Duration::from_secs(secs)),
+            ..TwoQanConfig::default()
+        };
+        let token = CancelToken::new();
+        let mut config = with_deadline(60);
+        config.budget = config.budget.with_cancel_token(token.clone());
+        let tokened = TwoQanCompiler::new(config);
+        let before = tokened.cache_fingerprint();
+        token.cancel();
+        assert_eq!(
+            tokened.cache_fingerprint(),
+            before,
+            "cancel() must not move the cache key"
+        );
+        assert_eq!(
+            before,
+            TwoQanCompiler::new(with_deadline(60)).cache_fingerprint(),
+            "a token must not move the cache key"
+        );
+        // The deadline is part of the artifact (`report.deadline_ms`).
+        assert_ne!(
+            before,
+            TwoQanCompiler::new(with_deadline(61)).cache_fingerprint()
+        );
     }
 
     #[test]

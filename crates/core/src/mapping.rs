@@ -12,16 +12,19 @@
 //! is nearest-neighbour in some map can be scheduled directly, regardless of
 //! its position in the circuit — there is no gate-order dependence eroding
 //! the benefit of a good initial placement.
+//!
+//! [`initial_mapping`] is the module's one entry point.  It takes the whole
+//! [`MappingConfig`] — strategy, solver parameters, cost model and an
+//! optional warm seed — plus a cooperative [`SolverBudget`]
+//! ([`SolverBudget::unlimited`] when there is no deadline), and forwards
+//! them to the matching `twoqan_graphs` solver.
 
 use crate::budget::SolverBudget;
 use crate::error::CompileError;
 use rand::Rng;
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
-use twoqan_graphs::{
-    simulated_annealing_budgeted, simulated_annealing_warm_budgeted, tabu_search_budgeted,
-    tabu_search_warm_budgeted, AnnealingConfig, QapProblem, TabuConfig, WarmStart,
-};
+use twoqan_graphs::{simulated_annealing, tabu_search, AnnealingConfig, QapProblem, TabuConfig};
 
 /// The distance cost model the mapping and routing passes optimise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -185,54 +188,20 @@ pub enum InitialMappingStrategy {
     Trivial,
 }
 
-/// Finds an initial qubit placement for `circuit` on `device` using
-/// `strategy` with default solver parameters.
+/// Finds an initial qubit placement for `circuit` on `device` with the
+/// strategy and solver parameters of `config`, under a cooperative budget.
+///
+/// Under a limited budget the QAP solvers stop at their next sweep boundary
+/// and return their best-so-far placement — the result is always a valid
+/// placement (anytime semantics), never an expiry error.  Pass
+/// [`SolverBudget::unlimited`] for an unbounded search; it never reads the
+/// clock.
 ///
 /// # Errors
 ///
 /// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
 /// the device.
 pub fn initial_mapping<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    device: &Device,
-    strategy: InitialMappingStrategy,
-    rng: &mut R,
-) -> Result<QubitMap, CompileError> {
-    initial_mapping_with(
-        circuit,
-        device,
-        &MappingConfig::with_strategy(strategy),
-        rng,
-    )
-}
-
-/// Finds an initial qubit placement with explicit solver parameters.
-///
-/// # Errors
-///
-/// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
-/// the device.
-pub fn initial_mapping_with<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    device: &Device,
-    config: &MappingConfig,
-    rng: &mut R,
-) -> Result<QubitMap, CompileError> {
-    initial_mapping_budgeted(circuit, device, config, &SolverBudget::unlimited(), rng)
-}
-
-/// Finds an initial qubit placement under a cooperative budget.
-///
-/// Identical to [`initial_mapping_with`] for an unlimited budget.  Under a
-/// limited budget the QAP solvers stop at their next sweep boundary and
-/// return their best-so-far placement — the result is always a valid
-/// placement (anytime semantics), never an expiry error.
-///
-/// # Errors
-///
-/// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
-/// the device.
-pub fn initial_mapping_budgeted<R: Rng + ?Sized>(
     circuit: &Circuit,
     device: &Device,
     config: &MappingConfig,
@@ -268,39 +237,24 @@ pub fn initial_mapping_budgeted<R: Rng + ?Sized>(
         .warm_start
         .as_deref()
         .and_then(|seed| pad_warm_seed(seed, n, m));
-    let map = match config.strategy {
-        InitialMappingStrategy::Trivial => QubitMap::identity(n, m),
+    let warm = warm.as_deref();
+    let assignment = match config.strategy {
+        InitialMappingStrategy::Trivial => return Ok(QubitMap::identity(n, m)),
         InitialMappingStrategy::TabuSearch => {
-            let result = match &warm {
-                Some(warm) => {
-                    tabu_search_warm_budgeted(&padded_qap(), &config.tabu, warm, budget, rng)
-                }
-                None => tabu_search_budgeted(&padded_qap(), &config.tabu, budget, rng),
-            };
-            QubitMap::from_assignment(&result.assignment[..n], m)
+            tabu_search(&padded_qap(), &config.tabu, warm, budget, rng).assignment
         }
         InitialMappingStrategy::SimulatedAnnealing => {
-            let result = match &warm {
-                Some(warm) => simulated_annealing_warm_budgeted(
-                    &padded_qap(),
-                    &config.annealing,
-                    warm,
-                    budget,
-                    rng,
-                ),
-                None => simulated_annealing_budgeted(&padded_qap(), &config.annealing, budget, rng),
-            };
-            QubitMap::from_assignment(&result.assignment[..n], m)
+            simulated_annealing(&padded_qap(), &config.annealing, warm, budget, rng).assignment
         }
     };
-    Ok(map)
+    Ok(QubitMap::from_assignment(&assignment[..n], m))
 }
 
 /// Extends a warm `logical → physical` seed over `n` circuit qubits to the
 /// full `m`-facility padded QAP assignment (dummy facilities fill the unused
 /// physical qubits in increasing order), or `None` if the seed is not a
 /// valid injective placement of `n` qubits on an `m`-qubit device.
-fn pad_warm_seed(seed: &[usize], n: usize, m: usize) -> Option<WarmStart> {
+fn pad_warm_seed(seed: &[usize], n: usize, m: usize) -> Option<Vec<usize>> {
     if seed.len() != n {
         return None;
     }
@@ -313,7 +267,7 @@ fn pad_warm_seed(seed: &[usize], n: usize, m: usize) -> Option<WarmStart> {
     }
     let mut assignment = seed.to_vec();
     assignment.extend((0..m).filter(|&p| !used[p]));
-    Some(WarmStart::new(assignment))
+    Some(assignment)
 }
 
 /// The QAP cost (Eq. 7) of a mapping for a circuit on a device: the sum of
@@ -334,6 +288,31 @@ mod tests {
     use twoqan_circuit::Gate;
     use twoqan_device::TwoQubitBasis;
     use twoqan_ham::{nnn_ising, trotter_step};
+
+    /// Maps `circuit` with an unlimited budget.
+    fn place(
+        circuit: &Circuit,
+        device: &Device,
+        config: &MappingConfig,
+        rng: &mut StdRng,
+    ) -> Result<QubitMap, CompileError> {
+        initial_mapping(circuit, device, config, &SolverBudget::unlimited(), rng)
+    }
+
+    /// Maps `circuit` with `strategy`'s default solver parameters.
+    fn place_with(
+        circuit: &Circuit,
+        device: &Device,
+        strategy: InitialMappingStrategy,
+        rng: &mut StdRng,
+    ) -> Result<QubitMap, CompileError> {
+        place(
+            circuit,
+            device,
+            &MappingConfig::with_strategy(strategy),
+            rng,
+        )
+    }
 
     fn chain_circuit(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
@@ -373,7 +352,7 @@ mod tests {
         let circuit = chain_circuit(6);
         let device = Device::grid(2, 3, TwoQubitBasis::Cnot);
         let mut rng = StdRng::seed_from_u64(13);
-        let map = initial_mapping(
+        let map = place_with(
             &circuit,
             &device,
             InitialMappingStrategy::TabuSearch,
@@ -389,7 +368,7 @@ mod tests {
         let circuit = chain_circuit(5);
         let device = Device::linear(8, TwoQubitBasis::Cnot);
         let mut rng = StdRng::seed_from_u64(3);
-        let sa = initial_mapping(
+        let sa = place_with(
             &circuit,
             &device,
             InitialMappingStrategy::SimulatedAnnealing,
@@ -405,7 +384,7 @@ mod tests {
             "unexpected SA cost {sa_cost}"
         );
         let trivial =
-            initial_mapping(&circuit, &device, InitialMappingStrategy::Trivial, &mut rng).unwrap();
+            place_with(&circuit, &device, InitialMappingStrategy::Trivial, &mut rng).unwrap();
         assert_eq!(mapping_cost(&trivial, &circuit, &device), 4.0);
     }
 
@@ -424,7 +403,7 @@ mod tests {
             ..MappingConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(13);
-        let map = initial_mapping_with(&circuit, &device, &cheap, &mut rng).unwrap();
+        let map = place(&circuit, &device, &cheap, &mut rng).unwrap();
         assert_eq!(map.num_logical(), 6);
         // A generous budget reaches the optimum.
         let thorough = MappingConfig {
@@ -436,7 +415,7 @@ mod tests {
             ..MappingConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(13);
-        let map = initial_mapping_with(&circuit, &device, &thorough, &mut rng).unwrap();
+        let map = place(&circuit, &device, &thorough, &mut rng).unwrap();
         assert_eq!(mapping_cost(&map, &circuit, &device), 5.0);
         // Annealing restarts plumb through as well.
         let sa = MappingConfig {
@@ -448,7 +427,7 @@ mod tests {
             ..MappingConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(13);
-        let map = initial_mapping_with(&circuit, &device, &sa, &mut rng).unwrap();
+        let map = place(&circuit, &device, &sa, &mut rng).unwrap();
         assert!(mapping_cost(&map, &circuit, &device) >= 5.0);
     }
 
@@ -464,8 +443,8 @@ mod tests {
         };
         let mut rng_a = StdRng::seed_from_u64(17);
         let mut rng_b = StdRng::seed_from_u64(17);
-        let a = initial_mapping_with(&circuit, &device, &hop, &mut rng_a).unwrap();
-        let b = initial_mapping_with(&circuit, &device, &aware, &mut rng_b).unwrap();
+        let a = place(&circuit, &device, &hop, &mut rng_a).unwrap();
+        let b = place(&circuit, &device, &aware, &mut rng_b).unwrap();
         assert_eq!(a, b, "uniform target must reproduce the hop-count map");
     }
 
@@ -489,8 +468,13 @@ mod tests {
             &weighted,
         );
         let mut rng = StdRng::seed_from_u64(4);
-        let result =
-            twoqan_graphs::tabu_search(&qap, &twoqan_graphs::TabuConfig::default(), &mut rng);
+        let result = tabu_search(
+            &qap,
+            &TabuConfig::default(),
+            None,
+            &SolverBudget::unlimited(),
+            &mut rng,
+        );
         // Every chain qubit must sit in the clean half (locations 0..=6).
         for &loc in &result.assignment[..6] {
             assert!(loc <= 6, "qubit placed on a poisoned edge region: {loc}");
@@ -527,7 +511,7 @@ mod tests {
                 ..MappingConfig::default()
             };
             let mut rng = StdRng::seed_from_u64(99);
-            let map = initial_mapping_with(&circuit, &device, &config, &mut rng).unwrap();
+            let map = place(&circuit, &device, &config, &mut rng).unwrap();
             let cost = mapping_cost(&map, &circuit, &device);
             assert!(
                 cost <= seed_cost,
@@ -554,8 +538,8 @@ mod tests {
             };
             let mut rng_a = StdRng::seed_from_u64(13);
             let mut rng_b = StdRng::seed_from_u64(13);
-            let a = initial_mapping_with(&circuit, &device, &cold, &mut rng_a).unwrap();
-            let b = initial_mapping_with(&circuit, &device, &warm, &mut rng_b).unwrap();
+            let a = place(&circuit, &device, &cold, &mut rng_a).unwrap();
+            let b = place(&circuit, &device, &warm, &mut rng_b).unwrap();
             assert_eq!(a, b, "an unusable seed must not change the result");
         }
     }
@@ -565,7 +549,7 @@ mod tests {
         let circuit = trotter_step(&nnn_ising(10, 5), 1.0);
         let device = Device::montreal();
         let mut rng = StdRng::seed_from_u64(1);
-        let map = initial_mapping(
+        let map = place_with(
             &circuit,
             &device,
             InitialMappingStrategy::TabuSearch,
@@ -585,7 +569,7 @@ mod tests {
         let circuit = chain_circuit(20);
         let device = Device::aspen();
         let mut rng = StdRng::seed_from_u64(0);
-        let err = initial_mapping(
+        let err = place_with(
             &circuit,
             &device,
             InitialMappingStrategy::TabuSearch,
@@ -619,7 +603,7 @@ mod tests {
             InitialMappingStrategy::Trivial,
         ] {
             let mut rng = StdRng::seed_from_u64(5);
-            let map = initial_mapping_budgeted(
+            let map = initial_mapping(
                 &circuit,
                 &device,
                 &MappingConfig::with_strategy(strategy),
@@ -630,24 +614,5 @@ mod tests {
             assert_eq!(map.num_logical(), 8, "{strategy:?}");
             assert_eq!(map.num_physical(), 9, "{strategy:?}");
         }
-    }
-
-    #[test]
-    fn unlimited_budget_reproduces_the_unbudgeted_mapping() {
-        let circuit = chain_circuit(6);
-        let device = Device::grid(2, 3, TwoQubitBasis::Cnot);
-        let config = MappingConfig::default();
-        let mut rng_a = StdRng::seed_from_u64(21);
-        let mut rng_b = StdRng::seed_from_u64(21);
-        let plain = initial_mapping_with(&circuit, &device, &config, &mut rng_a).unwrap();
-        let budgeted = initial_mapping_budgeted(
-            &circuit,
-            &device,
-            &config,
-            &SolverBudget::unlimited(),
-            &mut rng_b,
-        )
-        .unwrap();
-        assert_eq!(plain, budgeted);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::decompose::hardware_metrics;
 use crate::error::CompileError;
-use crate::mapping::{initial_mapping_budgeted, MappingConfig};
+use crate::mapping::{initial_mapping, MappingConfig};
 use crate::pipeline::{CompilationContext, Pass};
 use crate::routing::{route, RoutingConfig};
 use crate::scheduling::{schedule, SchedulingStrategy};
@@ -52,7 +52,7 @@ impl Pass for QapMappingPass {
 
     fn run(&self, ctx: &mut CompilationContext<'_>) -> Result<(), CompileError> {
         let device = ctx.device_for(self.name())?;
-        let map = initial_mapping_budgeted(
+        let map = initial_mapping(
             &ctx.circuit,
             device,
             &self.config,

@@ -606,7 +606,8 @@ fn take_mergeable_gate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{initial_mapping, InitialMappingStrategy};
+    use crate::budget::SolverBudget;
+    use crate::mapping::{initial_mapping, MappingConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use twoqan_device::TwoQubitBasis;
@@ -622,7 +623,8 @@ mod tests {
         let map = initial_mapping(
             circuit,
             device,
-            InitialMappingStrategy::TabuSearch,
+            &MappingConfig::default(),
+            &SolverBudget::unlimited(),
             &mut rng,
         )
         .unwrap();

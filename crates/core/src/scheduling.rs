@@ -256,7 +256,8 @@ fn place_two_qubit(gate: &Gate, map: &QubitMap) -> Gate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{initial_mapping, InitialMappingStrategy};
+    use crate::budget::SolverBudget;
+    use crate::mapping::{initial_mapping, MappingConfig};
     use crate::routing::{route, RoutingConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -270,7 +271,8 @@ mod tests {
         let map = initial_mapping(
             circuit,
             device,
-            InitialMappingStrategy::TabuSearch,
+            &MappingConfig::default(),
+            &SolverBudget::unlimited(),
             &mut rng,
         )
         .unwrap();

@@ -411,10 +411,11 @@ impl Target {
 
     /// Checks every per-edge / per-qubit figure against its physical range
     /// (the same rules as [`Calibration::validate`], field names carrying
-    /// the offending edge or qubit).  [`Device::try_with_target`]
-    /// (crate::Device::try_with_target) validates through this, so a
-    /// hand-built calibration snapshot with a NaN error rate or a negative
-    /// coherence time is rejected with a typed error at attach time.
+    /// the offending edge or qubit).
+    /// [`Device::try_with_target`](crate::Device::try_with_target)
+    /// validates through this, so a hand-built calibration snapshot with a
+    /// NaN error rate or a negative coherence time is rejected with a typed
+    /// error at attach time.
     pub fn validate(&self) -> Result<(), DeviceError> {
         for (i, &(a, b)) in self.edges.iter().enumerate() {
             check_error_rate(

@@ -33,9 +33,6 @@ pub struct AnnealingConfig {
     pub final_temperature: f64,
     /// Number of independent annealing schedules; the best result is kept.
     pub restarts: usize,
-    /// Run the restart schedules on a thread pool (bit-identical to serial
-    /// execution for a fixed seed).
-    pub parallel: bool,
 }
 
 impl Default for AnnealingConfig {
@@ -46,7 +43,6 @@ impl Default for AnnealingConfig {
             moves_per_temperature: 100,
             final_temperature: 1e-3,
             restarts: 1,
-            parallel: true,
         }
     }
 }
@@ -62,35 +58,38 @@ pub struct AnnealingResult {
     pub accepted_moves: usize,
 }
 
-/// Runs simulated annealing on a QAP instance.
+/// Runs simulated annealing on a QAP instance and returns the best result
+/// over `config.restarts` independent schedules (ties broken in favour of
+/// the earlier schedule).
 ///
-/// Each restart anneals from a fresh random start; the best result over all
-/// restarts is returned (ties broken in favour of the earlier restart).
+/// Seeding follows [`tabu_search`](crate::tabu::tabu_search): one seed per
+/// schedule is drawn from `rng` up front, and schedule `k` anneals with its
+/// own generator seeded from it.  Schedule slot 0 anneals from `warm` when
+/// it is given (still drawing its moves from its own generator), every
+/// other slot from a random start drawn from its generator; a warm result
+/// never costs more than `warm` itself.  Under a limited `budget` each
+/// schedule stops at its next temperature-sweep boundary and returns its
+/// best-so-far assignment.
+///
+/// # Panics
+///
+/// Panics if `warm` is not a valid assignment of `problem`.
 pub fn simulated_annealing<R: Rng + ?Sized>(
     problem: &QapProblem,
     config: &AnnealingConfig,
-    rng: &mut R,
-) -> AnnealingResult {
-    simulated_annealing_budgeted(problem, config, &SolverBudget::unlimited(), rng)
-}
-
-/// Runs simulated annealing under a cooperative budget.
-///
-/// Identical to [`simulated_annealing`] for an unlimited budget.  On expiry
-/// each restart schedule stops at its next temperature-sweep boundary and
-/// returns its best-so-far assignment, which is valid from the very first
-/// random start.
-pub fn simulated_annealing_budgeted<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &AnnealingConfig,
+    warm: Option<&[usize]>,
     budget: &SolverBudget,
     rng: &mut R,
 ) -> AnnealingResult {
     let restarts = config.restarts.max(1);
     let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
-    let results = run_indexed(restarts, config.parallel, |k| {
+    let results = run_indexed(restarts, true, |k| {
         let mut restart_rng = StdRng::seed_from_u64(seeds[k]);
-        annealing_schedule_budgeted(problem, config, budget, &mut restart_rng)
+        let start = match warm {
+            Some(start) if k == 0 => start.to_vec(),
+            _ => problem.random_assignment(&mut restart_rng),
+        };
+        anneal(problem, config, start, budget, &mut restart_rng)
     });
     results
         .into_iter()
@@ -98,83 +97,10 @@ pub fn simulated_annealing_budgeted<R: Rng + ?Sized>(
         .expect("at least one restart is always performed")
 }
 
-/// Runs warm-started simulated annealing: schedule slot 0 anneals from the
-/// warm seed assignment, the remaining `config.restarts - 1` slots from
-/// fresh random starts with seeds pre-drawn from `rng`.
-///
-/// Like [`tabu_search_warm`](crate::tabu::tabu_search_warm), the result
-/// never costs more than the seed assignment (every schedule's best-so-far
-/// starts at its start, and the reduction keeps the minimum with ties broken
-/// in favour of the warm slot).  The seed's retained delta table is *not*
-/// consumed here: annealing adopts a table only once its acceptance rate
-/// drops below the amortization threshold, and a warm schedule still begins
-/// with a hot, high-acceptance phase.
-pub fn simulated_annealing_warm<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &AnnealingConfig,
-    warm: &crate::tabu::WarmStart,
-    rng: &mut R,
-) -> AnnealingResult {
-    simulated_annealing_warm_budgeted(problem, config, warm, &SolverBudget::unlimited(), rng)
-}
-
-/// [`simulated_annealing_warm`] under a cooperative budget (see
-/// [`simulated_annealing_budgeted`] for the expiry semantics).
-pub fn simulated_annealing_warm_budgeted<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &AnnealingConfig,
-    warm: &crate::tabu::WarmStart,
-    budget: &SolverBudget,
-    rng: &mut R,
-) -> AnnealingResult {
-    let restarts = config.restarts.max(1);
-    let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
-    let results = run_indexed(restarts, config.parallel, |k| {
-        let mut restart_rng = StdRng::seed_from_u64(seeds[k]);
-        if k == 0 {
-            annealing_schedule_from_budgeted(
-                problem,
-                config,
-                warm.assignment.clone(),
-                budget,
-                &mut restart_rng,
-            )
-        } else {
-            annealing_schedule_budgeted(problem, config, budget, &mut restart_rng)
-        }
-    });
-    results
-        .into_iter()
-        .reduce(|best, r| if r.cost < best.cost { r } else { best })
-        .expect("at least one restart is always performed")
-}
-
-/// Runs one annealing schedule from a random start drawn from `rng`.
-pub fn annealing_schedule<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &AnnealingConfig,
-    rng: &mut R,
-) -> AnnealingResult {
-    annealing_schedule_budgeted(problem, config, &SolverBudget::unlimited(), rng)
-}
-
-/// Runs one annealing schedule under a cooperative budget, checked once per
-/// temperature sweep.
-pub fn annealing_schedule_budgeted<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &AnnealingConfig,
-    budget: &SolverBudget,
-    rng: &mut R,
-) -> AnnealingResult {
-    let start = problem.random_assignment(rng);
-    annealing_schedule_from_budgeted(problem, config, start, budget, rng)
-}
-
-/// Runs one annealing schedule from an explicit starting assignment under a
-/// cooperative budget, checked once per temperature sweep.  The best-so-far
-/// assignment starts at `start`, so the result never costs more than the
-/// start itself.
-pub fn annealing_schedule_from_budgeted<R: Rng + ?Sized>(
+/// One annealing schedule from a valid starting assignment, polling
+/// `budget` once per temperature sweep.  The best-so-far assignment starts
+/// at `start`, so the result never costs more than the start itself.
+fn anneal<R: Rng + ?Sized>(
     problem: &QapProblem,
     config: &AnnealingConfig,
     start: Vec<usize>,
@@ -272,6 +198,7 @@ mod tests {
     use super::*;
     use crate::distance::DistanceMatrix;
     use crate::graph::Graph;
+    use crate::parallel::tests::serially;
 
     fn line_on_grid(n: usize, rows: usize, cols: usize) -> QapProblem {
         let hw = DistanceMatrix::floyd_warshall(&Graph::grid(rows, cols));
@@ -279,11 +206,21 @@ mod tests {
         QapProblem::from_interactions(n, &interactions, &hw)
     }
 
+    /// A cold, unbudgeted anneal.
+    fn anneal_cold(p: &QapProblem, config: &AnnealingConfig, seed: u64) -> AnnealingResult {
+        simulated_annealing(
+            p,
+            config,
+            None,
+            &SolverBudget::unlimited(),
+            &mut StdRng::seed_from_u64(seed),
+        )
+    }
+
     #[test]
     fn finds_optimal_line_placement_on_small_grid() {
         let p = line_on_grid(6, 2, 3);
-        let mut rng = StdRng::seed_from_u64(23);
-        let r = simulated_annealing(&p, &AnnealingConfig::default(), &mut rng);
+        let r = anneal_cold(&p, &AnnealingConfig::default(), 23);
         assert_eq!(r.cost, 10.0);
         assert!(p.is_valid_assignment(&r.assignment));
         assert!(r.accepted_moves > 0);
@@ -292,8 +229,7 @@ mod tests {
     #[test]
     fn never_returns_worse_than_reported_cost() {
         let p = line_on_grid(8, 3, 3);
-        let mut rng = StdRng::seed_from_u64(9);
-        let r = simulated_annealing(&p, &AnnealingConfig::default(), &mut rng);
+        let r = anneal_cold(&p, &AnnealingConfig::default(), 9);
         assert!((p.cost(&r.assignment) - r.cost).abs() < 1e-9);
     }
 
@@ -301,8 +237,7 @@ mod tests {
     fn single_facility_is_trivial() {
         let hw = DistanceMatrix::floyd_warshall(&Graph::path(2));
         let p = QapProblem::from_interactions(1, &[], &hw);
-        let mut rng = StdRng::seed_from_u64(1);
-        let r = simulated_annealing(&p, &AnnealingConfig::default(), &mut rng);
+        let r = anneal_cold(&p, &AnnealingConfig::default(), 1);
         assert_eq!(r.cost, 0.0);
         assert_eq!(r.accepted_moves, 0);
     }
@@ -317,8 +252,7 @@ mod tests {
             final_temperature: 0.5,
             ..AnnealingConfig::default()
         };
-        let mut rng = StdRng::seed_from_u64(4);
-        let r = simulated_annealing(&p, &config, &mut rng);
+        let r = anneal_cold(&p, &config, 4);
         assert!(p.is_valid_assignment(&r.assignment));
     }
 
@@ -330,74 +264,44 @@ mod tests {
             ..AnnealingConfig::default()
         };
         for seed in 0..5 {
-            let serial = simulated_annealing(
-                &p,
-                &AnnealingConfig {
-                    parallel: false,
-                    ..config.clone()
-                },
-                &mut StdRng::seed_from_u64(seed),
+            let search = || anneal_cold(&p, &config, seed);
+            assert_eq!(
+                serially(search),
+                search(),
+                "seed {seed} diverged across thread modes"
             );
-            let parallel = simulated_annealing(
-                &p,
-                &AnnealingConfig {
-                    parallel: true,
-                    ..config.clone()
-                },
-                &mut StdRng::seed_from_u64(seed),
-            );
-            assert_eq!(serial, parallel, "seed {seed} diverged across thread modes");
         }
     }
 
     #[test]
     fn expired_budget_returns_a_valid_assignment_immediately() {
-        use crate::budget::SolverBudget;
         use std::time::Duration;
         let p = line_on_grid(9, 3, 3);
         let budget = SolverBudget::with_deadline(Duration::ZERO);
         let mut rng = StdRng::seed_from_u64(8);
-        let r = simulated_annealing_budgeted(&p, &AnnealingConfig::default(), &budget, &mut rng);
+        let r = simulated_annealing(&p, &AnnealingConfig::default(), None, &budget, &mut rng);
         assert_eq!(r.accepted_moves, 0);
         assert!(p.is_valid_assignment(&r.assignment));
     }
 
     #[test]
-    fn unlimited_budget_matches_the_unbudgeted_search() {
-        use crate::budget::SolverBudget;
-        let p = line_on_grid(8, 3, 3);
-        let plain = simulated_annealing(
-            &p,
-            &AnnealingConfig::default(),
-            &mut StdRng::seed_from_u64(13),
-        );
-        let budgeted = simulated_annealing_budgeted(
-            &p,
-            &AnnealingConfig::default(),
-            &SolverBudget::unlimited(),
-            &mut StdRng::seed_from_u64(13),
-        );
-        assert_eq!(plain, budgeted);
-    }
-
-    #[test]
     fn more_restarts_never_hurt() {
         let p = line_on_grid(9, 3, 3);
-        let one = simulated_annealing(
+        let one = anneal_cold(
             &p,
             &AnnealingConfig {
                 restarts: 1,
                 ..AnnealingConfig::default()
             },
-            &mut StdRng::seed_from_u64(6),
+            6,
         );
-        let four = simulated_annealing(
+        let four = anneal_cold(
             &p,
             &AnnealingConfig {
                 restarts: 4,
                 ..AnnealingConfig::default()
             },
-            &mut StdRng::seed_from_u64(6),
+            6,
         );
         // Both runs draw their restart seeds from the same stream, so the
         // 4-restart run's first schedule is exactly the 1-restart run; the
@@ -409,50 +313,77 @@ mod tests {
 
     #[test]
     fn warm_start_never_loses_to_its_seed() {
-        use crate::tabu::WarmStart;
         let p = line_on_grid(9, 4, 4);
         for seed in 0..8 {
             let mut rng = StdRng::seed_from_u64(seed);
             let start = p.random_assignment(&mut rng);
             let start_cost = p.cost(&start);
-            let warm = WarmStart::new(start);
-            let r = simulated_annealing_warm(&p, &AnnealingConfig::default(), &warm, &mut rng);
+            let r = simulated_annealing(
+                &p,
+                &AnnealingConfig::default(),
+                Some(&start),
+                &SolverBudget::unlimited(),
+                &mut rng,
+            );
             assert!(r.cost <= start_cost, "seed {seed}: warm lost to its seed");
             assert!(p.is_valid_assignment(&r.assignment));
         }
     }
 
     #[test]
+    fn warm_slot_zero_anneals_with_its_own_restart_generator() {
+        // Slot 0 ignores nothing but its random start: it anneals from the
+        // warm assignment with the generator seeded from the first seed
+        // drawn, exactly as a cold slot anneals after drawing its start.
+        let p = line_on_grid(8, 3, 4);
+        let config = AnnealingConfig::default();
+        let unlimited = SolverBudget::unlimited();
+        for seed in 0..4 {
+            let start = p.random_assignment(&mut StdRng::seed_from_u64(100 + seed));
+            let slot_zero_seed = StdRng::seed_from_u64(seed).gen::<u64>();
+            let expected = anneal(
+                &p,
+                &config,
+                start.clone(),
+                &unlimited,
+                &mut StdRng::seed_from_u64(slot_zero_seed),
+            );
+            let warm = simulated_annealing(
+                &p,
+                &config,
+                Some(&start),
+                &unlimited,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_eq!(warm, expected, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn warm_parallel_and_serial_restarts_are_bit_identical() {
-        use crate::tabu::WarmStart;
         let p = line_on_grid(8, 3, 4);
         let mut rng = StdRng::seed_from_u64(2);
-        let warm = WarmStart::new(p.random_assignment(&mut rng));
+        let warm = p.random_assignment(&mut rng);
         let config = AnnealingConfig {
             restarts: 4,
             ..AnnealingConfig::default()
         };
+        let unlimited = SolverBudget::unlimited();
         for seed in 0..4 {
-            let serial = simulated_annealing_warm_budgeted(
-                &p,
-                &AnnealingConfig {
-                    parallel: false,
-                    ..config.clone()
-                },
-                &warm,
-                &SolverBudget::unlimited(),
-                &mut StdRng::seed_from_u64(seed),
+            let search = || {
+                simulated_annealing(
+                    &p,
+                    &config,
+                    Some(&warm),
+                    &unlimited,
+                    &mut StdRng::seed_from_u64(seed),
+                )
+            };
+            assert_eq!(
+                serially(search),
+                search(),
+                "seed {seed} diverged across thread modes"
             );
-            let parallel = simulated_annealing_warm(
-                &p,
-                &AnnealingConfig {
-                    parallel: true,
-                    ..config.clone()
-                },
-                &warm,
-                &mut StdRng::seed_from_u64(seed),
-            );
-            assert_eq!(serial, parallel, "seed {seed} diverged across thread modes");
         }
     }
 }

@@ -15,6 +15,14 @@
 //!
 //! All of these are implemented here from scratch so the workspace has no
 //! external graph/optimisation dependencies.
+//!
+//! The two QAP solvers share one signature,
+//! `solver(problem, config, warm, budget, rng)` — [`tabu_search`] and
+//! [`simulated_annealing`].  Each runs `config.restarts` seeded restarts
+//! (on the installed [`twoqan_pool::CompilePool`], if any) and keeps the
+//! best; `warm: Some(assignment)` starts restart slot 0 from a known
+//! placement, and `budget` is a cooperative [`SolverBudget`]
+//! ([`SolverBudget::unlimited`] for an unbounded search).
 
 #![deny(missing_docs)]
 
@@ -30,11 +38,7 @@ pub mod simd;
 pub mod tabu;
 pub mod weighted;
 
-pub use annealing::{
-    annealing_schedule, annealing_schedule_budgeted, annealing_schedule_from_budgeted,
-    simulated_annealing, simulated_annealing_budgeted, simulated_annealing_warm,
-    simulated_annealing_warm_budgeted, AnnealingConfig, AnnealingResult,
-};
+pub use annealing::{simulated_annealing, AnnealingConfig, AnnealingResult};
 pub use budget::{CancelToken, SolverBudget};
 pub use coloring::{greedy_coloring, ColoringResult};
 pub use distance::DistanceMatrix;
@@ -43,7 +47,6 @@ pub use qap::QapProblem;
 pub use random_regular::{random_regular_graph, try_random_regular_graph, RandomRegularError};
 pub use tabu::{
     build_delta_table_reference, select_best_move, select_best_move_reference, tabu_search,
-    tabu_search_budgeted, tabu_search_from, tabu_search_from_budgeted, tabu_search_warm,
-    tabu_search_warm_budgeted, DeltaTable, ScanOutcome, TabuConfig, TabuResult, WarmStart,
+    DeltaTable, ScanOutcome, TabuConfig, TabuResult,
 };
 pub use weighted::WeightedDistanceMatrix;

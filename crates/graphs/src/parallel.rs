@@ -76,9 +76,17 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use twoqan_pool::CompilePool;
+
+    /// Runs `f` with a 1-worker pool installed, so every `run_indexed`
+    /// inside it runs inline on the calling thread: the serial reference of
+    /// the solvers' determinism tests.
+    pub(crate) fn serially<T>(f: impl FnOnce() -> T) -> T {
+        let pool = twoqan_pool::CompilePool::new(1);
+        let _guard = pool.install();
+        f()
+    }
 
     #[test]
     fn serial_and_parallel_agree_in_order() {
@@ -92,25 +100,5 @@ mod tests {
     fn zero_and_one_counts_work() {
         assert_eq!(run_indexed(0, true, |k| k), Vec::<usize>::new());
         assert_eq!(run_indexed(1, true, |k| k + 1), vec![1]);
-    }
-
-    #[test]
-    fn installed_pool_is_used_without_spawning() {
-        let pool = CompilePool::new(2);
-        let _guard = pool.install();
-        let before = twoqan_pool::spawned_thread_census();
-        let results = run_indexed(32, true, |k| k * 7);
-        assert_eq!(twoqan_pool::spawned_thread_census(), before);
-        assert_eq!(results, (0..32).map(|k| k * 7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_worker_pool_keeps_everything_inline() {
-        let pool = CompilePool::new(1);
-        let _guard = pool.install();
-        let before = twoqan_pool::spawned_thread_census();
-        let results = run_indexed(8, true, |k| k + 1);
-        assert_eq!(twoqan_pool::spawned_thread_census(), before);
-        assert_eq!(results, (1..=8).collect::<Vec<_>>());
     }
 }

@@ -34,12 +34,8 @@ pub struct TabuConfig {
     pub tenure: usize,
     /// Stop early after this many iterations without improvement.
     pub stall_limit: usize,
-    /// Number of random restarts; the best result over all restarts is kept.
+    /// Number of restarts; the best result over all restarts is kept.
     pub restarts: usize,
-    /// Run the restarts on a thread pool.  The result is bit-identical to
-    /// the serial execution for a fixed seed; disable only to keep the
-    /// search on the caller's thread.
-    pub parallel: bool,
 }
 
 impl Default for TabuConfig {
@@ -49,7 +45,6 @@ impl Default for TabuConfig {
             tenure: 8,
             stall_limit: 60,
             restarts: 2,
-            parallel: true,
         }
     }
 }
@@ -65,40 +60,42 @@ pub struct TabuResult {
     pub iterations: usize,
 }
 
-/// Runs Tabu search on a QAP instance starting from random assignments.
+/// Runs Tabu search on a QAP instance and returns the best assignment found
+/// across `config.restarts` restarts (ties broken in favour of the earlier
+/// restart).
 ///
-/// Returns the best assignment found across all restarts (ties broken in
-/// favour of the earlier restart).  The search is deterministic for a fixed
-/// random number generator state, whether or not restarts run in parallel.
+/// One seed per restart is drawn from `rng` up front, so the outcome is
+/// independent of execution order and thread count; the restarts run on the
+/// installed [`twoqan_pool::CompilePool`] when there is one.  Restart slot 0
+/// starts from `warm` when it is given — a valid assignment, typically the
+/// previous placement of the same problem — and ignores its seed; every
+/// other slot starts from a random assignment drawn from its own seed.  A
+/// warm result never costs more than `warm` itself: slot 0's best-so-far
+/// starts there and the reduction keeps the minimum.
+///
+/// Under a limited `budget` each restart stops at its next iteration
+/// boundary and returns its best-so-far assignment — the start is always
+/// valid, so the result is valid no matter how early the budget runs out.
+/// An unlimited budget never reads the clock.
+///
+/// # Panics
+///
+/// Panics if `warm` is not a valid assignment of `problem`.
 pub fn tabu_search<R: Rng + ?Sized>(
     problem: &QapProblem,
     config: &TabuConfig,
-    rng: &mut R,
-) -> TabuResult {
-    tabu_search_budgeted(problem, config, &SolverBudget::unlimited(), rng)
-}
-
-/// Runs Tabu search under a cooperative budget.
-///
-/// Identical to [`tabu_search`] for an unlimited budget (the expiry check on
-/// an unlimited budget never reads the clock).  On expiry each restart stops
-/// at its next iteration boundary and returns its best-so-far assignment —
-/// the starting assignment is always valid, so the result is valid no matter
-/// how early the budget runs out.
-pub fn tabu_search_budgeted<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &TabuConfig,
+    warm: Option<&[usize]>,
     budget: &SolverBudget,
     rng: &mut R,
 ) -> TabuResult {
     let restarts = config.restarts.max(1);
-    // Pre-draw one seed per restart so the restart outcomes are independent
-    // of execution order and thread count.
     let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
-    let results = run_indexed(restarts, config.parallel, |k| {
-        let mut restart_rng = StdRng::seed_from_u64(seeds[k]);
-        let start = problem.random_assignment(&mut restart_rng);
-        tabu_search_from_budgeted(problem, start, config, budget)
+    let results = run_indexed(restarts, true, |k| {
+        let start = match warm {
+            Some(start) if k == 0 => start.to_vec(),
+            _ => problem.random_assignment(&mut StdRng::seed_from_u64(seeds[k])),
+        };
+        tabu_core(problem, start, config, budget)
     });
     results
         .into_iter()
@@ -154,7 +151,7 @@ impl DeltaTable {
     }
 
     /// Builds the table under a cooperative budget, checked once per
-    /// [`BUDGET_CHECK_ROWS`]-row tile.  Returns `None` if the budget expires
+    /// `BUDGET_CHECK_ROWS`-row tile.  Returns `None` if the budget expires
     /// mid-build so deadline-limited solvers can fall back to best-so-far
     /// without paying for the rest of the O(n³) build.
     pub fn new_budgeted(
@@ -336,7 +333,7 @@ pub enum ScanOutcome {
 /// Candidate replacement is tie-aware (`delta < d`, or `delta == d` at a
 /// lex-smaller `(i, j)`), which makes the result order-independent and equal
 /// to the reference scan's first-wins winner.  The budget is checked once
-/// per [`BUDGET_CHECK_ROWS`]-row tile.
+/// per `BUDGET_CHECK_ROWS`-row tile.
 pub fn select_best_move(
     table: &DeltaTable,
     problem: &QapProblem,
@@ -471,148 +468,13 @@ pub fn build_delta_table_reference(problem: &QapProblem, assignment: &[usize]) -
     delta
 }
 
-/// A seed for warm-started (incremental) search: the previous placement
-/// plus, optionally, the delta table retained from the run that produced it.
-///
-/// A retained table skips the O(n³) rebuild entirely when it is still
-/// consistent with `(problem, assignment)`; consistency is spot-checked
-/// against [`QapProblem::swap_delta`] on a handful of pairs and the table is
-/// silently rebuilt on any mismatch, so a stale table can cost time but
-/// never correctness.
-#[derive(Debug, Clone)]
-pub struct WarmStart {
-    /// The previous best assignment (facility → location), used as the
-    /// starting point of restart slot 0.
-    pub assignment: Vec<usize>,
-    /// Delta table retained from the previous run, if the caller kept it.
-    pub delta_table: Option<DeltaTable>,
-}
-
-impl WarmStart {
-    /// A warm start from a bare assignment (the table will be rebuilt).
-    pub fn new(assignment: Vec<usize>) -> Self {
-        Self {
-            assignment,
-            delta_table: None,
-        }
-    }
-
-    /// A warm start carrying a retained delta table.
-    pub fn with_table(assignment: Vec<usize>, table: DeltaTable) -> Self {
-        Self {
-            assignment,
-            delta_table: Some(table),
-        }
-    }
-}
-
-/// Runs warm-started Tabu search: restart slot 0 starts from the warm seed
-/// (reusing its retained delta table when still consistent), the remaining
-/// `config.restarts - 1` slots stay independent random restarts with seeds
-/// pre-drawn from `rng`.
-///
-/// The result never costs more than the seed assignment itself: slot 0's
-/// best-so-far starts at the seed, and the cross-restart reduction keeps the
-/// minimum (ties broken in favour of the warm slot).
-pub fn tabu_search_warm<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &TabuConfig,
-    warm: &WarmStart,
-    rng: &mut R,
-) -> TabuResult {
-    tabu_search_warm_budgeted(problem, config, warm, &SolverBudget::unlimited(), rng)
-}
-
-/// [`tabu_search_warm`] under a cooperative budget (see
-/// [`tabu_search_budgeted`] for the expiry semantics).
-pub fn tabu_search_warm_budgeted<R: Rng + ?Sized>(
-    problem: &QapProblem,
-    config: &TabuConfig,
-    warm: &WarmStart,
-    budget: &SolverBudget,
-    rng: &mut R,
-) -> TabuResult {
-    let restarts = config.restarts.max(1);
-    // Same seed-drawing discipline as the cold search: one pre-drawn seed
-    // per restart keeps the outcome independent of execution order.  Slot 0
-    // ignores its seed (it starts from the warm assignment).
-    let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
-    let results = run_indexed(restarts, config.parallel, |k| {
-        if k == 0 {
-            tabu_core(
-                problem,
-                warm.assignment.clone(),
-                config,
-                budget,
-                warm.delta_table.clone(),
-            )
-        } else {
-            let mut restart_rng = StdRng::seed_from_u64(seeds[k]);
-            let start = problem.random_assignment(&mut restart_rng);
-            tabu_search_from_budgeted(problem, start, config, budget)
-        }
-    });
-    results
-        .into_iter()
-        .reduce(|best, r| if r.cost < best.cost { r } else { best })
-        .expect("at least one restart is always performed")
-}
-
-/// Runs Tabu search from an explicit starting assignment.
-pub fn tabu_search_from(
-    problem: &QapProblem,
-    start: Vec<usize>,
-    config: &TabuConfig,
-) -> TabuResult {
-    tabu_search_from_budgeted(problem, start, config, &SolverBudget::unlimited())
-}
-
-/// Runs Tabu search from an explicit starting assignment under a cooperative
-/// budget, checked once per neighbourhood iteration.  On expiry the
-/// best-so-far assignment (at worst, `start` itself) is returned.
-pub fn tabu_search_from_budgeted(
-    problem: &QapProblem,
-    start: Vec<usize>,
-    config: &TabuConfig,
-    budget: &SolverBudget,
-) -> TabuResult {
-    tabu_core(problem, start, config, budget, None)
-}
-
-/// How many sampled pairs a retained delta table is spot-checked on before
-/// being trusted by [`tabu_core`].
-const WARM_TABLE_PROBES: usize = 3;
-
-/// Returns `true` when `table` is plausibly consistent with
-/// `(problem, assignment)`: right size, and a handful of sampled pair deltas
-/// match a from-scratch [`QapProblem::swap_delta`] recomputation.
-fn warm_table_consistent(table: &DeltaTable, problem: &QapProblem, assignment: &[usize]) -> bool {
-    let n = problem.num_facilities();
-    if table.n != n || n < 2 {
-        return false;
-    }
-    for p in 0..WARM_TABLE_PROBES {
-        let i = p * (n - 1) / WARM_TABLE_PROBES.max(1);
-        let span = problem.scan_span(i);
-        if i + 1 >= span {
-            continue;
-        }
-        let j = i + 1;
-        if (table.delta(i, j) - problem.swap_delta(assignment, i, j)).abs() > 1e-9 {
-            return false;
-        }
-    }
-    true
-}
-
-/// The single Tabu descent every public entry point funnels into, with an
-/// optional retained delta table from a warm start.
+/// The Tabu descent of one restart, from a valid starting assignment,
+/// polling `budget` once per neighbourhood iteration.
 fn tabu_core(
     problem: &QapProblem,
     start: Vec<usize>,
     config: &TabuConfig,
     budget: &SolverBudget,
-    retained: Option<DeltaTable>,
 ) -> TabuResult {
     assert!(
         problem.is_valid_assignment(&start),
@@ -629,13 +491,11 @@ fn tabu_core(
     let mut iterations = 0usize;
     // The delta table costs O(n³) up front — the budgeted build bails out
     // per row tile, so a zero-deadline call returns (the valid start)
-    // immediately and a mid-build expiry wastes at most one tile.  A warm
-    // start's retained table (spot-checked for consistency) skips the build.
-    let retained = retained.filter(|t| warm_table_consistent(t, problem, &current));
-    let mut deltas = match retained {
-        Some(table) => Some(table),
-        None if n >= 2 && !budget.expired() => DeltaTable::new_budgeted(problem, &current, budget),
-        None => None,
+    // immediately and a mid-build expiry wastes at most one tile.
+    let mut deltas = if n >= 2 && !budget.expired() {
+        DeltaTable::new_budgeted(problem, &current, budget)
+    } else {
+        None
     };
 
     for iter in 1..=config.max_iterations {
@@ -696,6 +556,8 @@ mod tests {
     use super::*;
     use crate::distance::DistanceMatrix;
     use crate::graph::Graph;
+    use crate::parallel::tests::serially;
+    use std::time::Duration;
 
     /// A line of interacting qubits on a grid device: the optimum places the
     /// line along adjacent hardware qubits (cost = number of gates, counted
@@ -706,11 +568,25 @@ mod tests {
         QapProblem::from_interactions(n, &interactions, &hw)
     }
 
+    /// One restart, so a `warm` start is the whole search.
+    fn single_restart() -> TabuConfig {
+        TabuConfig {
+            restarts: 1,
+            ..TabuConfig::default()
+        }
+    }
+
     #[test]
     fn finds_optimal_line_placement_on_grid() {
         let p = line_on_grid(6, 2, 3);
         let mut rng = StdRng::seed_from_u64(17);
-        let r = tabu_search(&p, &TabuConfig::default(), &mut rng);
+        let r = tabu_search(
+            &p,
+            &TabuConfig::default(),
+            None,
+            &SolverBudget::unlimited(),
+            &mut rng,
+        );
         // Five chain gates, each of distance 1, counted symmetrically → 10.
         assert_eq!(r.cost, 10.0);
         assert!(p.is_valid_assignment(&r.assignment));
@@ -722,7 +598,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let start = p.random_assignment(&mut rng);
         let start_cost = p.cost(&start);
-        let r = tabu_search_from(&p, start, &TabuConfig::default());
+        let r = tabu_search(
+            &p,
+            &single_restart(),
+            Some(&start),
+            &SolverBudget::unlimited(),
+            &mut rng,
+        );
         assert!(r.cost <= start_cost);
         assert!(p.is_valid_assignment(&r.assignment));
     }
@@ -732,7 +614,13 @@ mod tests {
         let hw = DistanceMatrix::floyd_warshall(&Graph::path(3));
         let p = QapProblem::from_interactions(1, &[], &hw);
         let mut rng = StdRng::seed_from_u64(0);
-        let r = tabu_search(&p, &TabuConfig::default(), &mut rng);
+        let r = tabu_search(
+            &p,
+            &TabuConfig::default(),
+            None,
+            &SolverBudget::unlimited(),
+            &mut rng,
+        );
         assert_eq!(r.cost, 0.0);
         assert_eq!(r.assignment.len(), 1);
     }
@@ -745,7 +633,7 @@ mod tests {
             ..TabuConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(2);
-        let r = tabu_search(&p, &config, &mut rng);
+        let r = tabu_search(&p, &config, None, &SolverBudget::unlimited(), &mut rng);
         assert!(r.iterations <= 3);
     }
 
@@ -756,24 +644,22 @@ mod tests {
             restarts: 6,
             ..TabuConfig::default()
         };
+        let unlimited = SolverBudget::unlimited();
         for seed in 0..5 {
-            let serial = tabu_search(
-                &p,
-                &TabuConfig {
-                    parallel: false,
-                    ..config.clone()
-                },
-                &mut StdRng::seed_from_u64(seed),
+            let search = || {
+                tabu_search(
+                    &p,
+                    &config,
+                    None,
+                    &unlimited,
+                    &mut StdRng::seed_from_u64(seed),
+                )
+            };
+            assert_eq!(
+                serially(search),
+                search(),
+                "seed {seed} diverged across thread modes"
             );
-            let parallel = tabu_search(
-                &p,
-                &TabuConfig {
-                    parallel: true,
-                    ..config.clone()
-                },
-                &mut StdRng::seed_from_u64(seed),
-            );
-            assert_eq!(serial, parallel, "seed {seed} diverged across thread modes");
         }
     }
 
@@ -810,38 +696,28 @@ mod tests {
 
     #[test]
     fn expired_budget_returns_the_valid_start() {
-        use crate::budget::SolverBudget;
-        use std::time::Duration;
         let p = line_on_grid(8, 3, 3);
         let mut rng = StdRng::seed_from_u64(11);
         let start = p.random_assignment(&mut rng);
         let start_cost = p.cost(&start);
         let budget = SolverBudget::with_deadline(Duration::ZERO);
-        let r = tabu_search_from_budgeted(&p, start, &TabuConfig::default(), &budget);
+        let r = tabu_search(&p, &single_restart(), Some(&start), &budget, &mut rng);
         assert_eq!(r.iterations, 0);
         assert_eq!(r.cost, start_cost);
         assert!(p.is_valid_assignment(&r.assignment));
     }
 
     #[test]
-    fn unlimited_budget_matches_the_unbudgeted_search() {
-        use crate::budget::SolverBudget;
-        let p = line_on_grid(9, 3, 3);
-        let plain = tabu_search(&p, &TabuConfig::default(), &mut StdRng::seed_from_u64(3));
-        let budgeted = tabu_search_budgeted(
-            &p,
-            &TabuConfig::default(),
-            &SolverBudget::unlimited(),
-            &mut StdRng::seed_from_u64(3),
-        );
-        assert_eq!(plain, budgeted);
-    }
-
-    #[test]
     #[should_panic(expected = "valid starting assignment")]
     fn rejects_invalid_start() {
         let p = line_on_grid(4, 2, 2);
-        let _ = tabu_search_from(&p, vec![0, 0, 1, 2], &TabuConfig::default());
+        let _ = tabu_search(
+            &p,
+            &single_restart(),
+            Some(&[0, 0, 1, 2]),
+            &SolverBudget::unlimited(),
+            &mut StdRng::seed_from_u64(0),
+        );
     }
 
     #[test]
@@ -851,8 +727,13 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let start = p.random_assignment(&mut rng);
             let start_cost = p.cost(&start);
-            let warm = WarmStart::new(start);
-            let r = tabu_search_warm(&p, &TabuConfig::default(), &warm, &mut rng);
+            let r = tabu_search(
+                &p,
+                &TabuConfig::default(),
+                Some(&start),
+                &SolverBudget::unlimited(),
+                &mut rng,
+            );
             assert!(r.cost <= start_cost, "seed {seed}: warm lost to its seed");
             assert!(p.is_valid_assignment(&r.assignment));
         }
@@ -863,99 +744,83 @@ mod tests {
         // Find the optimum cold, then warm-start from it: the warm slot's
         // best-so-far starts at the optimum and can never be displaced.
         let p = line_on_grid(6, 2, 3);
-        let cold = tabu_search(&p, &TabuConfig::default(), &mut StdRng::seed_from_u64(17));
-        assert_eq!(cold.cost, 10.0);
-        let warm = WarmStart::new(cold.assignment.clone());
-        let r = tabu_search_warm(
+        let unlimited = SolverBudget::unlimited();
+        let config = TabuConfig::default();
+        let cold = tabu_search(
             &p,
-            &TabuConfig::default(),
-            &warm,
+            &config,
+            None,
+            &unlimited,
+            &mut StdRng::seed_from_u64(17),
+        );
+        assert_eq!(cold.cost, 10.0);
+        let r = tabu_search(
+            &p,
+            &config,
+            Some(&cold.assignment),
+            &unlimited,
             &mut StdRng::seed_from_u64(99),
         );
         assert_eq!(r.cost, 10.0);
     }
 
     #[test]
-    fn retained_table_matches_rebuilt_table_bit_identically() {
+    fn warm_start_at_slot_zeros_own_random_start_reproduces_the_cold_search() {
+        // Every restart seed is drawn up front and slot 0 is the only slot a
+        // warm start replaces, so warm-starting from the very assignment
+        // cold slot 0 would draw must reproduce the cold search exactly.
         let p = line_on_grid(9, 4, 4);
-        let mut rng = StdRng::seed_from_u64(21);
-        let start = p.random_assignment(&mut rng);
-        let table = DeltaTable::new(&p, &start);
-        let cfg = TabuConfig::default();
-        let without = tabu_search_warm(
-            &p,
-            &cfg,
-            &WarmStart::new(start.clone()),
-            &mut StdRng::seed_from_u64(9),
-        );
-        let with = tabu_search_warm(
-            &p,
-            &cfg,
-            &WarmStart::with_table(start, table),
-            &mut StdRng::seed_from_u64(9),
-        );
-        assert_eq!(without, with);
-    }
-
-    #[test]
-    fn stale_retained_table_is_detected_and_rebuilt() {
-        let p = line_on_grid(8, 3, 3);
-        let mut rng = StdRng::seed_from_u64(33);
-        let a = p.random_assignment(&mut rng);
-        let mut b = a.clone();
-        // Make the table stale in a way the probes must notice: swap the
-        // first two facilities, which changes the probed (0, 1) row.
-        b.swap(0, 1);
-        let stale = DeltaTable::new(&p, &b);
-        assert!(!warm_table_consistent(&stale, &p, &a));
-        let cfg = TabuConfig {
-            restarts: 1,
+        let config = TabuConfig {
+            restarts: 3,
             ..TabuConfig::default()
         };
-        let clean = tabu_search_warm(
-            &p,
-            &cfg,
-            &WarmStart::new(a.clone()),
-            &mut StdRng::seed_from_u64(1),
-        );
-        let guarded = tabu_search_warm(
-            &p,
-            &cfg,
-            &WarmStart::with_table(a, stale),
-            &mut StdRng::seed_from_u64(1),
-        );
-        assert_eq!(clean, guarded);
+        let unlimited = SolverBudget::unlimited();
+        for seed in 0..4 {
+            let slot_zero_seed = StdRng::seed_from_u64(seed).gen::<u64>();
+            let start = p.random_assignment(&mut StdRng::seed_from_u64(slot_zero_seed));
+            let cold = tabu_search(
+                &p,
+                &config,
+                None,
+                &unlimited,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            let warm = tabu_search(
+                &p,
+                &config,
+                Some(&start),
+                &unlimited,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_eq!(cold, warm, "seed {seed}");
+        }
     }
 
     #[test]
     fn warm_parallel_and_serial_restarts_are_bit_identical() {
         let p = line_on_grid(9, 4, 4);
         let mut rng = StdRng::seed_from_u64(4);
-        let warm = WarmStart::new(p.random_assignment(&mut rng));
+        let warm = p.random_assignment(&mut rng);
         let config = TabuConfig {
             restarts: 5,
             ..TabuConfig::default()
         };
+        let unlimited = SolverBudget::unlimited();
         for seed in 0..4 {
-            let serial = tabu_search_warm(
-                &p,
-                &TabuConfig {
-                    parallel: false,
-                    ..config.clone()
-                },
-                &warm,
-                &mut StdRng::seed_from_u64(seed),
+            let search = || {
+                tabu_search(
+                    &p,
+                    &config,
+                    Some(&warm),
+                    &unlimited,
+                    &mut StdRng::seed_from_u64(seed),
+                )
+            };
+            assert_eq!(
+                serially(search),
+                search(),
+                "seed {seed} diverged across thread modes"
             );
-            let parallel = tabu_search_warm(
-                &p,
-                &TabuConfig {
-                    parallel: true,
-                    ..config.clone()
-                },
-                &warm,
-                &mut StdRng::seed_from_u64(seed),
-            );
-            assert_eq!(serial, parallel, "seed {seed} diverged across thread modes");
         }
     }
 }

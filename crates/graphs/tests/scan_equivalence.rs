@@ -13,8 +13,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use twoqan_graphs::{
-    select_best_move, select_best_move_reference, tabu_search_from, DeltaTable, DistanceMatrix,
-    Graph, QapProblem, ScanOutcome, SolverBudget, TabuConfig,
+    select_best_move, select_best_move_reference, tabu_search, DeltaTable, DistanceMatrix, Graph,
+    QapProblem, ScanOutcome, SolverBudget, TabuConfig,
 };
 
 /// The `bench_baseline --kernels` instance family: an NNN chain over all but
@@ -107,13 +107,16 @@ fn early_abort_scan_matches_reference_from_warm_starts() {
         for seed in 0..3 {
             let mut rng = StdRng::seed_from_u64(7 + seed);
             let start = problem.random_assignment(&mut rng);
-            let optimized = tabu_search_from(
+            let optimized = tabu_search(
                 &problem,
-                start,
                 &TabuConfig {
                     max_iterations: 40,
+                    restarts: 1,
                     ..TabuConfig::default()
                 },
+                Some(&start),
+                &SolverBudget::unlimited(),
+                &mut rng,
             );
             let compared = descend_comparing(&problem, optimized.assignment, 30);
             assert!(compared > 0);

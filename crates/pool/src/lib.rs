@@ -443,26 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_pool_spawns_nothing_and_runs_serially() {
-        let before = spawned_thread_census();
-        let pool = CompilePool::new(1);
-        assert_eq!(spawned_thread_census(), before);
-        assert_eq!(pool.workers(), 1);
-        assert_eq!(pool.run_indexed(5, |k| k), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn spawns_exactly_workers_minus_one_threads() {
-        let before = spawned_thread_census();
-        let pool = CompilePool::new(7);
-        assert_eq!(spawned_thread_census() - before, 6);
-        assert_eq!(pool.workers(), 7);
-        drop(pool);
-        // Dropping joins workers without spawning more.
-        assert_eq!(spawned_thread_census() - before, 6);
-    }
-
-    #[test]
     fn nested_batches_complete_without_deadlock() {
         let pool = CompilePool::new(2);
         let _guard = pool.install();

@@ -472,6 +472,49 @@ impl Flight {
     }
 }
 
+/// A request that missed the cache, resolved to everything its compile
+/// and its response need.
+struct Miss<'a> {
+    /// The registered compiler the request named.
+    registered: &'a dyn Compiler,
+    /// The warm clone that compiles instead, on the warm recompile path.
+    warm: Option<Box<dyn Compiler>>,
+    circuit: &'a Circuit,
+    device: &'a Device,
+    /// The cache key of the compiler that compiles the miss.
+    key: u128,
+    /// The drift-stable key of the *registered* compiler (not a warm
+    /// clone's), so successive recompiles keep finding the freshest
+    /// placement.
+    stable: u128,
+    arrival: Instant,
+    /// Miss compiles in flight when the request arrived.
+    queue_depth: usize,
+}
+
+impl Miss<'_> {
+    /// The compiler that compiles this miss.
+    fn compiler(&self) -> &dyn Compiler {
+        self.warm.as_deref().unwrap_or(self.registered)
+    }
+}
+
+/// A leader's compile outcome and where its time went.
+struct Compiled {
+    result: Result<CompiledOutput, CompileError>,
+    /// Milliseconds from request arrival to compile start.
+    queue_wait_ms: f64,
+    compile_ms: f64,
+}
+
+/// What [`CompileService::probe`] found.
+enum Probe<'a> {
+    /// A cached artifact answered the request.
+    Hit(ServiceResponse),
+    /// The request needs a compile (or a flight to follow).
+    Miss(Miss<'a>),
+}
+
 /// How [`CompileService::admit`] classified a miss-path request.
 enum Admission<'s> {
     /// The key was cached between the miss probe and admission (another
@@ -610,10 +653,8 @@ impl CompileService {
     /// The content-addressed cache key the service would use for this
     /// request, or `None` for an unregistered compiler name.
     pub fn key_for(&self, compiler: &str, circuit: &Circuit, device: &Device) -> Option<u128> {
-        self.compilers
-            .iter()
-            .find(|c| c.name() == compiler)
-            .map(|c| cache_key(c.as_ref(), circuit, device))
+        self.resolve(compiler)
+            .map(|c| cache_key(c, circuit, device))
     }
 
     /// Serves one request: a cache hit returns the stored artifact, a miss
@@ -635,31 +676,7 @@ impl CompileService {
         circuit: &Circuit,
         device: &Device,
     ) -> Result<ServiceResponse, ServiceError> {
-        let arrival = Instant::now();
-        Stats::bump(&self.stats.requests);
-        let queue_depth = self.in_flight.load(Ordering::Relaxed);
-        let Some(chosen) = self.compilers.iter().find(|c| c.name() == compiler) else {
-            Stats::bump(&self.stats.errors);
-            return Err(ServiceError::UnknownCompiler {
-                name: compiler.to_string(),
-            });
-        };
-        let key = cache_key(chosen.as_ref(), circuit, device);
-        if let Some(output) = self.shard(key).touch(key) {
-            Stats::bump(&self.stats.hits);
-            return Ok(self.hit_response(output, key, arrival, queue_depth));
-        }
-        let stable = stable_key(chosen.as_ref(), circuit, device);
-        self.serve_miss(
-            chosen.as_ref(),
-            circuit,
-            device,
-            key,
-            stable,
-            false,
-            arrival,
-            queue_depth,
-        )
+        self.serve(compiler, circuit, device, false)
     }
 
     /// Recompiles a workload whose cached artifact was invalidated by
@@ -690,173 +707,210 @@ impl CompileService {
         circuit: &Circuit,
         device: &Device,
     ) -> Result<ServiceResponse, ServiceError> {
-        let arrival = Instant::now();
+        self.serve(compiler, circuit, device, true)
+    }
+
+    /// The request path of [`CompileService::request`] (`warm == false`)
+    /// and [`CompileService::recompile`] (`warm == true`): probe, then
+    /// admit and compile or follow on a miss.
+    fn serve(
+        &self,
+        compiler: &str,
+        circuit: &Circuit,
+        device: &Device,
+        warm: bool,
+    ) -> Result<ServiceResponse, ServiceError> {
+        let miss = match self.probe(compiler, circuit, device, warm, Instant::now())? {
+            Probe::Hit(response) => return Ok(response),
+            Probe::Miss(miss) => miss,
+        };
+        match self.admit(miss.key)? {
+            Admission::Hit(output) => {
+                Ok(self.hit(output, miss.key, false, miss.arrival, miss.queue_depth))
+            }
+            Admission::Follow(flight) => self.follow(&flight, &miss),
+            Admission::Lead(lease) => {
+                Stats::bump(&self.stats.misses);
+                // The service pool is installed for the compile so the
+                // solvers' multi-start restarts reuse the long-lived
+                // workers instead of provisioning per request.
+                let guard = self.pool.install();
+                let compiled = self.compile(&miss);
+                drop(guard);
+                self.lead(lease, &miss, compiled)
+            }
+        }
+    }
+
+    /// The request prelude every entry point shares: count the request,
+    /// resolve the compiler, derive the key and probe the cache.  With
+    /// `warm` set, a miss then consults the drift-stable placement index:
+    /// a recorded placement of the same workload is served if its artifact
+    /// is still cached, and otherwise seeds a warm clone of the compiler,
+    /// whose own key is probed and becomes the miss's key.
+    fn probe<'a>(
+        &'a self,
+        compiler: &str,
+        circuit: &'a Circuit,
+        device: &'a Device,
+        warm: bool,
+        arrival: Instant,
+    ) -> Result<Probe<'a>, ServiceError> {
         Stats::bump(&self.stats.requests);
         let queue_depth = self.in_flight.load(Ordering::Relaxed);
-        let Some(chosen) = self.compilers.iter().find(|c| c.name() == compiler) else {
+        let Some(registered) = self.resolve(compiler) else {
             Stats::bump(&self.stats.errors);
             return Err(ServiceError::UnknownCompiler {
                 name: compiler.to_string(),
             });
         };
-        let key = cache_key(chosen.as_ref(), circuit, device);
+        let key = cache_key(registered, circuit, device);
         if let Some(output) = self.shard(key).touch(key) {
-            Stats::bump(&self.stats.hits);
-            return Ok(self.hit_response(output, key, arrival, queue_depth));
+            let hit = self.hit(output, key, false, arrival, queue_depth);
+            return Ok(Probe::Hit(hit));
         }
-        let stable = stable_key(chosen.as_ref(), circuit, device);
+        let mut miss = Miss {
+            registered,
+            warm: None,
+            circuit,
+            device,
+            key,
+            stable: stable_key(registered, circuit, device),
+            arrival,
+            queue_depth,
+        };
+        if !warm {
+            return Ok(Probe::Miss(miss));
+        }
         let record = self
             .placements
             .lock()
             .expect("placement index poisoned")
-            .touch(stable);
-        if let Some(record) = record {
-            // Fast path for a repeat recompile against an unchanged
-            // snapshot whose artifact is still cached under its own key.
-            if record.device_fingerprint == device_fingerprint(device) {
-                if let Some(output) = self.shard(record.artifact_key).touch(record.artifact_key) {
-                    Stats::bump(&self.stats.hits);
-                    let mut response =
-                        self.hit_response(output, record.artifact_key, arrival, queue_depth);
-                    // A recorded artifact under a different key than the
-                    // cold one was produced by a warm compile.
-                    response.warm = record.artifact_key != key;
-                    return Ok(response);
-                }
-            }
-            if let Some(warm_compiler) = chosen.warm_clone(&record.placement) {
-                // The warm artifact is keyed under the *warm* compiler's
-                // fingerprint (which covers the seed), so plain `request`
-                // hits never observe warm-derived artifacts and repeated
-                // recompiles of the same drifted snapshot hit this key.
-                let warm_key = cache_key(warm_compiler.as_ref(), circuit, device);
-                if let Some(output) = self.shard(warm_key).touch(warm_key) {
-                    Stats::bump(&self.stats.hits);
-                    let mut response = self.hit_response(output, warm_key, arrival, queue_depth);
-                    response.warm = true;
-                    return Ok(response);
-                }
-                return self.serve_miss(
-                    warm_compiler.as_ref(),
-                    circuit,
-                    device,
-                    warm_key,
-                    stable,
-                    true,
-                    arrival,
-                    queue_depth,
-                );
+            .touch(miss.stable);
+        let Some(record) = record else {
+            return Ok(Probe::Miss(miss));
+        };
+        // Fast path for a repeat recompile against an unchanged snapshot
+        // whose artifact is still cached under its own key.
+        if record.device_fingerprint == device_fingerprint(device) {
+            let recorded = record.artifact_key;
+            if let Some(output) = self.shard(recorded).touch(recorded) {
+                // A recorded artifact under a different key than the cold
+                // one was produced by a warm compile.
+                let hit = self.hit(output, recorded, recorded != key, arrival, queue_depth);
+                return Ok(Probe::Hit(hit));
             }
         }
-        self.serve_miss(
-            chosen.as_ref(),
-            circuit,
-            device,
-            key,
-            stable,
-            false,
-            arrival,
-            queue_depth,
-        )
+        if let Some(warm_compiler) = registered.warm_clone(&record.placement) {
+            // The warm artifact is keyed under the *warm* compiler's
+            // fingerprint (which covers the seed), so plain `request` hits
+            // never observe warm-derived artifacts and repeated recompiles
+            // of the same drifted snapshot hit this key.
+            miss.key = cache_key(warm_compiler.as_ref(), circuit, device);
+            if let Some(output) = self.shard(miss.key).touch(miss.key) {
+                let hit = self.hit(output, miss.key, true, arrival, queue_depth);
+                return Ok(Probe::Hit(hit));
+            }
+            miss.warm = Some(warm_compiler);
+        }
+        Ok(Probe::Miss(miss))
     }
 
-    /// The shared miss path of [`CompileService::request`] and
-    /// [`CompileService::recompile`]: singleflight admission, the compile
-    /// itself (on the service pool), caching, placement recording and the
-    /// warm/cold timing counters.  `stable` is the drift-stable key of the
-    /// *registered* compiler (not a warm clone's), so successive recompiles
-    /// keep finding the freshest placement.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_miss(
+    /// The registered compiler named `name`.
+    fn resolve(&self, name: &str) -> Option<&dyn Compiler> {
+        self.compilers
+            .iter()
+            .find(|c| c.name() == name)
+            .map(|c| c.as_ref())
+    }
+
+    /// Compiles a miss on the calling thread, panic-isolated and with the
+    /// configured retries, timing the wait before it and the compile
+    /// itself.  Callers install the service pool first, so the solvers'
+    /// restarts run on its workers.
+    fn compile(&self, miss: &Miss<'_>) -> Compiled {
+        let queue_wait_ms = ms_since(miss.arrival);
+        let start = Instant::now();
+        let job = BatchJob {
+            circuit: miss.circuit,
+            device: miss.device,
+            compiler: miss.compiler(),
+        };
+        let result = self
+            .batch
+            .compile_batch(&[job])
+            .pop()
+            .expect("one job in, one result out");
+        Compiled {
+            result,
+            queue_wait_ms,
+            compile_ms: ms_since(start),
+        }
+    }
+
+    /// The leader's completion: account the compile, cache it and record
+    /// its placement, publish it to the followers and answer.  A failed
+    /// compile is published as its typed error and never cached.
+    fn lead(
         &self,
-        compiler: &dyn Compiler,
-        circuit: &Circuit,
-        device: &Device,
-        key: u128,
-        stable: u128,
-        warm: bool,
-        arrival: Instant,
-        queue_depth: usize,
+        lease: FlightLease<'_>,
+        miss: &Miss<'_>,
+        compiled: Compiled,
     ) -> Result<ServiceResponse, ServiceError> {
-        match self.admit(key)? {
-            Admission::Hit(output) => {
-                Stats::bump(&self.stats.hits);
-                Ok(self.hit_response(output, key, arrival, queue_depth))
+        let output = match compiled.result {
+            Ok(output) => Arc::new(output),
+            Err(e) => {
+                Stats::bump(&self.stats.errors);
+                let error = ServiceError::from(e);
+                lease.publish(Err(error.clone()));
+                return Err(error);
             }
-            Admission::Follow(flight) => {
-                let queue_wait_ms = ms_since(arrival);
-                let wait_start = Instant::now();
-                let result = self.wait_for_flight(&flight);
-                Stats::bump(&self.stats.coalesced);
-                match result {
-                    Ok(output) => Ok(ServiceResponse {
-                        output,
-                        hit: false,
-                        coalesced: true,
-                        warm,
-                        cached: false,
-                        key,
-                        queue_wait_ms,
-                        coalesced_wait_ms: ms_since(wait_start),
-                        compile_ms: 0.0,
-                        wall_ms: ms_since(arrival),
-                        queue_depth,
-                    }),
-                    Err(e) => {
-                        Stats::bump(&self.stats.errors);
-                        Err(e)
-                    }
-                }
-            }
-            Admission::Lead(lease) => {
-                Stats::bump(&self.stats.misses);
-                let queue_wait_ms = ms_since(arrival);
-                let compile_start = Instant::now();
-                // The service pool is installed for the compile so the
-                // solvers' multi-start restarts reuse the long-lived
-                // workers instead of provisioning per request.
-                let guard = self.pool.install();
-                let result = self
-                    .batch
-                    .compile_batch(&[BatchJob {
-                        circuit,
-                        device,
-                        compiler,
-                    }])
-                    .pop()
-                    .expect("one job in, one result out");
-                drop(guard);
-                let compile_ms = ms_since(compile_start);
-                match result {
-                    Ok(output) => {
-                        let output = Arc::new(output);
-                        self.note_compile(warm, compile_ms);
-                        // Cache *before* the flight clears so a newcomer
-                        // always finds the key in one of the two maps.
-                        let cached = self.maybe_cache(key, &output, device);
-                        self.record_placement(stable, key, &output, device);
-                        lease.publish(Ok(Arc::clone(&output)));
-                        Ok(ServiceResponse {
-                            output,
-                            hit: false,
-                            coalesced: false,
-                            warm,
-                            cached,
-                            key,
-                            queue_wait_ms,
-                            coalesced_wait_ms: 0.0,
-                            compile_ms,
-                            wall_ms: ms_since(arrival),
-                            queue_depth,
-                        })
-                    }
-                    Err(e) => {
-                        Stats::bump(&self.stats.errors);
-                        let error = ServiceError::from(e);
-                        lease.publish(Err(error.clone()));
-                        Err(error)
-                    }
-                }
+        };
+        self.note_compile(miss.warm.is_some(), compiled.compile_ms);
+        // Cache *before* the flight clears so a newcomer always finds the
+        // key in one of the two maps.
+        let cached = self.maybe_cache(miss.key, &output, miss.device);
+        self.record_placement(miss.stable, miss.key, &output, miss.device);
+        lease.publish(Ok(Arc::clone(&output)));
+        Ok(ServiceResponse {
+            output,
+            hit: false,
+            coalesced: false,
+            warm: miss.warm.is_some(),
+            cached,
+            key: miss.key,
+            queue_wait_ms: compiled.queue_wait_ms,
+            coalesced_wait_ms: 0.0,
+            compile_ms: compiled.compile_ms,
+            wall_ms: ms_since(miss.arrival),
+            queue_depth: miss.queue_depth,
+        })
+    }
+
+    /// The follower's completion: park on the leader's flight and answer
+    /// with its shared artifact, or its error.
+    fn follow(&self, flight: &Flight, miss: &Miss<'_>) -> Result<ServiceResponse, ServiceError> {
+        let queue_wait_ms = ms_since(miss.arrival);
+        let wait_start = Instant::now();
+        let result = self.wait_for_flight(flight);
+        Stats::bump(&self.stats.coalesced);
+        match result {
+            Ok(output) => Ok(ServiceResponse {
+                output,
+                hit: false,
+                coalesced: true,
+                warm: miss.warm.is_some(),
+                cached: false,
+                key: miss.key,
+                queue_wait_ms,
+                coalesced_wait_ms: ms_since(wait_start),
+                compile_ms: 0.0,
+                wall_ms: ms_since(miss.arrival),
+                queue_depth: miss.queue_depth,
+            }),
+            Err(e) => {
+                Stats::bump(&self.stats.errors);
+                Err(e)
             }
         }
     }
@@ -903,19 +957,22 @@ impl CompileService {
             );
     }
 
-    fn hit_response(
+    /// Counts a cache hit on `key` and answers with its artifact.
+    fn hit(
         &self,
         output: Arc<CompiledOutput>,
         key: u128,
+        warm: bool,
         arrival: Instant,
         queue_depth: usize,
     ) -> ServiceResponse {
+        Stats::bump(&self.stats.hits);
         let wall_ms = ms_since(arrival);
         ServiceResponse {
             output,
             hit: true,
             coalesced: false,
-            warm: false,
+            warm,
             cached: false,
             key,
             queue_wait_ms: wall_ms,
@@ -1025,132 +1082,62 @@ impl CompileService {
     }
 
     /// Serves a batch of requests, fanning the misses out over the service
-    /// pool via [`BatchCompiler`]; responses keep the request order.
-    /// Per-response `queue_wait_ms` covers hashing, lookup and the wait for
-    /// a pool worker.  Duplicate keys inside the batch — and keys another
-    /// thread is already compiling — coalesce onto a single compile, just
-    /// like [`CompileService::request`].
+    /// pool; responses keep the request order.  Per-response
+    /// `queue_wait_ms` covers hashing, lookup and the wait for a pool
+    /// worker.  Every request is classified before anything compiles, so
+    /// duplicate keys inside the batch — and keys another thread is already
+    /// compiling — coalesce onto a single compile, just like
+    /// [`CompileService::request`].
     pub fn request_batch(
         &self,
         requests: &[ServiceRequest<'_>],
     ) -> Vec<Result<ServiceResponse, ServiceError>> {
         let arrival = Instant::now();
-        // Classify every request first: hits and unknown names answer
-        // immediately, each distinct missing key elects one in-batch leader
-        // (the pool compiles those), and everything else follows a flight —
-        // an in-batch leader's or another thread's.
+        // Hits and unknown names answer immediately, each distinct missing
+        // key elects one in-batch leader (the pool compiles those), and
+        // everything else follows a flight — an in-batch leader's or
+        // another thread's.
         let mut responses: Vec<Option<Result<ServiceResponse, ServiceError>>> =
             (0..requests.len()).map(|_| None).collect();
-        #[allow(clippy::type_complexity)]
-        let mut leaders: Vec<(usize, u128, &dyn Compiler, FlightLease<'_>, usize)> = Vec::new();
-        let mut followers: Vec<(usize, u128, Arc<Flight>, usize)> = Vec::new();
+        let mut leaders = Vec::new();
+        let mut followers = Vec::new();
         for (i, req) in requests.iter().enumerate() {
-            Stats::bump(&self.stats.requests);
-            let queue_depth = self.in_flight.load(Ordering::Relaxed);
-            let Some(chosen) = self.compilers.iter().find(|c| c.name() == req.compiler) else {
-                Stats::bump(&self.stats.errors);
-                responses[i] = Some(Err(ServiceError::UnknownCompiler {
-                    name: req.compiler.to_string(),
-                }));
-                continue;
+            let miss = match self.probe(req.compiler, req.circuit, req.device, false, arrival) {
+                Ok(Probe::Miss(miss)) => miss,
+                Ok(Probe::Hit(response)) => {
+                    responses[i] = Some(Ok(response));
+                    continue;
+                }
+                Err(e) => {
+                    responses[i] = Some(Err(e));
+                    continue;
+                }
             };
-            let key = cache_key(chosen.as_ref(), req.circuit, req.device);
-            if let Some(output) = self.shard(key).touch(key) {
-                Stats::bump(&self.stats.hits);
-                responses[i] = Some(Ok(self.hit_response(output, key, arrival, queue_depth)));
-                continue;
-            }
-            match self.admit(key) {
+            match self.admit(miss.key) {
                 Ok(Admission::Hit(output)) => {
-                    Stats::bump(&self.stats.hits);
-                    responses[i] = Some(Ok(self.hit_response(output, key, arrival, queue_depth)));
+                    let hit = self.hit(output, miss.key, false, arrival, miss.queue_depth);
+                    responses[i] = Some(Ok(hit));
                 }
                 Ok(Admission::Lead(lease)) => {
                     Stats::bump(&self.stats.misses);
-                    leaders.push((i, key, chosen.as_ref(), lease, queue_depth));
+                    leaders.push((i, miss, lease));
                 }
-                Ok(Admission::Follow(flight)) => followers.push((i, key, flight, queue_depth)),
+                Ok(Admission::Follow(flight)) => followers.push((i, miss, flight)),
                 Err(e) => responses[i] = Some(Err(e)),
             }
         }
-        if !leaders.is_empty() {
-            let probes: Vec<ProbedCompiler<'_>> = leaders
-                .iter()
-                .map(|&(_, _, compiler, _, _)| ProbedCompiler::new(compiler, arrival))
-                .collect();
-            let jobs: Vec<BatchJob<'_>> = leaders
-                .iter()
-                .zip(&probes)
-                .map(|(&(i, _, _, _, _), probe)| BatchJob {
-                    circuit: requests[i].circuit,
-                    device: requests[i].device,
-                    compiler: probe,
-                })
-                .collect();
-            let guard = self.pool.install();
-            let results = self.batch.compile_batch(&jobs);
-            drop(guard);
-            for (((i, key, compiler, lease, queue_depth), probe), result) in
-                leaders.into_iter().zip(&probes).zip(results)
-            {
-                let entry = match result {
-                    Ok(output) => {
-                        let output = Arc::new(output);
-                        self.note_compile(false, probe.compile_ms());
-                        let cached = self.maybe_cache(key, &output, requests[i].device);
-                        let stable = stable_key(compiler, requests[i].circuit, requests[i].device);
-                        self.record_placement(stable, key, &output, requests[i].device);
-                        lease.publish(Ok(Arc::clone(&output)));
-                        Ok(ServiceResponse {
-                            output,
-                            hit: false,
-                            coalesced: false,
-                            warm: false,
-                            cached,
-                            key,
-                            queue_wait_ms: probe.started_ms(),
-                            coalesced_wait_ms: 0.0,
-                            compile_ms: probe.compile_ms(),
-                            wall_ms: ms_since(arrival),
-                            queue_depth,
-                        })
-                    }
-                    Err(e) => {
-                        Stats::bump(&self.stats.errors);
-                        let error = ServiceError::from(e);
-                        lease.publish(Err(error.clone()));
-                        Err(error)
-                    }
-                };
-                responses[i] = Some(entry);
-            }
+        let guard = self.pool.install();
+        let compiled = self
+            .pool
+            .run_indexed(leaders.len(), |j| self.compile(&leaders[j].1));
+        drop(guard);
+        for ((i, miss, lease), compiled) in leaders.into_iter().zip(compiled) {
+            responses[i] = Some(self.lead(lease, &miss, compiled));
         }
         // In-batch followers resolve instantly (their leader just
         // published); followers of another thread's flight park on it.
-        for (i, key, flight, queue_depth) in followers {
-            let wait_start = Instant::now();
-            let result = self.wait_for_flight(&flight);
-            Stats::bump(&self.stats.coalesced);
-            let entry = match result {
-                Ok(output) => Ok(ServiceResponse {
-                    output,
-                    hit: false,
-                    coalesced: true,
-                    warm: false,
-                    cached: false,
-                    key,
-                    queue_wait_ms: ms_since(arrival),
-                    coalesced_wait_ms: ms_since(wait_start),
-                    compile_ms: 0.0,
-                    wall_ms: ms_since(arrival),
-                    queue_depth,
-                }),
-                Err(e) => {
-                    Stats::bump(&self.stats.errors);
-                    Err(e)
-                }
-            };
-            responses[i] = Some(entry);
+        for (i, miss, flight) in followers {
+            responses[i] = Some(self.follow(&flight, &miss));
         }
         responses
             .into_iter()
@@ -1211,63 +1198,6 @@ impl CompileService {
         Stats::bump(&self.stats.insertions);
         self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
         true
-    }
-}
-
-/// Delegates to a wrapped compiler while recording when the compile started
-/// (relative to batch submission) and how long it ran — the queue-wait and
-/// compile-time probes of [`CompileService::request_batch`].
-struct ProbedCompiler<'a> {
-    inner: &'a dyn Compiler,
-    submitted: Instant,
-    started_ms: AtomicU64,
-    compile_ms: AtomicU64,
-}
-
-impl<'a> ProbedCompiler<'a> {
-    fn new(inner: &'a dyn Compiler, submitted: Instant) -> Self {
-        Self {
-            inner,
-            submitted,
-            started_ms: AtomicU64::new(0f64.to_bits()),
-            compile_ms: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
-    fn started_ms(&self) -> f64 {
-        f64::from_bits(self.started_ms.load(Ordering::Relaxed))
-    }
-
-    fn compile_ms(&self) -> f64 {
-        f64::from_bits(self.compile_ms.load(Ordering::Relaxed))
-    }
-}
-
-impl Compiler for ProbedCompiler<'_> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn order_respecting(&self) -> bool {
-        self.inner.order_respecting()
-    }
-
-    fn constrains_connectivity(&self) -> bool {
-        self.inner.constrains_connectivity()
-    }
-
-    fn compile(&self, circuit: &Circuit, device: &Device) -> Result<CompiledOutput, CompileError> {
-        self.started_ms
-            .store(ms_since(self.submitted).to_bits(), Ordering::Relaxed);
-        let start = Instant::now();
-        let result = self.inner.compile(circuit, device);
-        self.compile_ms
-            .store(ms_since(start).to_bits(), Ordering::Relaxed);
-        result
-    }
-
-    fn cache_fingerprint(&self) -> u64 {
-        self.inner.cache_fingerprint()
     }
 }
 
@@ -1572,6 +1502,48 @@ mod tests {
         assert!(!miss.hit && miss.cached);
         assert!(miss.compile_ms > 0.0);
         assert!(miss.queue_wait_ms >= 0.0);
+        // The job's start and compile timings nest inside the request.
+        assert!(miss.queue_wait_ms + miss.compile_ms <= miss.wall_ms + 1e-9);
+    }
+
+    #[test]
+    fn every_entry_point_shares_the_request_prelude() {
+        let service = service();
+        let circuit = trotter_step(&nnn_ising(7, 4), 1.0);
+        let device = Device::montreal();
+        let nope = ServiceRequest {
+            compiler: "nope",
+            circuit: &circuit,
+            device: &device,
+        };
+        assert!(matches!(
+            service.recompile("nope", &circuit, &device),
+            Err(ServiceError::UnknownCompiler { .. })
+        ));
+        assert!(matches!(
+            service.request_batch(&[nope])[0],
+            Err(ServiceError::UnknownCompiler { .. })
+        ));
+        // A miss compiled through the batch path is a plain hit, under the
+        // same key, for both single-request entry points.
+        let miss = service
+            .request_batch(&[ServiceRequest {
+                compiler: "2QAN",
+                ..nope
+            }])
+            .pop()
+            .unwrap()
+            .unwrap();
+        assert!(!miss.hit && miss.cached);
+        let via_request = service.request("2QAN", &circuit, &device).unwrap();
+        let via_recompile = service.recompile("2QAN", &circuit, &device).unwrap();
+        assert!(via_request.hit && via_recompile.hit && !via_recompile.warm);
+        assert_eq!((via_request.key, via_recompile.key), (miss.key, miss.key));
+        let stats = service.stats();
+        assert_eq!(
+            (stats.requests, stats.errors, stats.hits, stats.misses),
+            (5, 2, 2, 1)
+        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 use twoqan::mapping::{mapping_cost, QubitMap};
 use twoqan::{TwoQanCompiler, TwoQanConfig};
 use twoqan_circuit::Circuit;
-use twoqan_device::{Device, DriftStream};
-use twoqan_ham::{nnn_heisenberg, trotter_step};
+use twoqan_device::{Device, DriftStream, TwoQubitBasis};
+use twoqan_ham::{nnn_heisenberg, trotter_step, QaoaProblem};
 use twoqan_service::{bit_identical, stable_key, CompileService, ServiceConfig};
 use twoqan_verify::{verify_output, EquivalenceChecker};
 
@@ -178,4 +178,83 @@ fn stable_keys_ignore_drift_and_warm_artifacts_stay_off_the_cold_key() {
     let plain = service.request("2QAN", &circuit, &drifted).unwrap();
     assert!(!plain.hit, "warm artifacts must not alias the cold key");
     assert_ne!(plain.key, warm.key);
+}
+
+/// One served artifact, reduced to what the pin compares: the initial
+/// placement and the SWAP, two-qubit gate and two-qubit depth counts.
+type Pinned = (Vec<usize>, usize, usize, usize);
+
+/// Serves the shipping `2QAN-noise` compiler cold through `request`, then
+/// through three seeded drift cycles of `invalidate_device` + `recompile`,
+/// on a seeded heterogeneous grid, and returns every served artifact
+/// (`[workload][step]`, step 0 cold and steps 1..=3 warm).
+fn serve_shipping_artifacts() -> Vec<Vec<Pinned>> {
+    let service = small_service();
+    let base = Device::grid(6, 6, TwoQubitBasis::Cnot).with_heterogeneous_calibration(31);
+    let (gamma, beta) = QaoaProblem::optimal_p1_angles_regular3();
+    let workloads = [
+        trotter_step(&nnn_heisenberg(20, 3), 1.0),
+        QaoaProblem::random_regular(20, 3, 7).circuit(&[(gamma, beta)], false),
+    ];
+    let pin = |out: &twoqan::pipeline::CompiledOutput| {
+        (
+            out.initial_placement.clone(),
+            out.metrics.swap_count,
+            out.metrics.hardware_two_qubit_count,
+            out.metrics.hardware_two_qubit_depth,
+        )
+    };
+    let mut served: Vec<Vec<Pinned>> = workloads
+        .iter()
+        .map(|circuit| {
+            let cold = service.request("2QAN-noise", circuit, &base).unwrap();
+            assert!(!cold.hit && !cold.warm && cold.cached);
+            vec![pin(&cold.output)]
+        })
+        .collect();
+    let mut device = base.clone();
+    let mut stream = DriftStream::new(base.target().clone(), 17);
+    for cycle in 1..=3 {
+        stream.advance();
+        service.invalidate_device(&device);
+        device = base.with_target(stream.current().clone());
+        for (circuit, artifacts) in workloads.iter().zip(&mut served) {
+            let warm = service.recompile("2QAN-noise", circuit, &device).unwrap();
+            assert!(warm.warm && !warm.hit, "cycle {cycle} must compile warm");
+            artifacts.push(pin(&warm.output));
+        }
+    }
+    served
+}
+
+/// Pins the exact cold and warm artifacts of the shipping configuration.
+/// The constants were recorded before the solver, mapping and service entry
+/// points were collapsed, so any change to RNG draw order, restart seeding
+/// or the warm path shows up here.
+#[test]
+fn shipping_cold_and_warm_artifacts_are_pinned() {
+    const HEISENBERG: [usize; 20] = [
+        1, 2, 7, 8, 14, 9, 15, 10, 16, 11, 17, 23, 29, 22, 28, 34, 27, 33, 26, 32,
+    ];
+    const QAOA_COLD: [usize; 20] = [
+        27, 23, 22, 20, 14, 17, 9, 28, 29, 7, 8, 34, 33, 16, 26, 21, 11, 15, 32, 10,
+    ];
+    const QAOA_WARM: [usize; 20] = [
+        26, 23, 22, 20, 14, 17, 9, 28, 29, 8, 7, 34, 27, 16, 32, 21, 11, 15, 33, 10,
+    ];
+    let expected: Vec<Vec<Pinned>> = vec![
+        vec![
+            (HEISENBERG.to_vec(), 7, 111, 21),
+            (HEISENBERG.to_vec(), 6, 111, 18),
+            (HEISENBERG.to_vec(), 6, 111, 18),
+            (HEISENBERG.to_vec(), 6, 111, 18),
+        ],
+        vec![
+            (QAOA_COLD.to_vec(), 9, 81, 17),
+            (QAOA_WARM.to_vec(), 9, 81, 20),
+            (QAOA_WARM.to_vec(), 10, 82, 21),
+            (QAOA_WARM.to_vec(), 10, 82, 21),
+        ],
+    ];
+    assert_eq!(serve_shipping_artifacts(), expected);
 }

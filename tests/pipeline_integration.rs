@@ -187,7 +187,7 @@ fn legacy_2qan_compile(
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use twoqan_repro::twoqan::decompose::hardware_metrics_with_target;
-    use twoqan_repro::twoqan::mapping::initial_mapping_with;
+    use twoqan_repro::twoqan::mapping::initial_mapping;
     use twoqan_repro::twoqan::routing::route;
     use twoqan_repro::twoqan::scheduling::schedule;
     use twoqan_repro::twoqan::CompilationResult;
@@ -201,7 +201,14 @@ fn legacy_2qan_compile(
     let mut best: Option<CompilationResult> = None;
     for trial in 0..config.mapping_trials.max(1) {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(trial as u64));
-        let map = initial_mapping_with(&prepared, device, &mapping_config, &mut rng).unwrap();
+        let map = initial_mapping(
+            &prepared,
+            device,
+            &mapping_config,
+            &twoqan_repro::twoqan::SolverBudget::unlimited(),
+            &mut rng,
+        )
+        .unwrap();
         let routed = route(&prepared, device, &map, &config.routing, &mut rng).unwrap();
         let hardware_circuit = schedule(&routed, device, config.scheduling);
         let metrics = hardware_metrics_with_target(

@@ -11,8 +11,8 @@ use twoqan_repro::prelude::*;
 use twoqan_repro::twoqan_circuit::GateKind;
 use twoqan_repro::twoqan_graphs::{
     build_delta_table_reference, select_best_move, select_best_move_reference, simulated_annealing,
-    tabu_search, tabu_search_from_budgeted, AnnealingConfig, DeltaTable, DistanceMatrix, Graph,
-    QapProblem, ScanOutcome, SolverBudget, TabuConfig,
+    tabu_search, AnnealingConfig, DeltaTable, DistanceMatrix, Graph, QapProblem, ScanOutcome,
+    SolverBudget, TabuConfig,
 };
 use twoqan_repro::twoqan_math::cost::TwoQubitBasisCost;
 use twoqan_repro::twoqan_math::weyl::{MakhlinInvariants, WeylCoordinates};
@@ -755,7 +755,19 @@ fn budgeted_blocked_path_keeps_the_anytime_contract() {
             let start = p.random_assignment(rng);
             let start_cost = p.cost(&start);
             let budget = SolverBudget::with_deadline(deadline);
-            let r = tabu_search_from_budgeted(&p, start, &TabuConfig::default(), &budget);
+            let single = TabuConfig {
+                restarts: 1,
+                ..TabuConfig::default()
+            };
+            // One warm restart ignores its seed, so a throwaway generator
+            // keeps the case stream unchanged.
+            let r = tabu_search(
+                &p,
+                &single,
+                Some(&start),
+                &budget,
+                &mut StdRng::seed_from_u64(0),
+            );
             assert!(p.is_valid_assignment(&r.assignment));
             assert_eq!(r.cost, p.cost(&r.assignment), "reported cost is stale");
             assert!(r.cost <= start_cost, "budgeted search lost ground");
@@ -774,35 +786,17 @@ fn pooled_solver_restarts_are_bit_identical_for_any_worker_count() {
         let seed = rng.gen::<u64>();
         let tabu = TabuConfig {
             restarts: 3,
-            parallel: true,
             ..TabuConfig::default()
         };
         let sa = AnnealingConfig {
             restarts: 3,
-            parallel: true,
             ..AnnealingConfig::default()
         };
-        let serial_tabu = tabu_search(
-            &p,
-            &TabuConfig {
-                parallel: false,
-                ..tabu.clone()
-            },
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let serial_sa = simulated_annealing(
-            &p,
-            &AnnealingConfig {
-                parallel: false,
-                ..sa.clone()
-            },
-            &mut StdRng::seed_from_u64(seed),
-        );
+        let (serial_tabu, serial_sa) = serially(|| solve_both(&p, &tabu, &sa, seed));
         for workers in [1usize, 2, 4, 7] {
             let pool = CompilePool::new(workers);
             let guard = pool.install();
-            let pooled_tabu = tabu_search(&p, &tabu, &mut StdRng::seed_from_u64(seed));
-            let pooled_sa = simulated_annealing(&p, &sa, &mut StdRng::seed_from_u64(seed));
+            let (pooled_tabu, pooled_sa) = solve_both(&p, &tabu, &sa, seed);
             drop(guard);
             assert_eq!(
                 serial_tabu, pooled_tabu,
@@ -817,7 +811,8 @@ fn pooled_solver_restarts_are_bit_identical_for_any_worker_count() {
 }
 
 /// Parallel and serial multi-start runs of both QAP solvers return
-/// bit-identical results for a fixed seed.
+/// bit-identical results for a fixed seed.  The parallel run has no pool
+/// installed, so its restarts take the scoped-thread path.
 #[test]
 fn solver_restarts_are_deterministic_across_thread_modes() {
     for_random_cases(8, 110, |rng| {
@@ -827,43 +822,38 @@ fn solver_restarts_are_deterministic_across_thread_modes() {
             restarts: 4,
             ..TabuConfig::default()
         };
-        let serial = tabu_search(
-            &p,
-            &TabuConfig {
-                parallel: false,
-                ..tabu.clone()
-            },
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let parallel = tabu_search(
-            &p,
-            &TabuConfig {
-                parallel: true,
-                ..tabu
-            },
-            &mut StdRng::seed_from_u64(seed),
-        );
-        assert_eq!(serial, parallel, "tabu diverged for seed {seed}");
         let sa = AnnealingConfig {
             restarts: 3,
             ..AnnealingConfig::default()
         };
-        let serial = simulated_annealing(
-            &p,
-            &AnnealingConfig {
-                parallel: false,
-                ..sa.clone()
-            },
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let parallel = simulated_annealing(
-            &p,
-            &AnnealingConfig {
-                parallel: true,
-                ..sa
-            },
-            &mut StdRng::seed_from_u64(seed),
-        );
-        assert_eq!(serial, parallel, "annealing diverged for seed {seed}");
+        let (serial_tabu, serial_sa) = serially(|| solve_both(&p, &tabu, &sa, seed));
+        let (parallel_tabu, parallel_sa) = solve_both(&p, &tabu, &sa, seed);
+        assert_eq!(serial_tabu, parallel_tabu, "tabu diverged for seed {seed}");
+        assert_eq!(serial_sa, parallel_sa, "annealing diverged for seed {seed}");
     });
+}
+
+/// Cold, unbudgeted runs of both QAP solvers from the same seed.
+fn solve_both(
+    p: &QapProblem,
+    tabu: &TabuConfig,
+    sa: &AnnealingConfig,
+    seed: u64,
+) -> (
+    twoqan_repro::twoqan_graphs::TabuResult,
+    twoqan_repro::twoqan_graphs::AnnealingResult,
+) {
+    let unlimited = SolverBudget::unlimited();
+    (
+        tabu_search(p, tabu, None, &unlimited, &mut StdRng::seed_from_u64(seed)),
+        simulated_annealing(p, sa, None, &unlimited, &mut StdRng::seed_from_u64(seed)),
+    )
+}
+
+/// Runs `search` with the solvers' restarts kept inline on the calling
+/// thread (an installed 1-worker pool): the serial reference.
+fn serially<T>(search: impl FnOnce() -> T) -> T {
+    let pool = twoqan_repro::twoqan::CompilePool::new(1);
+    let _guard = pool.install();
+    search()
 }
