@@ -11,6 +11,7 @@ use crate::pipeline::{
 };
 use crate::routing::{RoutedCircuit, RoutingConfig};
 use crate::scheduling::SchedulingStrategy;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use twoqan_circuit::{Circuit, Gate, GateKind, HardwareMetrics, Moment, ScheduledCircuit};
 use twoqan_device::{Device, TwoQubitBasis};
@@ -53,14 +54,14 @@ pub struct TwoQanConfig {
     /// support); under a limited budget the compiler degrades along the
     /// [`DegradationRung`] ladder instead of erroring.
     pub budget: CompileBudget,
-    /// Worker count for the compile's internal parallelism (the multi-start
-    /// Tabu/annealing restarts).  `0` (the default) inherits: restarts run
-    /// on the already-installed [`twoqan_pool::CompilePool`] when one exists
-    /// (e.g. inside a [`crate::BatchCompiler`] run) and otherwise on scoped
-    /// threads, one per core.  `n ≥ 1` provisions a
-    /// dedicated `n`-worker pool for this compile — unless a pool is
-    /// already installed, which always wins so nesting never over-spawns.
-    /// Results are bit-identical for every setting.
+    /// Worker count for the compile's internal parallelism: the portfolio
+    /// candidates and, nested inside them, the multi-start Tabu/annealing
+    /// restarts.  An already-installed [`twoqan_pool::CompilePool`] (e.g.
+    /// inside a [`crate::BatchCompiler`] run or a service request) always
+    /// wins, so nesting never over-spawns.  Without one, the compile
+    /// provisions a pool of its own: `0` (the default) sizes it to
+    /// [`twoqan_pool::max_useful_workers`], and `n ≥ 1` to `n` clamped to
+    /// that.  Results are bit-identical for every setting.
     pub threads: usize,
     /// Optional warm-start placement (`logical → physical`) from a previous
     /// compile of the same circuit, forwarded to the mapping pass: restart
@@ -303,48 +304,67 @@ impl TwoQanCompiler {
     }
 
     /// Compiles like [`TwoQanCompiler::compile`] and also returns the
-    /// per-pass [`PipelineReport`].  The pipeline is run once per mapping
-    /// trial (each with its own seed) and the result with the fewest SWAPs
-    /// (then fewest hardware gates, then lowest depth) is kept; the report
-    /// sums wall-clock per pass over all trials and snapshots gate/depth
-    /// from the winning trial.  The deterministic unifying pre-pass is
-    /// hoisted out of the trial loop (it would produce the same circuit
-    /// every trial), so its report entry is a single measurement.
+    /// per-pass [`PipelineReport`].
+    ///
+    /// The planned portfolio is one pipeline run per (mapping trial, cost
+    /// model) candidate, each trial with its own seed; candidate `k` is
+    /// trial `k / models` under cost model `k % models`.  The candidates run
+    /// concurrently on the installed [`twoqan_pool::CompilePool`] (see
+    /// [`TwoQanConfig::threads`] for when one is provisioned), and their
+    /// results are folded in index order: the result with the fewest SWAPs
+    /// (then fewest hardware gates, then lowest depth) is kept, or with the
+    /// highest ESP for the calibration-aware portfolio.  So an unbudgeted
+    /// compile is bit-identical for every worker count.  The report sums
+    /// each pass's busy time over the candidates, so under concurrency it
+    /// can exceed the compile's wall time, and it snapshots gate/depth from
+    /// the winning candidate.  The deterministic unifying pre-pass is
+    /// hoisted out of the portfolio (it would produce the same circuit for
+    /// every candidate), so its report entry is a single measurement.
     ///
     /// Under a limited [`CompileBudget`] the planned portfolio degrades
-    /// along an explicit ladder instead of erroring: the budget is checked
-    /// between pipeline runs (and, inside the mapping pass, per solver
-    /// sweep), so an expired deadline truncates the portfolio to whatever
-    /// runs completed — the first of which is always a hop-count pipeline.
-    /// If not even one run completed (deadline already expired on entry, or
-    /// every run failed), a trivial-placement + routing fallback that always
-    /// terminates produces the result.  The report records the rung that
-    /// ran, the configured deadline and the budget actually consumed.
+    /// along an explicit ladder instead of erroring.  Candidate 0, a
+    /// hop-count pipeline, always runs; any later candidate is skipped when
+    /// the budget has expired by the time it starts (and, inside the
+    /// mapping pass, the solvers poll it per sweep).  If not even one run
+    /// completed (deadline already expired on entry, or every run failed),
+    /// a trivial-placement + routing fallback that always terminates
+    /// produces the result.  The report records the rung that ran
+    /// ([`DegradationRung::Full`] only when every planned candidate
+    /// completed), the configured deadline and the budget actually
+    /// consumed.
+    ///
+    /// An attached fault injector is [`FaultInjector::fork`]ed once per
+    /// compile: candidate `k` draws from stream `k` and the fallback from
+    /// the stream after the last candidate, so a chaos compile injects the
+    /// same faults for any worker count.  A candidate that panics re-raises
+    /// its panic once every candidate has finished, the lowest index first.
     pub fn compile_with_report(
         &self,
         circuit: &Circuit,
         device: &Device,
     ) -> Result<(CompilationResult, PipelineReport), CompileError> {
-        // Provision a dedicated worker pool when the config asks for one and
-        // none is installed yet; an installed pool (e.g. the batch driver's)
-        // always wins so nested compiles never over-spawn.  The guard is
-        // dropped before the pool so TLS is restored first.
-        let _pool = match (
-            self.config.threads,
-            twoqan_pool::CompilePool::current_workers(),
-        ) {
-            (0, _) | (_, Some(_)) => None,
-            (n, None) => {
-                // Clamp to the core count: oversubscribing CPU-bound solver
-                // restarts only adds scheduling churn.
-                let pool = twoqan_pool::CompilePool::new(n.min(twoqan_pool::max_useful_workers()));
+        // Provision a per-compile worker pool unless one is installed (e.g.
+        // the batch driver's or the service's), which always wins so nested
+        // compiles never over-spawn.  Clamp to the core count:
+        // oversubscribing CPU-bound candidates and solver restarts only adds
+        // scheduling churn.  The guard is dropped before the pool so TLS is
+        // restored first.
+        let _pool = match twoqan_pool::CompilePool::current_workers() {
+            Some(_) => None,
+            None => {
+                let cores = twoqan_pool::max_useful_workers();
+                let workers = match self.config.threads {
+                    0 => cores,
+                    n => n.min(cores),
+                };
+                let pool = twoqan_pool::CompilePool::new(workers);
                 Some((pool.install(), pool))
             }
         };
         let armed = self.config.budget.arm();
         let trials = self.config.mapping_trials.max(1);
         // Unify once, up front: the pre-pass draws no randomness, so every
-        // trial would redo identical work.
+        // candidate would redo identical work.
         let (prepared, unify_record) = if self.config.unify_input {
             let gates_before = circuit.two_qubit_gate_count();
             let t0 = std::time::Instant::now();
@@ -374,14 +394,63 @@ impl TwoQanCompiler {
         // and degenerates exactly.)
         let error_aware =
             self.config.cost_model == CostModel::CalibrationAware && !device.target().is_uniform();
-        let strategy = self.config.mapping_strategy;
-        let pipelines = if error_aware {
-            vec![
-                self.pipeline(strategy, CostModel::HopCount),
-                self.pipeline(strategy, CostModel::CalibrationAware),
-            ]
+        let models: &[CostModel] = if error_aware {
+            &[CostModel::HopCount, CostModel::CalibrationAware]
         } else {
-            vec![self.pipeline(strategy, self.config.cost_model)]
+            std::slice::from_ref(&self.config.cost_model)
+        };
+        let planned = trials * models.len();
+        // One fault stream per candidate, plus one for the fallback.
+        let faults = self
+            .faults
+            .as_ref()
+            .map(|injector| injector.fork(planned + 1));
+        let stream = |k: usize| faults.as_ref().map(|streams| Arc::clone(&streams[k]));
+        // A budget that expired before any work was done (zero deadline,
+        // pre-cancelled token) sends the compilation straight to the
+        // trivial fallback — even the anytime solvers' setup would waste
+        // the caller's remaining time.
+        let skip_portfolio = armed.is_limited() && armed.expired();
+        let runs = if skip_portfolio {
+            Vec::new()
+        } else {
+            twoqan_graphs::parallel::run_indexed(planned, true, |k| {
+                if k > 0 && armed.expired() {
+                    return None;
+                }
+                // `Pass` is not `Sync`, so each candidate builds its own
+                // pipeline.
+                let pipeline =
+                    self.pipeline(self.config.mapping_strategy, models[k % models.len()]);
+                let trial = (k / models.len()) as u64;
+                let mut ctx = CompilationContext::for_device(
+                    prepared.clone(),
+                    device,
+                    self.config.seed.wrapping_add(trial),
+                );
+                ctx.budget = armed.clone();
+                ctx.faults = stream(k);
+                // Caught here and re-raised after the fold, so every
+                // candidate runs whatever the worker count.
+                Some(catch_unwind(AssertUnwindSafe(|| {
+                    let trial_report = pipeline.run(&mut ctx)?;
+                    let timeline = ctx.timeline.take();
+                    let candidate = CompilationResult::from_context(ctx);
+                    let esp = if error_aware {
+                        let timeline =
+                            timeline.expect("the decompose pass sets the timeline for device runs");
+                        crate::decompose::estimated_success_probability_with_timeline(
+                            &candidate.hardware_circuit,
+                            candidate.basis,
+                            device.target(),
+                            &timeline,
+                        )
+                    } else {
+                        0.0
+                    };
+                    Ok((candidate, esp, trial_report))
+                })))
+            })
         };
         let legacy_rank = |r: &CompilationResult| {
             (
@@ -392,73 +461,40 @@ impl TwoQanCompiler {
         };
         let mut best: Option<(CompilationResult, f64)> = None;
         let mut report = PipelineReport::default();
-        let planned = trials * pipelines.len();
         let mut completed = 0usize;
         let mut first_error: Option<CompileError> = None;
-        // A budget that expired before any work was done (zero deadline,
-        // pre-cancelled token) sends the compilation straight to the
-        // trivial fallback — even the anytime solvers' setup would waste
-        // the caller's remaining time.
-        let skip_portfolio = armed.is_limited() && armed.expired();
-        'portfolio: for trial in 0..trials {
-            for pipeline in &pipelines {
-                if skip_portfolio || (completed > 0 && armed.expired()) {
-                    break 'portfolio;
+        for run in runs.into_iter().flatten() {
+            // A failing pipeline run drops out of the portfolio instead of
+            // aborting the compilation: other runs (or the fallback) may
+            // still succeed.  The first error is kept for the case where
+            // nothing does.
+            let (candidate, esp, trial_report) = match run {
+                Ok(Ok(outcome)) => outcome,
+                Ok(Err(e)) => {
+                    first_error.get_or_insert(e);
+                    continue;
                 }
-                let mut ctx = CompilationContext::for_device(
-                    prepared.clone(),
-                    device,
-                    self.config.seed.wrapping_add(trial as u64),
-                );
-                ctx.budget = armed.clone();
-                ctx.faults = self.faults.clone();
-                // A failing pipeline run drops out of the portfolio instead
-                // of aborting the compilation: later runs (or the fallback)
-                // may still succeed.  The first error is kept for the case
-                // where nothing does.
-                let trial_report = match pipeline.run(&mut ctx) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        if first_error.is_none() {
-                            first_error = Some(e);
-                        }
-                        continue;
+                Err(panic) => resume_unwind(panic),
+            };
+            completed += 1;
+            // Candidate selection: fewest SWAPs (then gates, then depth) as
+            // in the paper; the error-aware portfolio ranks by ESP first so
+            // the kept candidate is the one likeliest to succeed, not
+            // merely the smallest.
+            let better = match &best {
+                None => true,
+                Some((b, best_esp)) => {
+                    if error_aware {
+                        esp > *best_esp
+                            || (esp == *best_esp && legacy_rank(&candidate) < legacy_rank(b))
+                    } else {
+                        legacy_rank(&candidate) < legacy_rank(b)
                     }
-                };
-                completed += 1;
-                let timeline = ctx.timeline.take();
-                let candidate = CompilationResult::from_context(ctx);
-                // Trial selection: fewest SWAPs (then gates, then depth) as
-                // in the paper; the error-aware portfolio ranks by ESP
-                // first so the kept candidate is the one likeliest to
-                // succeed, not merely the smallest.
-                let esp = if error_aware {
-                    let timeline =
-                        timeline.expect("the decompose pass sets the timeline for device runs");
-                    crate::decompose::estimated_success_probability_with_timeline(
-                        &candidate.hardware_circuit,
-                        candidate.basis,
-                        device.target(),
-                        &timeline,
-                    )
-                } else {
-                    0.0
-                };
-                let better = match &best {
-                    None => true,
-                    Some((b, best_esp)) => {
-                        if error_aware {
-                            esp > *best_esp
-                                || (esp == *best_esp && legacy_rank(&candidate) < legacy_rank(b))
-                        } else {
-                            legacy_rank(&candidate) < legacy_rank(b)
-                        }
-                    }
-                };
-                report.absorb_trial(&trial_report, better);
-                if better {
-                    best = Some((candidate, esp));
                 }
+            };
+            report.absorb_trial(&trial_report, better);
+            if better {
+                best = Some((candidate, esp));
             }
         }
         let mut best = best.map(|(candidate, _)| candidate);
@@ -470,7 +506,7 @@ impl TwoQanCompiler {
         if best.is_none() {
             // Bottom rung: trivial placement + routing, no iterative search.
             rung = DegradationRung::TrivialFallback;
-            match self.trivial_fallback(&prepared, device, &mut report) {
+            match self.trivial_fallback(&prepared, device, stream(planned), &mut report) {
                 Ok(result) => best = Some(result),
                 Err(fallback_err) => return Err(first_error.unwrap_or(fallback_err)),
             }
@@ -491,17 +527,18 @@ impl TwoQanCompiler {
     /// The bottom rung of the degradation ladder: identity placement,
     /// hop-count routing and scheduling — no iterative search anywhere, so
     /// it terminates regardless of how little budget remains.  Runs under
-    /// the compiler's fault injector (if any) so chaos runs exercise the
-    /// fallback path too.
+    /// the compile's fallback fault stream (if an injector is attached) so
+    /// chaos runs exercise the fallback path too.
     fn trivial_fallback(
         &self,
         prepared: &Circuit,
         device: &Device,
+        faults: Option<Arc<FaultInjector>>,
         report: &mut PipelineReport,
     ) -> Result<CompilationResult, CompileError> {
         let pipeline = self.pipeline(InitialMappingStrategy::Trivial, CostModel::HopCount);
         let mut ctx = CompilationContext::for_device(prepared.clone(), device, self.config.seed);
-        ctx.faults = self.faults.clone();
+        ctx.faults = faults;
         let fallback_report = pipeline.run(&mut ctx)?;
         report.absorb_trial(&fallback_report, true);
         Ok(CompilationResult::from_context(ctx))
@@ -828,6 +865,95 @@ mod tests {
         assert!(injector.counts().errors > 0, "no fault ever fired");
         assert_ne!(report.rung, DegradationRung::Full);
         assert!(result.hardware_compatible(&device));
+    }
+
+    /// The report fields that do not depend on timing: per-pass names and
+    /// winner snapshots, trial count, rung and deadline.
+    type NonTiming = (
+        Vec<(&'static str, usize, usize, isize, isize)>,
+        usize,
+        DegradationRung,
+        Option<f64>,
+    );
+
+    fn non_timing(report: &PipelineReport) -> NonTiming {
+        let passes: Vec<_> = report
+            .passes
+            .iter()
+            .map(|p| {
+                (
+                    p.name,
+                    p.two_qubit_gates_after,
+                    p.depth_after,
+                    p.gate_delta,
+                    p.depth_delta,
+                )
+            })
+            .collect();
+        (passes, report.trials, report.rung, report.deadline_ms)
+    }
+
+    /// Runs `compile` with an installed `workers`-worker pool, or with none.
+    fn on_pool<T>(workers: Option<usize>, compile: impl FnOnce() -> T) -> T {
+        let pool = workers.map(crate::pool::CompilePool::new);
+        let _guard = pool.as_ref().map(crate::pool::CompilePool::install);
+        compile()
+    }
+
+    #[test]
+    fn concurrent_portfolio_is_bit_identical_for_any_worker_count() {
+        let circuit = trotter_step(&nnn_heisenberg(12, 4), 1.0);
+        let device = Device::montreal().with_heterogeneous_calibration(9);
+        let compiler = TwoQanCompiler::new(TwoQanConfig::calibration_aware());
+        let runs: Vec<_> = [Some(1), Some(2), None]
+            .into_iter()
+            .map(|workers| {
+                on_pool(workers, || {
+                    compiler.compile_with_report(&circuit, &device).unwrap()
+                })
+            })
+            .collect();
+        let (reference, reference_report) = &runs[0];
+        // The six-candidate portfolio ran in full.
+        assert_eq!(reference_report.trials, 6);
+        assert_eq!(reference_report.rung, DegradationRung::Full);
+        for (result, report) in &runs[1..] {
+            assert_eq!(result, reference);
+            assert_eq!(non_timing(report), non_timing(reference_report));
+        }
+    }
+
+    #[test]
+    fn chaos_portfolio_injects_the_same_faults_for_any_worker_count() {
+        use crate::fault::{FaultConfig, FaultInjector};
+        let circuit = trotter_step(&nnn_heisenberg(12, 4), 1.0);
+        let device = Device::montreal().with_heterogeneous_calibration(9);
+        let run = |workers| {
+            let injector = Arc::new(FaultInjector::new(FaultConfig {
+                seed: 3,
+                error_probability: 0.1,
+                delay_probability: 0.1,
+                delay: std::time::Duration::from_micros(50),
+                ..FaultConfig::default()
+            }));
+            let compiler = TwoQanCompiler::new(TwoQanConfig::calibration_aware())
+                .with_fault_injector(Arc::clone(&injector));
+            let outcome = on_pool(Some(workers), || {
+                compiler
+                    .compile_with_report(&circuit, &device)
+                    .map(|(result, report)| (result, non_timing(&report)))
+            });
+            (outcome, injector.counts())
+        };
+        let (serial, serial_counts) = run(1);
+        assert!(serial_counts.errors > 0 && serial_counts.delays > 0);
+        let (_, report) = serial.as_ref().expect("some candidate survives");
+        assert_eq!(report.2, DegradationRung::SinglePipeline);
+        for _ in 0..3 {
+            let (concurrent, counts) = run(2);
+            assert_eq!(concurrent, serial);
+            assert_eq!(counts, serial_counts);
+        }
     }
 
     #[test]

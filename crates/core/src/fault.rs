@@ -12,9 +12,14 @@
 //!
 //! Injection draws come from a single seeded RNG behind a mutex, so a chaos
 //! run is reproducible from its seed (up to scheduling of concurrent jobs
-//! over the shared stream).  A *disarmed* injector (all probabilities zero,
-//! the default) takes a fast path that draws nothing, keeping zero-fault
-//! chaos runs bit-identical to the stock pipeline.
+//! over the shared stream).  Work that one caller runs concurrently takes
+//! its own streams instead: the 2QAN portfolio [`FaultInjector::fork`]s
+//! one stream per candidate with a single draw from the attached injector,
+//! so a chaos compile injects the same faults for any worker count, and the
+//! streams' injections still add up in the attached injector's
+//! [`FaultInjector::counts`].  A *disarmed* injector (all probabilities
+//! zero, the default) takes a fast path that draws nothing, keeping
+//! zero-fault chaos runs bit-identical to the stock pipeline.
 
 use crate::error::CompileError;
 use crate::pipeline::{CompiledOutput, Compiler};
@@ -89,6 +94,14 @@ pub struct FaultCounts {
 pub struct FaultInjector {
     config: FaultConfig,
     rng: Mutex<StdRng>,
+    /// Shared with every stream forked from this injector, so the faults
+    /// the streams inject are counted here too.
+    tally: Arc<Tally>,
+}
+
+/// The counters behind [`FaultCounts`].
+#[derive(Debug, Default)]
+struct Tally {
     checks: AtomicUsize,
     panics: AtomicUsize,
     errors: AtomicUsize,
@@ -102,10 +115,7 @@ impl FaultInjector {
         Self {
             config,
             rng,
-            checks: AtomicUsize::new(0),
-            panics: AtomicUsize::new(0),
-            errors: AtomicUsize::new(0),
-            delays: AtomicUsize::new(0),
+            tally: Arc::default(),
         }
     }
 
@@ -120,14 +130,41 @@ impl FaultInjector {
         &self.config
     }
 
-    /// What the injector has done so far.
+    /// What the injector, and every stream forked from it, has done so
+    /// far.
     pub fn counts(&self) -> FaultCounts {
         FaultCounts {
-            checks: self.checks.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            delays: self.delays.load(Ordering::Relaxed),
+            checks: self.tally.checks.load(Ordering::Relaxed),
+            panics: self.tally.panics.load(Ordering::Relaxed),
+            errors: self.tally.errors.load(Ordering::Relaxed),
+            delays: self.tally.delays.load(Ordering::Relaxed),
         }
+    }
+
+    /// Forks `count` independent fault streams for work that runs
+    /// concurrently, such as the candidates of one portfolio compile.
+    ///
+    /// An armed injector takes exactly one draw from its RNG to seed the
+    /// streams; a disarmed one draws nothing.  Stream `k` has this
+    /// injector's configuration, an RNG of its own seeded from that draw
+    /// and `k`, and counts into this injector's [`FaultInjector::counts`].
+    /// So which faults stream `k` injects depends only on the draw and on
+    /// `k`, not on how the streams' work is scheduled.
+    pub fn fork(&self, count: usize) -> Vec<Arc<FaultInjector>> {
+        let base: u64 = if self.config.is_disarmed() {
+            self.config.seed
+        } else {
+            self.rng.lock().expect("fault injector RNG poisoned").gen()
+        };
+        (0..count)
+            .map(|k| {
+                Arc::new(Self {
+                    config: self.config.clone(),
+                    rng: Mutex::new(StdRng::seed_from_u64(base.wrapping_add(k as u64))),
+                    tally: Arc::clone(&self.tally),
+                })
+            })
+            .collect()
     }
 
     /// The injection site: called by the pass manager before each pass (and
@@ -144,7 +181,7 @@ impl FaultInjector {
     /// Panics deliberately when the panic fault fires — the whole point is
     /// to exercise the caller's isolation boundary.
     pub fn before_stage(&self, stage: &'static str) -> Result<(), CompileError> {
-        self.checks.fetch_add(1, Ordering::Relaxed);
+        self.tally.checks.fetch_add(1, Ordering::Relaxed);
         if self.config.is_disarmed() {
             return Ok(());
         }
@@ -153,11 +190,11 @@ impl FaultInjector {
             rng.gen()
         };
         if draw < self.config.panic_probability {
-            self.panics.fetch_add(1, Ordering::Relaxed);
+            self.tally.panics.fetch_add(1, Ordering::Relaxed);
             panic!("injected fault: panic before {stage}");
         }
         if draw < self.config.panic_probability + self.config.error_probability {
-            self.errors.fetch_add(1, Ordering::Relaxed);
+            self.tally.errors.fetch_add(1, Ordering::Relaxed);
             return Err(CompileError::PassFailed {
                 pass: stage,
                 reason: "injected fault".into(),
@@ -168,7 +205,7 @@ impl FaultInjector {
                 + self.config.error_probability
                 + self.config.delay_probability
         {
-            self.delays.fetch_add(1, Ordering::Relaxed);
+            self.tally.delays.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(self.config.delay);
         }
         Ok(())
@@ -303,5 +340,50 @@ mod tests {
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100));
+    }
+
+    #[test]
+    fn forked_streams_draw_once_from_the_parent_and_count_into_it() {
+        let config = FaultConfig {
+            seed: 13,
+            error_probability: 0.5,
+            ..FaultConfig::default()
+        };
+        let pattern = |stream: &FaultInjector| {
+            (0..40)
+                .map(|_| stream.before_stage("s").is_err())
+                .collect::<Vec<bool>>()
+        };
+        let parent = FaultInjector::new(config.clone());
+        let streams = parent.fork(3);
+        // Each stream's faults depend only on the fork draw and its index,
+        // not on the order the streams run in.
+        let twin = FaultInjector::new(config.clone());
+        let twin_streams = twin.fork(3);
+        let backwards: Vec<Vec<bool>> = twin_streams.iter().rev().map(|s| pattern(s)).collect();
+        let forwards: Vec<Vec<bool>> = streams.iter().map(|s| pattern(s)).collect();
+        assert_eq!(forwards, backwards.into_iter().rev().collect::<Vec<_>>());
+        assert_ne!(forwards[0], forwards[1]);
+        // The fork took exactly one draw from the parent's stream.
+        let mut expected = StdRng::seed_from_u64(config.seed);
+        let _: u64 = expected.gen();
+        assert_eq!(*parent.rng.lock().unwrap(), expected);
+        // The streams' checks and faults are counted on the parent.
+        let counts = parent.counts();
+        assert_eq!(counts.checks, 120);
+        assert_eq!(
+            counts.errors,
+            forwards.iter().flatten().filter(|&&e| e).count()
+        );
+        // A disarmed injector forks without drawing.
+        let disarmed = FaultInjector::disarmed();
+        for stream in disarmed.fork(2) {
+            assert!(stream.before_stage("s").is_ok());
+        }
+        assert_eq!(disarmed.counts().checks, 2);
+        assert_eq!(
+            *disarmed.rng.lock().unwrap(),
+            StdRng::seed_from_u64(disarmed.config().seed)
+        );
     }
 }

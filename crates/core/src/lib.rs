@@ -36,9 +36,10 @@
 //! [`BatchCompiler`] ([`batch`]) fans whole workload × device × compiler
 //! sweeps out over a shared work-stealing [`pool::CompilePool`] with
 //! deterministic result ordering; the pool is provisioned once per batch
-//! run and reused by the solvers' nested multi-start restarts (and by
-//! standalone compiles via [`TwoQanConfig::threads`]), so a run at
-//! `--threads N` uses exactly `N` workers with no nested spawning.
+//! run and reused by each compile's portfolio candidates and the solvers'
+//! nested multi-start restarts, so a run at `--threads N` uses exactly `N`
+//! workers with no nested spawning.  A standalone compile with no pool
+//! installed provisions one of its own (see [`TwoQanConfig::threads`]).
 //!
 //! # Example
 //!

@@ -220,8 +220,9 @@ pub trait Pass {
 pub struct PassRecord {
     /// The pass's [`Pass::name`].
     pub name: &'static str,
-    /// Wall-clock milliseconds spent in the pass (summed over mapping
-    /// trials when the pipeline is run multiple times per compilation).
+    /// Wall-clock milliseconds spent in the pass (summed over the runs when
+    /// the pipeline is run multiple times per compilation, which may run
+    /// concurrently; see [`PipelineReport::total_ms`]).
     pub wall_ms: f64,
     /// Two-qubit gate count of the context's most advanced representation
     /// after the pass.
@@ -270,11 +271,15 @@ impl DegradationRung {
 pub struct PipelineReport {
     /// Per-pass records, in execution order.
     pub passes: Vec<PassRecord>,
-    /// Total wall-clock milliseconds across all passes (and trials).
+    /// Total wall-clock milliseconds across all passes (and trials).  It is
+    /// busy time: a compiler that runs its trials concurrently (the 2QAN
+    /// portfolio) sums each trial's pass clocks, so the total can exceed
+    /// the compile's own wall time.
     pub total_ms: f64,
     /// Number of pipeline trials merged into this report (compilers that
     /// re-run their pipeline with different seeds and keep the best result
-    /// sum wall-clock over trials; gate/depth snapshots come from the
+    /// sum each pass's busy time over trials, whether the trials ran one
+    /// after another or concurrently; gate/depth snapshots come from the
     /// winning trial).
     pub trials: usize,
     /// Which degradation rung produced the result ([`DegradationRung::Full`]

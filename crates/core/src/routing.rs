@@ -17,9 +17,10 @@
 //!    gate on the same qubit pair becomes a *dressed SWAP*, eliminating the
 //!    separate circuit gate entirely.
 //!
-//! The output is the list of qubit maps `{φ_i}` and the gates assigned to
-//! each map, exactly the structure Algorithm 2 (the hybrid scheduler)
-//! consumes.
+//! The output is the initial map `φ_0`, the gates assigned to each map
+//! `φ_i` and the SWAPs between consecutive maps, exactly the structure
+//! Algorithm 2 (the hybrid scheduler) consumes.  Only the initial and final
+//! maps are stored: every `φ_i` follows from `φ_0` by replaying the SWAPs.
 
 use crate::error::CompileError;
 use crate::mapping::{CostModel, QubitMap};
@@ -70,21 +71,29 @@ impl SwapAction {
     }
 }
 
-/// One routing stage: a qubit map, the circuit gates that are executed while
-/// it is in effect, and the SWAP that transitions to the next map.
+/// One routing stage `i`: the circuit gates that are executed while the
+/// qubit map `φ_i` is in effect, and the SWAP that transitions to the next
+/// map.
+///
+/// `φ_i` itself is not stored: it is [`RoutedCircuit::initial_map`] with
+/// the SWAPs of stages `0..i` applied, so a routed circuit stays small
+/// however many stages it has.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutingStage {
-    /// The qubit map `φ_i` in effect for this stage.
-    pub map: QubitMap,
     /// Circuit gates (on *logical* qubit pairs) that are nearest-neighbour
-    /// under `map` and assigned to this stage.
+    /// under `φ_i` and assigned to this stage.
     pub circuit_gates: Vec<Gate>,
     /// The SWAP applied at the end of this stage (`None` for the last stage).
     pub swap: Option<SwapAction>,
 }
 
-/// The router's output: the initial map, the per-map gate assignment and the
-/// single-qubit gates (which are free to execute under the initial map).
+/// The router's output: the initial and final maps, the per-map gate
+/// assignment with the SWAPs between maps, and the single-qubit gates (which
+/// are free to execute under the initial map).
+///
+/// The intermediate maps are not stored (see [`RoutingStage`]); a consumer
+/// that needs them replays the stage SWAPs from [`RoutedCircuit::initial_map`],
+/// and the replay ends at [`RoutedCircuit::final_map`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedCircuit {
     /// Number of physical qubits on the target device.
@@ -94,17 +103,19 @@ pub struct RoutedCircuit {
     /// Single-qubit gates of the input circuit (on logical qubits); they are
     /// scheduled under the initial map.
     pub single_qubit_gates: Vec<Gate>,
+    initial_map: QubitMap,
+    final_map: QubitMap,
 }
 
 impl RoutedCircuit {
     /// The initial qubit map `φ_0`.
     pub fn initial_map(&self) -> &QubitMap {
-        &self.stages[0].map
+        &self.initial_map
     }
 
     /// The final qubit map (after all SWAPs).
     pub fn final_map(&self) -> &QubitMap {
-        &self.stages[self.stages.len() - 1].map
+        &self.final_map
     }
 
     /// Number of inserted SWAPs (plain + dressed).
@@ -353,10 +364,10 @@ impl<'d> RouterState<'d> {
 /// the placement produced by the mapping pass.
 ///
 /// The loop is allocation-free in the hot path: a single working map is
-/// mutated in place (one clone per *accepted* SWAP to record the stage, none
-/// per candidate), and the Eq.-7 cost of the unrouted set is maintained
-/// incrementally so each candidate SWAP is scored by the delta over the few
-/// gates it touches instead of a full rescan.
+/// mutated in place (stages record their SWAP, not a copy of the map), and
+/// the Eq.-7 cost of the unrouted set is maintained incrementally so each
+/// candidate SWAP is scored by the delta over the few gates it touches
+/// instead of a full rescan.
 ///
 /// # Errors
 ///
@@ -389,7 +400,6 @@ pub fn route<R: Rng + ?Sized>(
     }
 
     let mut stages = vec![RoutingStage {
-        map: initial_map.clone(),
         circuit_gates: stage0_gates,
         swap: None,
     }];
@@ -472,7 +482,6 @@ pub fn route<R: Rng + ?Sized>(
         }
         state.rebuild_index();
         stages.push(RoutingStage {
-            map: state.map.clone(),
             circuit_gates: new_stage_gates,
             swap: None,
         });
@@ -482,6 +491,8 @@ pub fn route<R: Rng + ?Sized>(
         num_physical: device.num_qubits(),
         stages,
         single_qubit_gates,
+        initial_map: initial_map.clone(),
+        final_map: state.map,
     })
 }
 
@@ -632,7 +643,8 @@ mod tests {
     }
 
     /// Every circuit gate must end up somewhere: as a stage gate or merged
-    /// into a dressed SWAP, and every stage gate must be NN under its map.
+    /// into a dressed SWAP, and every stage gate must be NN under its stage
+    /// map, replayed from the initial map through the recorded SWAPs.
     fn check_routing_invariants(routed: &RoutedCircuit, circuit: &Circuit, device: &Device) {
         let placed: usize = routed.placed_circuit_gate_count();
         let merged = routed.dressed_swap_count();
@@ -641,10 +653,11 @@ mod tests {
             circuit.two_qubit_gate_count(),
             "all two-qubit gates must be placed or merged"
         );
+        let mut map = routed.initial_map().clone();
         for stage in &routed.stages {
             for g in &stage.circuit_gates {
                 assert!(
-                    stage.map.logically_adjacent(device, g.qubit0(), g.qubit1()),
+                    map.logically_adjacent(device, g.qubit0(), g.qubit1()),
                     "placed gate {g} is not NN under its stage map"
                 );
             }
@@ -653,12 +666,23 @@ mod tests {
                     device.are_adjacent(swap.physical.0, swap.physical.1),
                     "SWAP on non-adjacent physical qubits"
                 );
+                assert_eq!(
+                    swap.logical,
+                    (map.logical(swap.physical.0), map.logical(swap.physical.1)),
+                    "a SWAP records the logical qubits its stage map puts on its pair"
+                );
                 if let Some(m) = swap.merged {
                     let (la, lb) = (swap.logical.0.unwrap(), swap.logical.1.unwrap());
                     assert_eq!(m.qubit_pair(), (la.min(lb), la.max(lb)));
                 }
+                map.apply_physical_swap(swap.physical.0, swap.physical.1);
             }
         }
+        assert_eq!(
+            &map,
+            routed.final_map(),
+            "the SWAP replay ends at the final map"
+        );
         assert_eq!(
             routed.single_qubit_gates.len(),
             circuit.single_qubit_gate_count()
@@ -756,18 +780,27 @@ mod tests {
     fn stage_maps_evolve_by_the_recorded_swaps() {
         let circuit = trotter_step(&nnn_ising(8, 2), 1.0);
         let device = Device::montreal();
-        let routed = route_with_tabu(&circuit, &device, 4, &RoutingConfig::default());
-        for window in routed.stages.windows(2) {
-            let swap = window[0]
-                .swap
-                .as_ref()
-                .expect("inner stages end with a SWAP");
-            let expected = window[0]
-                .map
-                .with_physical_swap(swap.physical.0, swap.physical.1);
-            assert_eq!(expected, window[1].map);
+        let mut rng = StdRng::seed_from_u64(4);
+        let map = initial_mapping(
+            &circuit,
+            &device,
+            &MappingConfig::default(),
+            &SolverBudget::unlimited(),
+            &mut rng,
+        )
+        .unwrap();
+        let routed = route(&circuit, &device, &map, &RoutingConfig::default(), &mut rng).unwrap();
+        assert_eq!(routed.initial_map(), &map);
+        let (last, inner) = routed.stages.split_last().unwrap();
+        assert!(last.swap.is_none());
+        let mut replayed = map;
+        for stage in inner {
+            let swap = stage.swap.as_ref().expect("inner stages end with a SWAP");
+            replayed.apply_physical_swap(swap.physical.0, swap.physical.1);
         }
-        assert!(routed.stages.last().unwrap().swap.is_none());
+        assert!(routed.swap_count() > 0);
+        assert_eq!(&replayed, routed.final_map());
+        check_routing_invariants(&routed, &circuit, &device);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!    semantics) while minimising depth.
 
 use crate::mapping::QubitMap;
-use crate::routing::RoutedCircuit;
+use crate::routing::{RoutedCircuit, SwapAction};
 use twoqan_circuit::{Gate, ScheduledCircuit};
 use twoqan_graphs::coloring::{greedy_coloring, ColoringStrategy};
 use twoqan_graphs::Graph;
@@ -52,19 +52,21 @@ pub fn schedule(
     ScheduledCircuit::asap_from_gates(routed.num_physical, &ordered)
 }
 
-/// The gate sequence in plain stage order (φ_0 gates, swap_0, φ_1 gates, …).
+/// The gate sequence in plain stage order (φ_0 gates, swap_0, φ_1 gates, …),
+/// replaying the SWAPs from the initial map to place each stage's gates.
 fn stage_order(routed: &RoutedCircuit) -> Vec<Gate> {
     let mut out = Vec::new();
-    let initial_map = routed.initial_map();
+    let mut map = routed.initial_map().clone();
     for g in &routed.single_qubit_gates {
-        out.push(place_single(g, initial_map));
+        out.push(place_single(g, &map));
     }
     for stage in &routed.stages {
         for g in &stage.circuit_gates {
-            out.push(place_two_qubit(g, &stage.map));
+            out.push(place_two_qubit(g, &map));
         }
         if let Some(swap) = &stage.swap {
             out.push(swap.physical_gate());
+            map.apply_physical_swap(swap.physical.0, swap.physical.1);
         }
     }
     out
@@ -133,12 +135,13 @@ fn alap_cycles(routed: &RoutedCircuit, device: &twoqan_device::Device) -> Vec<Ve
         .skip(1)
         .flat_map(|(i, s)| s.circuit_gates.iter().map(move |g| (i, *g)))
         .collect();
-    // Pending SWAPs, tagged with their stage index, in stage order.
-    let mut pending_swaps: Vec<(usize, crate::routing::SwapAction)> = routed
+    // Pending SWAPs, tagged with their stage index, in stage order (at most
+    // one per stage, so the stage indices strictly increase).
+    let mut pending_swaps: Vec<(usize, &SwapAction)> = routed
         .stages
         .iter()
         .enumerate()
-        .filter_map(|(i, s)| s.swap.clone().map(|sw| (i, sw)))
+        .filter_map(|(i, s)| s.swap.as_ref().map(|sw| (i, sw)))
         .collect();
 
     let mut current_map: QubitMap = routed.final_map().clone();
@@ -177,23 +180,14 @@ fn alap_cycles(routed: &RoutedCircuit, device: &twoqan_device::Device) -> Vec<Ve
             }
         }
 
-        // SWAPs: processed in decreasing stage order; strict reverse stage
-        // order is enforced among overlapping SWAPs, and a SWAP waits until
-        // every pending gate that depends on it has been scheduled in an
-        // *earlier* cycle (gates placed this cycle still count as blocking).
-        let mut s = pending_swaps.len();
-        while s > 0 {
-            s -= 1;
-            let (stage, ref swap) = pending_swaps[s];
-            // All later-stage SWAPs must already be gone (scheduled earlier
-            // or in this cycle).
-            let later_pending = pending_swaps.iter().any(|(other, _)| *other > stage);
-            if later_pending {
-                continue;
-            }
+        // SWAPs, in decreasing stage order.  A SWAP waits for every later
+        // SWAP and for every pending gate that depends on it (gates placed
+        // this cycle still count as blocking), so the first SWAP that
+        // cannot be placed ends the pass: every earlier one waits for it.
+        while let Some(&(stage, swap)) = pending_swaps.last() {
             let (pa, pb) = swap.physical;
             if busy[pa] || busy[pb] {
-                continue;
+                break;
             }
             // Dependent circuit gates: gates from later stages acting on the
             // logical qubits this SWAP moves.
@@ -202,11 +196,11 @@ fn alap_cycles(routed: &RoutedCircuit, device: &twoqan_device::Device) -> Vec<Ve
                 *gstage > stage && moved.iter().flatten().any(|&l| g.acts_on(l))
             };
             if pending_gates.iter().any(blocks) || placed_this_cycle.iter().any(blocks) {
-                continue;
+                break;
             }
             busy[pa] = true;
             busy[pb] = true;
-            let (_, swap) = pending_swaps.remove(s);
+            pending_swaps.pop();
             cycle.push(swap.physical_gate());
             swaps_to_roll_back.push((pa, pb));
         }
@@ -257,13 +251,14 @@ fn place_two_qubit(gate: &Gate, map: &QubitMap) -> Gate {
 mod tests {
     use super::*;
     use crate::budget::SolverBudget;
-    use crate::mapping::{initial_mapping, MappingConfig};
+    use crate::mapping::{initial_mapping, CostModel, MappingConfig};
     use crate::routing::{route, RoutingConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::BTreeMap;
     use twoqan_circuit::{Circuit, GateKind};
     use twoqan_device::{Device, TwoQubitBasis};
+    use twoqan_graphs::TabuConfig;
     use twoqan_ham::{nnn_heisenberg, nnn_ising, trotter_step, QaoaProblem};
 
     fn route_circuit(circuit: &Circuit, device: &Device, seed: u64) -> RoutedCircuit {
@@ -377,6 +372,195 @@ mod tests {
         check_schedule(&s, &routed, &circuit, &device);
         // A 5-gate chain needs at least 2 and at most 3 cycles.
         assert!(s.two_qubit_depth() >= 2 && s.two_qubit_depth() <= 3);
+    }
+
+    /// Routes `circuit` with a cheap single-restart Tabu placement: the
+    /// scheduler tests need swap-heavy routings, not good ones.
+    fn route_cheaply(
+        circuit: &Circuit,
+        device: &Device,
+        cost: CostModel,
+        seed: u64,
+    ) -> RoutedCircuit {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mapping = MappingConfig {
+            tabu: TabuConfig {
+                max_iterations: 20,
+                restarts: 1,
+                ..TabuConfig::default()
+            },
+            cost,
+            ..MappingConfig::default()
+        };
+        let map = initial_mapping(
+            circuit,
+            device,
+            &mapping,
+            &SolverBudget::unlimited(),
+            &mut rng,
+        )
+        .unwrap();
+        let routing = RoutingConfig {
+            cost,
+            ..RoutingConfig::default()
+        };
+        route(circuit, device, &map, &routing, &mut rng).unwrap()
+    }
+
+    #[test]
+    fn swap_heavy_qaoa_schedule_is_pinned() {
+        // QAOA-REG-3 n=200 on a heterogeneous 15×14 grid, routed with the
+        // calibration-aware cost model: hundreds of routing stages, so the
+        // ALAP SWAP pass and the stage-order replay both do real work.
+        // Digests recorded before the linear SWAP pass and the map-free
+        // routing stages landed; both must reproduce them bit for bit.
+        let (gamma, beta) = QaoaProblem::optimal_p1_angles_regular3();
+        let circuit = QaoaProblem::random_regular(200, 3, 17)
+            .circuit(&[(gamma, beta)], false)
+            .unify_same_pair_gates();
+        let device = Device::grid(15, 14, TwoQubitBasis::Cnot).with_heterogeneous_calibration(23);
+        let routed = route_cheaply(&circuit, &device, CostModel::CalibrationAware, 5);
+        assert!(
+            routed.swap_count() > 500,
+            "only {} SWAPs",
+            routed.swap_count()
+        );
+        let digest = |strategy| {
+            let s = schedule(&routed, &device, strategy);
+            check_schedule(&s, &routed, &circuit, &device);
+            crate::hash::fnv1a_64(&format!("{s:?}"))
+        };
+        assert_eq!(
+            (
+                digest(SchedulingStrategy::Hybrid),
+                digest(SchedulingStrategy::OrderRespecting)
+            ),
+            (18418327156024005374, 8767658934720339605)
+        );
+    }
+
+    /// The ALAP SWAP pass as it stood before the linear pass: for every
+    /// pending SWAP it rescans all pending SWAPs for a later one.  Kept as
+    /// the oracle the production pass must agree with.
+    fn alap_cycles_full_scan(routed: &RoutedCircuit, device: &Device) -> Vec<Vec<Gate>> {
+        let mut pending_gates: Vec<(usize, Gate)> = routed
+            .stages
+            .iter()
+            .enumerate()
+            .skip(1)
+            .flat_map(|(i, s)| s.circuit_gates.iter().map(move |g| (i, *g)))
+            .collect();
+        let mut pending_swaps: Vec<(usize, crate::routing::SwapAction)> = routed
+            .stages
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.swap.clone().map(|sw| (i, sw)))
+            .collect();
+        let mut current_map: QubitMap = routed.final_map().clone();
+        let mut cycles: Vec<Vec<Gate>> = Vec::new();
+        let mut placed_this_cycle: Vec<(usize, Gate)> = Vec::new();
+        while !pending_gates.is_empty() || !pending_swaps.is_empty() {
+            let mut cycle: Vec<Gate> = Vec::new();
+            let mut busy = vec![false; routed.num_physical];
+            let mut swaps_to_roll_back: Vec<(usize, usize)> = Vec::new();
+            placed_this_cycle.clear();
+            let mut i = 0;
+            while i < pending_gates.len() {
+                let (stage, gate) = pending_gates[i];
+                let (pa, pb) = (
+                    current_map.physical(gate.qubit0()),
+                    current_map.physical(gate.qubit1()),
+                );
+                if device.are_adjacent(pa, pb) && !busy[pa] && !busy[pb] {
+                    busy[pa] = true;
+                    busy[pb] = true;
+                    cycle.push(Gate::two(gate.kind, pa, pb));
+                    placed_this_cycle.push((stage, gate));
+                    pending_gates.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+            let mut s = pending_swaps.len();
+            while s > 0 {
+                s -= 1;
+                let (stage, ref swap) = pending_swaps[s];
+                if pending_swaps.iter().any(|(other, _)| *other > stage) {
+                    continue;
+                }
+                let (pa, pb) = swap.physical;
+                if busy[pa] || busy[pb] {
+                    continue;
+                }
+                let moved = [swap.logical.0, swap.logical.1];
+                let blocks = |(gstage, g): &(usize, Gate)| {
+                    *gstage > stage && moved.iter().flatten().any(|&l| g.acts_on(l))
+                };
+                if pending_gates.iter().any(blocks) || placed_this_cycle.iter().any(blocks) {
+                    continue;
+                }
+                busy[pa] = true;
+                busy[pb] = true;
+                let (_, swap) = pending_swaps.remove(s);
+                cycle.push(swap.physical_gate());
+                swaps_to_roll_back.push((pa, pb));
+            }
+            if cycle.is_empty() {
+                for (_, g) in pending_gates.drain(..) {
+                    let (pa, pb) = (
+                        current_map.physical(g.qubit0()),
+                        current_map.physical(g.qubit1()),
+                    );
+                    cycle.push(Gate::two(g.kind, pa, pb));
+                }
+                for (_, sw) in pending_swaps.drain(..) {
+                    cycle.push(sw.physical_gate());
+                }
+                cycles.push(cycle);
+                break;
+            }
+            for (pa, pb) in swaps_to_roll_back {
+                current_map.apply_physical_swap(pa, pb);
+            }
+            cycles.push(cycle);
+        }
+        cycles
+    }
+
+    #[test]
+    fn alap_cycles_match_the_full_scan_oracle() {
+        let devices = [
+            Device::montreal(),
+            Device::sycamore(),
+            Device::grid(6, 6, TwoQubitBasis::Cnot),
+            Device::grid(5, 8, TwoQubitBasis::Cnot).with_heterogeneous_calibration(3),
+        ];
+        let mut swaps = 0;
+        for case in 0..60u64 {
+            let device = &devices[case as usize % devices.len()];
+            let n = (8 + (case as usize * 7) % 33).min(device.num_qubits());
+            let circuit = match case % 3 {
+                0 => trotter_step(&nnn_heisenberg(n, case), 1.0),
+                1 => trotter_step(&nnn_ising(n, case), 1.0),
+                _ => QaoaProblem::random_regular(n - n % 2, 3, case)
+                    .circuit(&[(0.6, 0.4)], false)
+                    .unify_same_pair_gates(),
+            };
+            let cost = if device.target().is_uniform() {
+                CostModel::HopCount
+            } else {
+                CostModel::CalibrationAware
+            };
+            let routed = route_cheaply(&circuit, device, cost, case);
+            swaps += routed.swap_count();
+            assert_eq!(
+                alap_cycles(&routed, device),
+                alap_cycles_full_scan(&routed, device),
+                "case {case}: n={n} on {}",
+                device.name()
+            );
+        }
+        assert!(swaps > 1000, "the cases routed only {swaps} SWAPs");
     }
 
     #[test]

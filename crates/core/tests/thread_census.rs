@@ -1,15 +1,16 @@
-//! Spawned-thread census test for the batch driver.
+//! Spawned-thread census tests for the batch driver and standalone
+//! compiles.
 //!
 //! The census is process-global, so census tests live in their own test
 //! binary (no other test can spawn threads inside a measured window) and
 //! hold [`CENSUS_LOCK`] against each other.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use twoqan::{BatchCompiler, BatchJob, TwoQanCompiler, TwoQanConfig};
+use twoqan::{BatchCompiler, BatchJob, DegradationRung, TwoQanCompiler, TwoQanConfig};
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
-use twoqan_ham::{nnn_ising, trotter_step};
-use twoqan_pool::spawned_thread_census;
+use twoqan_ham::{nnn_heisenberg, nnn_ising, trotter_step};
+use twoqan_pool::{max_useful_workers, spawned_thread_census, CompilePool};
 
 static CENSUS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -52,5 +53,32 @@ fn batch_spawns_exactly_the_requested_workers_with_no_nested_threads() {
             resolved - 1
         );
         assert!(results.iter().all(Result::is_ok));
+    }
+}
+
+#[test]
+fn standalone_portfolio_compile_spawns_at_most_one_pool() {
+    // With no pool installed, a compile provisions one pool for its
+    // candidates and their nested solver restarts instead of spawning
+    // scoped threads per candidate.
+    let device = Device::montreal().with_heterogeneous_calibration(5);
+    let circuit = trotter_step(&nnn_heisenberg(10, 2), 1.0);
+    let _census = census_lock();
+    assert!(CompilePool::current_workers().is_none());
+    for threads in [0usize, 1, 2] {
+        let compiler = TwoQanCompiler::new(TwoQanConfig {
+            threads,
+            ..TwoQanConfig::calibration_aware()
+        });
+        let before = spawned_thread_census();
+        let (_, report) = compiler.compile_with_report(&circuit, &device).unwrap();
+        let spawned = spawned_thread_census() - before;
+        assert_eq!(report.trials, 6, "the full portfolio ran");
+        assert_eq!(report.rung, DegradationRung::Full);
+        assert!(
+            spawned < max_useful_workers(),
+            "threads: {threads} spawned {spawned} threads on {} cores",
+            max_useful_workers()
+        );
     }
 }
