@@ -42,6 +42,7 @@
 use std::time::Instant;
 use twoqan::{BatchCompiler, BatchJob, TwoQanCompiler, TwoQanConfig};
 use twoqan_baselines::CompilerRegistry;
+use twoqan_bench::report::{median, median_ms};
 use twoqan_bench::{scaling_device, LARGE_SCALING_SIZE, SCALING_SIZES};
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
@@ -55,27 +56,6 @@ use twoqan_sim::simd::{apply_general4, apply_general4_scalar};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Median of a sample vector (sorted in place).
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
-}
-
-/// Median wall-clock milliseconds of `samples` runs of `f`.
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    // One warm-up run (populates the device distance cache etc.).
-    f();
-    median(
-        (0..samples)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect(),
-    )
-}
 
 struct Entry {
     n: usize,

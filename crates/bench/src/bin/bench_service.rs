@@ -1,18 +1,14 @@
-//! Emits `BENCH_service.json`: the compile-as-a-service throughput/latency
-//! baseline.
+//! Emits `BENCH_service.json`: the compile service under concurrent
+//! clients.
 //!
 //! The bench builds a request *population* — every (device, workload,
-//! compiler) combination over the registered devices — and drives thousands
-//! of requests through one [`CompileService`], sampling the population from
-//! a zipf(s) popularity distribution so a hot head of repeated requests hits
-//! the content-addressed cache while the cold tail keeps compiling.  It
-//! records per-request wall-clock split by hit/miss (p50/p99), overall
-//! throughput, and the service's own counters, then verifies that every
-//! combination served from the cache is bit-identical to an independent cold
-//! compile.  `--clients N` adds the concurrency section: a contended phase
-//! (N threads of overlapping zipf streams against one service) and a
-//! barrier-started same-key storm that must coalesce onto exactly one
-//! compile.  Usage:
+//! compiler) combination over the registered devices — and samples it from
+//! a zipf(s) popularity distribution, so a hot head of repeated requests
+//! hits the content-addressed cache while the cold tail keeps compiling.
+//! On fresh services it runs a single-client baseline, then a contended
+//! phase (N barrier-started threads replaying overlapping zipf streams
+//! against one service), then a barrier-started same-key storm that must
+//! coalesce onto exactly one compile.  Usage:
 //!
 //! ```text
 //! cargo run --release -p twoqan-bench --bin bench_service -- \
@@ -23,27 +19,24 @@
 //!     [--tolerance PCT]
 //! ```
 //!
-//! Defaults: 2000 requests, zipf exponent 1.1, seed 42, output to
-//! `BENCH_service.json` in the current directory.  `--smoke` is the CI mode:
-//! a small population and 120 requests, exiting non-zero if the cache never
-//! hits, a hit is not bit-identical, or (with `--clients`) the same-key
-//! storm performs more than one compile.  `--check PATH` re-measures the
-//! cold-compile (miss) p50 over the population — best-of-two per combination
-//! on fresh caches, so transient load cannot fail the gate — and exits
-//! non-zero if it regressed more than `--tolerance` percent (default 50)
-//! against the committed baseline at PATH; when the baseline carries a
-//! `"contended"` entry it also re-measures the 4-client contended p99
-//! (best-of-two runs) against the same tolerance.  See `BENCHMARKS.md` for
-//! the output schema.
+//! Defaults: 2000 requests, zipf exponent 1.1, seed 42, 4 clients, output
+//! to `BENCH_service.json` in the current directory.  Every run exits
+//! non-zero if the same-key storm performs more than one compile.
+//! `--smoke` is the CI mode: a small population, 120 contended requests
+//! and a 400-request storm.  `--check PATH` re-measures the contended p99
+//! (best-of-two runs at the committed client count) and exits non-zero if
+//! it regressed more than `--tolerance` percent (default 50) against the
+//! committed baseline at PATH.  See `BENCHMARKS.md` for the output schema.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 use twoqan_baselines::CompilerRegistry;
+use twoqan_bench::report::percentile;
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
 use twoqan_ham::{nnn_heisenberg, nnn_ising, trotter_step};
-use twoqan_service::{bit_identical, CompileService, ServiceConfig, StatsSnapshot};
+use twoqan_service::{CompileService, ServiceConfig, StatsSnapshot};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -119,106 +112,8 @@ fn sample_rank(cdf: &[f64], rng: &mut StdRng) -> usize {
     cdf.partition_point(|&c| c <= u).min(cdf.len() - 1)
 }
 
-/// Percentile of a sample set by nearest-rank (sorted in place).
-fn percentile(samples: &mut [f64], p: f64) -> f64 {
-    assert!(!samples.is_empty(), "percentile of an empty sample set");
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
-    samples[rank.saturating_sub(1).min(samples.len() - 1)]
-}
-
-struct RunNumbers {
-    requests: usize,
-    population: usize,
-    elapsed_s: f64,
-    hit_ms: Vec<f64>,
-    miss_ms: Vec<f64>,
-    verified: usize,
-    /// Snapshot taken *before* the bit-identity verification pass, so the
-    /// reported counters line up with the measured run (`stats.hits`
-    /// equals `hit.count`) instead of absorbing the verifier's re-requests.
-    stats: StatsSnapshot,
-}
-
-/// Drives `requests` zipf-sampled requests through one service, then
-/// verifies every combination that was served from the cache against an
-/// independent cold compile.
-fn run_service(requests: usize, zipf_s: f64, seed: u64, smoke: bool) -> RunNumbers {
-    let (devices, circuits, mut combos) = build_population(smoke);
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Shuffle so the popular zipf head is not all one device or compiler.
-    combos.shuffle(&mut rng);
-    let cdf = zipf_cdf(combos.len(), zipf_s);
-
-    let service = CompileService::new(ServiceConfig::default());
-    let mut hit_ms = Vec::new();
-    let mut miss_ms = Vec::new();
-    let mut touched = vec![false; combos.len()];
-    let run_start = Instant::now();
-    for _ in 0..requests {
-        let rank = sample_rank(&cdf, &mut rng);
-        let combo = &combos[rank];
-        touched[rank] = true;
-        let response = service
-            .request(
-                combo.compiler,
-                &circuits[combo.circuit_idx],
-                &devices[combo.device_idx],
-            )
-            .expect("population workloads fit their devices");
-        if response.hit {
-            hit_ms.push(response.wall_ms);
-        } else {
-            miss_ms.push(response.wall_ms);
-        }
-    }
-    let elapsed_s = run_start.elapsed().as_secs_f64();
-    let stats = service.stats();
-
-    // Every combination that entered the cache must serve an artifact
-    // bit-identical to a cold compile outside the service.  This pass runs
-    // after the stats snapshot: its re-requests are bookkeeping, not load.
-    let mut verified = 0usize;
-    for (rank, combo) in combos.iter().enumerate() {
-        if !touched[rank] {
-            continue;
-        }
-        let (circuit, device) = (&circuits[combo.circuit_idx], &devices[combo.device_idx]);
-        let response = service
-            .request(combo.compiler, circuit, device)
-            .expect("verification re-request");
-        if !response.hit {
-            continue; // Evicted or uncacheable; nothing cached to verify.
-        }
-        let cold = CompilerRegistry::by_name(combo.compiler)
-            .expect("population names are registered")
-            .compile(circuit, device)
-            .expect("cold verification compile");
-        assert!(
-            bit_identical(&response.output, &cold),
-            "{} on {} diverged from a cold compile",
-            combo.compiler,
-            device.name()
-        );
-        verified += 1;
-    }
-
-    RunNumbers {
-        requests,
-        population: combos.len(),
-        elapsed_s,
-        hit_ms,
-        miss_ms,
-        verified,
-        stats,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// `--clients N`: the concurrency section.
-// ---------------------------------------------------------------------------
-
 struct ClientNumbers {
+    population: usize,
     clients: usize,
     requests: usize,
     elapsed_s: f64,
@@ -378,6 +273,7 @@ fn run_clients(
     let (storm_total, storm_stats) = run_storm(clients, storm_requests, smoke);
 
     ClientNumbers {
+        population: build_population(smoke).2.len(),
         clients,
         requests: contended_ms.len(),
         elapsed_s,
@@ -394,7 +290,8 @@ fn run_clients(
     }
 }
 
-fn clients_json(numbers: &mut ClientNumbers) -> String {
+fn write_json(numbers: &mut ClientNumbers, zipf_s: f64, seed: u64, out: &str) {
+    let config = ServiceConfig::default();
     let throughput = numbers.requests as f64 / numbers.elapsed_s.max(1e-9);
     let single = numbers.single_requests as f64 / numbers.single_elapsed_s.max(1e-9);
     let p50 = percentile(&mut numbers.contended_ms, 50.0);
@@ -405,6 +302,12 @@ fn clients_json(numbers: &mut ClientNumbers) -> String {
         .map(|rps| format!("{rps:.1}"))
         .collect();
     let mut json = String::new();
+    json.push_str("{\n");
+    json.push_str("  \"benchmark\": \"compile_service\",\n");
+    json.push_str("  \"unit\": \"ms (per-request wall clock)\",\n");
+    json.push_str(&format!("  \"population\": {},\n", numbers.population));
+    json.push_str(&format!("  \"zipf_s\": {zipf_s},\n"));
+    json.push_str(&format!("  \"seed\": {seed},\n"));
     json.push_str("  \"clients\": {\n");
     json.push_str(&format!("    \"count\": {},\n", numbers.clients));
     json.push_str(&format!("    \"requests\": {},\n", numbers.requests));
@@ -431,75 +334,9 @@ fn clients_json(numbers: &mut ClientNumbers) -> String {
         numbers.storm_requests, numbers.storm_compiles, numbers.storm_coalesced
     ));
     json.push_str("  },\n");
-    json
-}
-
-fn write_json(
-    numbers: &mut RunNumbers,
-    clients: Option<&mut ClientNumbers>,
-    zipf_s: f64,
-    seed: u64,
-    out: &str,
-) {
-    let stats = &numbers.stats;
-    let hit_p50 = percentile(&mut numbers.hit_ms, 50.0);
-    let hit_p99 = percentile(&mut numbers.hit_ms, 99.0);
-    let miss_p50 = percentile(&mut numbers.miss_ms, 50.0);
-    let miss_p99 = percentile(&mut numbers.miss_ms, 99.0);
-    let config = ServiceConfig::default();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"compile_service\",\n");
-    json.push_str("  \"unit\": \"ms (per-request wall clock)\",\n");
-    json.push_str(&format!("  \"requests\": {},\n", numbers.requests));
-    json.push_str(&format!("  \"population\": {},\n", numbers.population));
-    json.push_str(&format!("  \"zipf_s\": {zipf_s},\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
     json.push_str(&format!(
-        "  \"cache\": {{\"capacity\": {}, \"shards\": {}}},\n",
+        "  \"cache\": {{\"capacity\": {}, \"shards\": {}}}\n",
         config.capacity, config.shards
-    ));
-    json.push_str(&format!(
-        "  \"throughput_rps\": {:.1},\n",
-        numbers.requests as f64 / numbers.elapsed_s.max(1e-9)
-    ));
-    json.push_str(&format!(
-        "  \"hit\": {{\"count\": {}, \"rate\": {:.3}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}}},\n",
-        numbers.hit_ms.len(),
-        numbers.hit_ms.len() as f64 / numbers.requests as f64,
-        hit_p50,
-        hit_p99
-    ));
-    json.push_str(&format!(
-        "  \"miss\": {{\"count\": {}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}}},\n",
-        numbers.miss_ms.len(),
-        miss_p50,
-        miss_p99
-    ));
-    json.push_str(&format!(
-        "  \"hit_speedup_p50\": {:.1},\n",
-        miss_p50 / hit_p50.max(1e-9)
-    ));
-    json.push_str(&format!(
-        "  \"verified_bit_identical\": {},\n",
-        numbers.verified
-    ));
-    if let Some(clients) = clients {
-        json.push_str(&clients_json(clients));
-    }
-    json.push_str(&format!(
-        "  \"stats\": {{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"rejected\": {}, \"insertions\": {}, \"evictions\": {}, \"uncacheable\": {}, \"errors\": {}, \"warm_hits\": {}, \"invalidations\": {}, \"invalidated_entries\": {}}}\n",
-        stats.hits,
-        stats.misses,
-        stats.coalesced,
-        stats.rejected,
-        stats.insertions,
-        stats.evictions,
-        stats.uncacheable,
-        stats.errors,
-        stats.warm_hits,
-        stats.invalidations,
-        stats.invalidated_entries
     ));
     json.push_str("}\n");
     std::fs::write(out, &json).expect("writing the service baseline file");
@@ -508,19 +345,11 @@ fn write_json(
 }
 
 // ---------------------------------------------------------------------------
-// `--check`: the CI perf-regression guard on the cold (miss) path and, when
-// the committed baseline carries one, the contended p99.
+// `--check`: the CI perf-regression guard on the contended p99.
 // ---------------------------------------------------------------------------
 
-/// Pulls `p50_ms` off the `"miss"` line of a committed `BENCH_service.json`
-/// (one object per line, no JSON parser needed).
-fn committed_miss_p50(text: &str) -> Option<f64> {
-    let line = text.lines().find(|l| l.contains("\"miss\""))?;
-    parse_field(line, "\"p50_ms\": ")
-}
-
-/// Pulls `p99_ms` off the `"contended"` line, when the committed baseline
-/// was produced with `--clients`.
+/// Pulls `p99_ms` off the `"contended"` line of a committed
+/// `BENCH_service.json` (one object per line, no JSON parser needed).
 fn committed_contended_p99(text: &str) -> Option<f64> {
     let line = text.lines().find(|l| l.contains("\"contended\""))?;
     parse_field(line, "\"p99_ms\": ")
@@ -548,45 +377,10 @@ fn run_check(baseline_path: &str, tolerance_pct: f64) {
         eprintln!("--check: cannot read {baseline_path}: {e}");
         std::process::exit(2);
     });
-    let committed = committed_miss_p50(&text).unwrap_or_else(|| {
-        eprintln!("--check: no \"miss\" entry with p50_ms in {baseline_path}");
+    let committed_p99 = committed_contended_p99(&text).unwrap_or_else(|| {
+        eprintln!("--check: no \"contended\" entry with p99_ms in {baseline_path}");
         std::process::exit(2);
     });
-    let (devices, circuits, combos) = build_population(false);
-    // Two passes over the population on fresh caches (every request a miss);
-    // the per-combination *minimum* is the stable statistic — co-tenant load
-    // only ever adds time — and the gate compares its median.
-    let mut best = vec![f64::INFINITY; combos.len()];
-    for _ in 0..2 {
-        let service = CompileService::new(ServiceConfig::default());
-        for (slot, combo) in best.iter_mut().zip(&combos) {
-            let response = service
-                .request(
-                    combo.compiler,
-                    &circuits[combo.circuit_idx],
-                    &devices[combo.device_idx],
-                )
-                .expect("population workloads fit their devices");
-            assert!(!response.hit, "fresh caches cannot hit");
-            *slot = slot.min(response.wall_ms);
-        }
-    }
-    let measured = percentile(&mut best, 50.0);
-    let ratio = measured / committed;
-    println!(
-        "service miss p50: best-of-2 {measured:.3} ms vs committed {committed:.3} ms \
-         (x{ratio:.3}, tolerance +{tolerance_pct:.0}%)"
-    );
-    if ratio > 1.0 + tolerance_pct / 100.0 {
-        eprintln!("PERF REGRESSION: service cold-compile p50 exceeds the committed baseline");
-        std::process::exit(1);
-    }
-
-    // The contended gate only arms once a `--clients` baseline is committed.
-    let Some(committed_p99) = committed_contended_p99(&text) else {
-        println!("service contended p99: no committed baseline, gate skipped");
-        return;
-    };
     let clients = committed_client_count(&text).unwrap_or(4);
     // Best-of-two full contended runs: concurrency jitter only adds time, so
     // the minimum p99 is the comparable statistic.
@@ -611,7 +405,7 @@ fn main() {
     let mut requests = 2000usize;
     let mut zipf_s = 1.1f64;
     let mut seed = 42u64;
-    let mut clients = 0usize;
+    let mut clients = 4usize;
     let mut out: Option<String> = None;
     let mut smoke = false;
     let mut check: Option<String> = None;
@@ -695,68 +489,24 @@ fn main() {
     }
 
     let out = out.unwrap_or_else(|| "BENCH_service.json".into());
-    let mut numbers = run_service(requests, zipf_s, seed, smoke);
+    let mut numbers = run_clients(clients, requests, zipf_s, seed, smoke);
     eprintln!(
-        "{} requests over a population of {}: {} hits / {} misses (rate {:.3}), \
-         {} combinations verified bit-identical",
+        "{} clients, {} contended requests: {} coalesced, {} rejected; \
+         same-key storm of {} requests compiled {} time(s)",
+        numbers.clients,
         numbers.requests,
-        numbers.population,
-        numbers.hit_ms.len(),
-        numbers.miss_ms.len(),
-        numbers.stats.hit_rate(),
-        numbers.verified
+        numbers.coalesced,
+        numbers.rejected,
+        numbers.storm_requests,
+        numbers.storm_compiles
     );
-    if numbers.hit_ms.is_empty() || numbers.miss_ms.is_empty() {
-        eprintln!("SERVICE CACHE FAILURE: the run must record both hits and misses");
-        std::process::exit(1);
-    }
-    if numbers.verified == 0 {
-        eprintln!("SERVICE CACHE FAILURE: no cached combination could be verified");
-        std::process::exit(1);
-    }
-    if numbers.stats.hits != numbers.hit_ms.len() as u64 {
+    if numbers.storm_compiles != 1 {
         eprintln!(
-            "SERVICE STATS FAILURE: snapshot hits {} != measured hit count {}",
-            numbers.stats.hits,
-            numbers.hit_ms.len()
-        );
-        std::process::exit(1);
-    }
-
-    let mut client_numbers = if clients > 1 {
-        let numbers = run_clients(clients, requests, zipf_s, seed, smoke);
-        eprintln!(
-            "{} clients, {} contended requests: {} coalesced, {} rejected; \
-             same-key storm of {} requests compiled {} time(s)",
-            numbers.clients,
-            numbers.requests,
-            numbers.coalesced,
-            numbers.rejected,
-            numbers.storm_requests,
+            "SERVICE COALESCING FAILURE: the same-key storm performed {} compiles \
+             (singleflight must collapse it to exactly 1)",
             numbers.storm_compiles
         );
-        if numbers.storm_compiles != 1 {
-            eprintln!(
-                "SERVICE COALESCING FAILURE: the same-key storm performed {} compiles \
-                 (singleflight must collapse it to exactly 1)",
-                numbers.storm_compiles
-            );
-            std::process::exit(1);
-        }
-        Some(numbers)
-    } else {
-        None
-    };
-
-    write_json(&mut numbers, client_numbers.as_mut(), zipf_s, seed, &out);
-    if !smoke {
-        // The acceptance bar for the committed baseline: a cache hit is at
-        // least an order of magnitude cheaper than a cold compile.
-        let hit_p50 = percentile(&mut numbers.hit_ms, 50.0);
-        let miss_p50 = percentile(&mut numbers.miss_ms, 50.0);
-        assert!(
-            miss_p50 >= 10.0 * hit_p50,
-            "hit p50 {hit_p50:.4} ms is not >=10x below miss p50 {miss_p50:.4} ms"
-        );
+        std::process::exit(1);
     }
+    write_json(&mut numbers, zipf_s, seed, &out);
 }

@@ -22,28 +22,14 @@
 //! can assert the bench path still produces its JSON in seconds.  See
 //! `BENCHMARKS.md` § Simulation for the schema and how to compare runs.
 
-use std::time::Instant;
 use twoqan::{TwoQanCompiler, TwoQanConfig};
+use twoqan_bench::report::median_ms;
 use twoqan_circuit::ScheduledCircuit;
 use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::QaoaProblem;
 use twoqan_math::gates;
 use twoqan_sim::kernels::{apply_single_kernel, apply_two_kernel, SingleKernel, TwoKernel};
 use twoqan_sim::{NoiseModel, SimEngine, StateVector, TrajectorySimulator};
-
-/// Median wall-clock milliseconds of `samples` runs of `f` (one warm-up).
-fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    times.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    times[times.len() / 2]
-}
 
 struct KernelEntry {
     name: &'static str,

@@ -47,12 +47,6 @@ pub fn esp_breakdown(schedule: &ScheduledCircuit, device: &Device) -> EspBreakdo
     noise_point(schedule, device).breakdown
 }
 
-/// The estimated success probability of one execution of `schedule` on
-/// `device` (see [`noise_point`]).
-pub fn esp(schedule: &ScheduledCircuit, device: &Device) -> f64 {
-    esp_breakdown(schedule, device).esp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,8 +61,8 @@ mod tests {
         let large = Workload::generate(WorkloadKind::NnnIsing, 14, 0);
         let (s_small, _) = CompilerKind::TwoQan.compile(&small.circuit, &device);
         let (s_large, _) = CompilerKind::TwoQan.compile(&large.circuit, &device);
-        let e_small = esp(&s_small, &device);
-        let e_large = esp(&s_large, &device);
+        let e_small = esp_breakdown(&s_small, &device).esp();
+        let e_large = esp_breakdown(&s_large, &device).esp();
         assert!(e_small > 0.0 && e_small < 1.0);
         assert!(e_large > 0.0 && e_large < 1.0);
         assert!(e_small > e_large, "{e_small} vs {e_large}");
@@ -94,7 +88,7 @@ mod tests {
         let w = Workload::generate(WorkloadKind::NnnXy, 8, 0);
         let (s, _) = CompilerKind::TwoQan.compile(&w.circuit, &device);
         let b = esp_breakdown(&s, &device);
-        assert!((b.esp() - esp(&s, &device)).abs() < 1e-15);
+        assert!((b.esp() - b.gate * b.idle * b.readout).abs() < 1e-15);
         assert!(b.gate <= 1.0 && b.idle <= 1.0 && b.readout <= 1.0);
     }
 }

@@ -1,8 +1,10 @@
-//! Plain-text tables and CSV output for the benchmark binaries.
+//! Plain-text tables, CSV output and timing statistics for the benchmark
+//! binaries.
 
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]
@@ -112,6 +114,44 @@ pub fn format_ratio(ratio: f64) -> String {
     }
 }
 
+/// Median of a sample set: the upper of the two middle samples when the
+/// count is even.
+///
+/// # Panics
+///
+/// Panics on an empty sample set or a NaN sample.
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    samples[samples.len() / 2]
+}
+
+/// Median wall-clock milliseconds of `samples` runs of `f`, after one
+/// warm-up run (which fills caches such as the device's distance matrix).
+pub fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
+    f();
+    median(
+        (0..samples)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    )
+}
+
+/// Nearest-rank percentile `p` (0–100) of a sample set, sorted in place.
+///
+/// # Panics
+///
+/// Panics on an empty sample set or a NaN sample.
+pub fn percentile(samples: &mut [f64], p: f64) -> f64 {
+    assert!(!samples.is_empty(), "percentile of an empty sample set");
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
+    let rank = ((p / 100.0) * samples.len() as f64).ceil() as usize;
+    samples[rank.saturating_sub(1).min(samples.len() - 1)]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,6 +183,16 @@ mod tests {
         assert!(content.starts_with("x,y\n1,2\n3,4"));
         assert!(path.ends_with("results/unit_test_output.csv"));
         fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn median_takes_the_upper_middle_and_percentile_the_nearest_rank() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+        let mut samples: Vec<f64> = (1..=10).rev().map(f64::from).collect();
+        assert_eq!(percentile(&mut samples, 50.0), 5.0);
+        assert_eq!(percentile(&mut samples, 99.0), 10.0);
+        assert_eq!(percentile(&mut samples, 0.0), 1.0);
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //! reduced-effort compiler whose warm-started QAP solvers are guaranteed
 //! never to end with a placement worse than the seed.  Because calibration
 //! drift moves placement quality only marginally per cycle, the warm
-//! compile skips most of the cold multi-start effort (see
-//! [`StatsSnapshot::warm_speedup`]) while staying fully valid and
+//! compile skips most of the cold multi-start effort (one mapping trial
+//! with a single solver restart) while staying fully valid and
 //! equivalence-checkable.  Warm artifacts are cached under the warm
 //! compiler's own fingerprint, so plain [`CompileService::request`] hits
 //! never observe a warm-derived artifact.
@@ -259,12 +259,8 @@ pub struct StatsSnapshot {
     /// Successful *warm* leader compiles: recompiles where the predecessor
     /// snapshot's placement seeded a reduced-effort compile.
     pub warm_hits: u64,
-    /// Total wall-clock microseconds of successful *warm* leader compiles.
-    pub warm_compile_us: u64,
     /// Successful *cold* (full-effort) leader compiles.
     pub cold_compiles: u64,
-    /// Total wall-clock microseconds of successful cold leader compiles.
-    pub cold_compile_us: u64,
     /// Calls to [`CompileService::invalidate_device`].
     pub invalidations: u64,
     /// Cached artifacts dropped by those invalidation calls.
@@ -280,18 +276,6 @@ impl StatsSnapshot {
             self.hits as f64 / self.requests as f64
         }
     }
-
-    /// Mean cold compile time divided by mean warm compile time — how much
-    /// faster a warm-start recompile is than a from-scratch compile.  `0`
-    /// until at least one of each has completed.
-    pub fn warm_speedup(&self) -> f64 {
-        if self.warm_hits == 0 || self.cold_compiles == 0 || self.warm_compile_us == 0 {
-            return 0.0;
-        }
-        let cold_mean = self.cold_compile_us as f64 / self.cold_compiles as f64;
-        let warm_mean = self.warm_compile_us as f64 / self.warm_hits as f64;
-        cold_mean / warm_mean
-    }
 }
 
 #[derive(Default)]
@@ -306,9 +290,7 @@ struct Stats {
     uncacheable: AtomicU64,
     errors: AtomicU64,
     warm_hits: AtomicU64,
-    warm_compile_us: AtomicU64,
     cold_compiles: AtomicU64,
-    cold_compile_us: AtomicU64,
     invalidations: AtomicU64,
     invalidated_entries: AtomicU64,
 }
@@ -334,9 +316,7 @@ impl Stats {
             uncacheable: self.uncacheable.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            warm_compile_us: self.warm_compile_us.load(Ordering::Relaxed),
             cold_compiles: self.cold_compiles.load(Ordering::Relaxed),
-            cold_compile_us: self.cold_compile_us.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             invalidated_entries: self.invalidated_entries.load(Ordering::Relaxed),
         }
@@ -866,7 +846,11 @@ impl CompileService {
                 return Err(error);
             }
         };
-        self.note_compile(miss.warm.is_some(), compiled.compile_ms);
+        Stats::bump(if miss.warm.is_some() {
+            &self.stats.warm_hits
+        } else {
+            &self.stats.cold_compiles
+        });
         // Cache *before* the flight clears so a newcomer always finds the
         // key in one of the two maps.
         let cached = self.maybe_cache(miss.key, &output, miss.device);
@@ -912,19 +896,6 @@ impl CompileService {
                 Stats::bump(&self.stats.errors);
                 Err(e)
             }
-        }
-    }
-
-    /// Accounts a successful leader compile into the warm/cold timing
-    /// counters [`StatsSnapshot::warm_speedup`] is computed from.
-    fn note_compile(&self, warm: bool, compile_ms: f64) {
-        let us = (compile_ms * 1e3) as u64;
-        if warm {
-            Stats::bump(&self.stats.warm_hits);
-            Stats::add(&self.stats.warm_compile_us, us);
-        } else {
-            Stats::bump(&self.stats.cold_compiles);
-            Stats::add(&self.stats.cold_compile_us, us);
         }
     }
 

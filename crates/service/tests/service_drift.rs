@@ -15,7 +15,7 @@
 //!    the cold key.
 
 use twoqan::mapping::{mapping_cost, QubitMap};
-use twoqan::{TwoQanCompiler, TwoQanConfig};
+use twoqan::{DegradationRung, TwoQanCompiler, TwoQanConfig};
 use twoqan_circuit::Circuit;
 use twoqan_device::{Device, DriftStream, TwoQubitBasis};
 use twoqan_ham::{nnn_heisenberg, trotter_step, QaoaProblem};
@@ -93,7 +93,6 @@ fn warm_recompiles_stay_valid_and_never_lose_to_their_seed() {
     let stats = service.stats();
     assert_eq!(stats.warm_hits, 4);
     assert_eq!(stats.invalidations, 4);
-    assert!(stats.warm_compile_us > 0);
 }
 
 /// Property 3: when the target has *not* drifted, `recompile` is the
@@ -138,7 +137,6 @@ fn first_recompile_of_a_workload_compiles_cold_then_warms_the_next_cycle() {
     );
     let stats = service.stats();
     assert_eq!((stats.warm_hits, stats.cold_compiles), (1, 1));
-    assert!(stats.warm_speedup() > 0.0);
 }
 
 /// Property 4: the drift-stable key is invariant under calibration drift
@@ -187,7 +185,10 @@ type Pinned = (Vec<usize>, usize, usize, usize);
 /// Serves the shipping `2QAN-noise` compiler cold through `request`, then
 /// through three seeded drift cycles of `invalidate_device` + `recompile`,
 /// on a seeded heterogeneous grid, and returns every served artifact
-/// (`[workload][step]`, step 0 cold and steps 1..=3 warm).
+/// (`[workload][step]`, step 0 cold and steps 1..=3 warm).  Along the way
+/// it checks the warm path's reduced effort as a count: a cold compile
+/// runs the full portfolio (3 trials × 2 cost models) and a warm one a
+/// single trial per cost model.
 fn serve_shipping_artifacts() -> Vec<Vec<Pinned>> {
     let service = small_service();
     let base = Device::grid(6, 6, TwoQubitBasis::Cnot).with_heterogeneous_calibration(31);
@@ -209,6 +210,8 @@ fn serve_shipping_artifacts() -> Vec<Vec<Pinned>> {
         .map(|circuit| {
             let cold = service.request("2QAN-noise", circuit, &base).unwrap();
             assert!(!cold.hit && !cold.warm && cold.cached);
+            assert_eq!(cold.output.report.trials, 6);
+            assert_eq!(cold.rung(), DegradationRung::Full);
             vec![pin(&cold.output)]
         })
         .collect();
@@ -221,6 +224,7 @@ fn serve_shipping_artifacts() -> Vec<Vec<Pinned>> {
         for (circuit, artifacts) in workloads.iter().zip(&mut served) {
             let warm = service.recompile("2QAN-noise", circuit, &device).unwrap();
             assert!(warm.warm && !warm.hit, "cycle {cycle} must compile warm");
+            assert_eq!(warm.output.report.trials, 2, "cycle {cycle}");
             artifacts.push(pin(&warm.output));
         }
     }
