@@ -68,19 +68,6 @@ impl PaulihedralCompiler {
         circuit
     }
 
-    /// Compiles a Hamiltonian's single Trotter step onto a
-    /// connectivity-constrained device, propagating pipeline failures as
-    /// typed errors.
-    pub fn compile_hamiltonian(
-        &self,
-        hamiltonian: &Hamiltonian,
-        dt: f64,
-        device: &Device,
-    ) -> Result<BaselineResult, CompileError> {
-        let circuit = self.block_ordered_circuit(hamiltonian, dt);
-        self.compile(&circuit, device)
-    }
-
     /// Compiles an already-built circuit onto a device using block ordering
     /// plus order-respecting routing, propagating pipeline failures as
     /// typed errors.

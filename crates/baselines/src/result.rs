@@ -42,13 +42,6 @@ impl BaselineResult {
         }
     }
 
-    /// Attaches the initial `logical → physical` placement the compiler
-    /// started from.
-    pub fn with_initial_placement(mut self, placement: Vec<usize>) -> Self {
-        self.initial_placement = Some(placement);
-        self
-    }
-
     /// Number of inserted SWAPs.
     pub fn swap_count(&self) -> usize {
         self.metrics.swap_count

@@ -7,6 +7,7 @@
 //! `BENCH_SAMPLE_SIZE=1` for a smoke pass.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use twoqan::CompilePool;
 use twoqan_circuit::ScheduledCircuit;
 use twoqan_device::TwoQubitBasis;
 use twoqan_ham::QaoaProblem;
@@ -76,12 +77,13 @@ fn bench_trajectories(c: &mut Criterion) {
             black_box(sim.ising_cost_expectation(&schedule, &edges))
         })
     });
+    // Serial shots: a 1-worker pool keeps every shot on this thread.
+    let serial = CompilePool::new(1);
+    let guard = serial.install();
     group.bench_function("qaoa12_noisy_kernelized", |b| {
-        b.iter(|| {
-            let sim = base.clone().with_parallel(false);
-            black_box(sim.ising_cost_expectation(&schedule, &edges))
-        })
+        b.iter(|| black_box(base.ising_cost_expectation(&schedule, &edges)))
     });
+    drop(guard);
     group.finish();
 }
 

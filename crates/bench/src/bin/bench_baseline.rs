@@ -24,9 +24,9 @@
 //! ```
 //!
 //! Defaults: 9 samples per measurement, output to `BENCH_compiler.json` in
-//! the current directory, thread sweep `1,2,4` (override with `--threads`
-//! or the `TWOQAN_THREADS` env var; `0` = one worker per core).  `--smoke`
-//! is the CI mode: sizes 10/20 only, 1 sample, no n = 200 entry.
+//! the current directory, thread sweep `1,2,4` (override with `--threads`;
+//! `0` = one worker per core).  `--smoke` is the CI mode: sizes 10/20 only,
+//! 1 sample, no n = 200 entry.
 //!
 //! `--kernels` instead microbenchmarks the QAP delta-table kernels (build /
 //! apply / neighbourhood scan, blocked + SIMD vs. the reference
@@ -565,15 +565,7 @@ fn main() {
         return;
     }
 
-    // `--threads` wins over the TWOQAN_THREADS env var; default sweep 1/2/4.
-    let thread_counts = threads
-        .or_else(|| {
-            std::env::var("TWOQAN_THREADS")
-                .ok()
-                .as_deref()
-                .and_then(parse_thread_list)
-        })
-        .unwrap_or_else(|| vec![1, 2, 4]);
+    let thread_counts = threads.unwrap_or_else(|| vec![1, 2, 4]);
 
     let out = out.unwrap_or_else(|| "BENCH_compiler.json".into());
     let sizes: Vec<usize> = if smoke {

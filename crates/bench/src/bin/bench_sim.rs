@@ -22,7 +22,7 @@
 //! can assert the bench path still produces its JSON in seconds.  See
 //! `BENCHMARKS.md` § Simulation for the schema and how to compare runs.
 
-use twoqan::{TwoQanCompiler, TwoQanConfig};
+use twoqan::{CompilePool, TwoQanCompiler, TwoQanConfig};
 use twoqan_bench::report::median_ms;
 use twoqan_circuit::ScheduledCircuit;
 use twoqan_device::{Device, TwoQubitBasis};
@@ -210,14 +210,17 @@ fn measure_trajectories(n: usize, shots: usize, samples: usize) -> TrajectoryEnt
         let sim = base.clone().with_engine(SimEngine::Naive);
         std::hint::black_box(sim.ising_cost_expectation(&schedule, &edges));
     });
-    let kernelized_serial_ms = median_ms(samples, || {
-        let sim = base.clone().with_parallel(false);
-        std::hint::black_box(sim.ising_cost_expectation(&schedule, &edges));
-    });
-    let kernelized_parallel_ms = median_ms(samples, || {
-        let sim = base.clone().with_parallel(true);
-        std::hint::black_box(sim.ising_cost_expectation(&schedule, &edges));
-    });
+    // Shots run on the installed pool: serial on one worker, parallel on
+    // two.
+    let on_pool = |workers: usize| {
+        let pool = CompilePool::new(workers);
+        let _guard = pool.install();
+        median_ms(samples, || {
+            std::hint::black_box(base.ising_cost_expectation(&schedule, &edges));
+        })
+    };
+    let kernelized_serial_ms = on_pool(1);
+    let kernelized_parallel_ms = on_pool(2);
     TrajectoryEntry {
         workload: "qaoa_reg3_2qan_grid".into(),
         n,

@@ -11,9 +11,10 @@
 //! second nested thread layer: a batch at `--threads N` runs exactly `N`
 //! workers, end to end.
 //!
-//! Every job runs inside a `catch_unwind` isolation boundary: a panicking
+//! Every job runs inside a `catch_unwind` isolation boundary
+//! ([`compile_isolated`], which the compile service uses too): a panicking
 //! compiler produces a [`CompileError::Internal`] in that job's result slot
-//! instead of unwinding across the scope and sinking the whole batch.  A
+//! instead of unwinding across the pool and sinking the whole batch.  A
 //! configurable per-job retry policy ([`BatchCompiler::with_retries`])
 //! re-runs failed jobs a bounded number of times, for transient faults.
 
@@ -94,13 +95,9 @@ impl BatchCompiler {
     /// sweep run *slower* than serial on a small machine).  Also bounded by
     /// the job count — extra workers would have nothing to claim.
     pub fn resolved_threads(&self, jobs: usize) -> usize {
-        let cores = twoqan_pool::max_useful_workers();
-        let requested = if self.threads == 0 {
-            cores
-        } else {
-            self.threads
-        };
-        requested.min(cores).min(jobs.max(1)).max(1)
+        twoqan_pool::resolve_workers(self.threads)
+            .min(jobs.max(1))
+            .max(1)
     }
 
     /// Compiles every job, in parallel, returning one result per job in job
@@ -115,51 +112,52 @@ impl BatchCompiler {
         &self,
         jobs: &[BatchJob<'_>],
     ) -> Vec<Result<CompiledOutput, CompileError>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        if CompilePool::current_workers().is_some() {
-            // Nested batch: reuse the outer pool (the caller participates
-            // and helps, so this cannot deadlock and spawns nothing).
-            let results =
-                twoqan_pool::run_installed(jobs.len(), &|i: usize| self.compile_isolated(&jobs[i]));
-            return results.expect("a pool is installed on this thread");
-        }
-        let pool = CompilePool::new(self.resolved_threads(jobs.len()));
-        // Install on the submitting thread too: it participates in the
-        // batch, and its jobs' nested restarts must also reach the pool.
-        let guard = pool.install();
-        let results = pool.run_indexed(jobs.len(), |i| self.compile_isolated(&jobs[i]));
+        // A nested batch reuses the outer pool (the caller participates and
+        // helps, so this cannot deadlock and spawns nothing).  Otherwise the
+        // batch's pool is installed on the submitting thread too: it
+        // participates in the batch, and its jobs' nested restarts must also
+        // reach the pool.  The guard is dropped before the pool.
+        let pool = CompilePool::current_workers()
+            .is_none()
+            .then(|| CompilePool::new(self.resolved_threads(jobs.len())));
+        let guard = pool.as_ref().map(CompilePool::install);
+        let results = twoqan_pool::run_indexed(jobs.len(), |i| self.compile_with_retries(&jobs[i]));
         drop(guard);
         results
     }
 
-    /// Runs one job behind a `catch_unwind` boundary with the configured
-    /// retry budget.  A panic becomes [`CompileError::Internal`] carrying
-    /// the panic payload; it never unwinds into the worker loop.
-    fn compile_isolated(&self, job: &BatchJob<'_>) -> Result<CompiledOutput, CompileError> {
+    /// Runs one job through [`compile_isolated`] with the configured retry
+    /// budget.
+    fn compile_with_retries(&self, job: &BatchJob<'_>) -> Result<CompiledOutput, CompileError> {
         let mut last = None;
         for _ in 0..=self.retries {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                job.compiler.compile(job.circuit, job.device)
-            }))
-            .unwrap_or_else(|payload| {
-                let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "non-string panic payload".to_string()
-                };
-                Err(CompileError::Internal { detail })
-            });
-            match attempt {
+            match compile_isolated(job.compiler, job.circuit, job.device) {
                 Ok(output) => return Ok(output),
                 Err(e) => last = Some(e),
             }
         }
         Err(last.expect("at least one attempt always runs"))
     }
+}
+
+/// Compiles behind a `catch_unwind` boundary: a panic in `compiler` becomes
+/// [`CompileError::Internal`] carrying the panic payload instead of
+/// unwinding into the caller (a batch worker or a service request).
+pub fn compile_isolated(
+    compiler: &dyn Compiler,
+    circuit: &Circuit,
+    device: &Device,
+) -> Result<CompiledOutput, CompileError> {
+    catch_unwind(AssertUnwindSafe(|| compiler.compile(circuit, device))).unwrap_or_else(|payload| {
+        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(CompileError::Internal { detail })
+    })
 }
 
 #[cfg(test)]

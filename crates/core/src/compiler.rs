@@ -54,15 +54,6 @@ pub struct TwoQanConfig {
     /// support); under a limited budget the compiler degrades along the
     /// [`DegradationRung`] ladder instead of erroring.
     pub budget: CompileBudget,
-    /// Worker count for the compile's internal parallelism: the portfolio
-    /// candidates and, nested inside them, the multi-start Tabu/annealing
-    /// restarts.  An already-installed [`twoqan_pool::CompilePool`] (e.g.
-    /// inside a [`crate::BatchCompiler`] run or a service request) always
-    /// wins, so nesting never over-spawns.  Without one, the compile
-    /// provisions a pool of its own: `0` (the default) sizes it to
-    /// [`twoqan_pool::max_useful_workers`], and `n ≥ 1` to `n` clamped to
-    /// that.  Results are bit-identical for every setting.
-    pub threads: usize,
     /// Optional warm-start placement (`logical → physical`) from a previous
     /// compile of the same circuit, forwarded to the mapping pass: restart
     /// slot 0 of every mapping trial's QAP solver starts from this placement
@@ -86,7 +77,6 @@ impl Default for TwoQanConfig {
             unify_input: true,
             cost_model: CostModel::HopCount,
             budget: CompileBudget::unlimited(),
-            threads: 0,
             warm_start: None,
         }
     }
@@ -309,9 +299,10 @@ impl TwoQanCompiler {
     /// The planned portfolio is one pipeline run per (mapping trial, cost
     /// model) candidate, each trial with its own seed; candidate `k` is
     /// trial `k / models` under cost model `k % models`.  The candidates run
-    /// concurrently on the installed [`twoqan_pool::CompilePool`] (see
-    /// [`TwoQanConfig::threads`] for when one is provisioned), and their
-    /// results are folded in index order: the result with the fewest SWAPs
+    /// concurrently through [`twoqan_pool::run_indexed`] — on the installed
+    /// [`twoqan_pool::CompilePool`], or on a transient one with a worker per
+    /// core that the solvers' nested restarts share — and their results are
+    /// folded in index order: the result with the fewest SWAPs
     /// (then fewest hardware gates, then lowest depth) is kept, or with the
     /// highest ESP for the calibration-aware portfolio.  So an unbudgeted
     /// compile is bit-identical for every worker count.  The report sums
@@ -343,24 +334,6 @@ impl TwoQanCompiler {
         circuit: &Circuit,
         device: &Device,
     ) -> Result<(CompilationResult, PipelineReport), CompileError> {
-        // Provision a per-compile worker pool unless one is installed (e.g.
-        // the batch driver's or the service's), which always wins so nested
-        // compiles never over-spawn.  Clamp to the core count:
-        // oversubscribing CPU-bound candidates and solver restarts only adds
-        // scheduling churn.  The guard is dropped before the pool so TLS is
-        // restored first.
-        let _pool = match twoqan_pool::CompilePool::current_workers() {
-            Some(_) => None,
-            None => {
-                let cores = twoqan_pool::max_useful_workers();
-                let workers = match self.config.threads {
-                    0 => cores,
-                    n => n.min(cores),
-                };
-                let pool = twoqan_pool::CompilePool::new(workers);
-                Some((pool.install(), pool))
-            }
-        };
         let armed = self.config.budget.arm();
         let trials = self.config.mapping_trials.max(1);
         // Unify once, up front: the pre-pass draws no randomness, so every
@@ -414,7 +387,7 @@ impl TwoQanCompiler {
         let runs = if skip_portfolio {
             Vec::new()
         } else {
-            twoqan_graphs::parallel::run_indexed(planned, true, |k| {
+            twoqan_pool::run_indexed(planned, |k| {
                 if k > 0 && armed.expired() {
                     return None;
                 }
@@ -568,14 +541,10 @@ impl Compiler for TwoQanCompiler {
 
     fn cache_fingerprint(&self) -> u64 {
         // Every config knob that can change the artifact is covered (seed,
-        // trials, strategies, cost model, deadline).  `threads` only changes
-        // how the solver restarts are parallelised — results are documented
-        // bit-identical for every setting — so it is normalized out to keep
-        // differently-provisioned requests on the same cache line.  The
-        // cancellation token is normalized out too: its live flag is request
-        // state, and a cancelled compile is degraded and never cached.
+        // trials, strategies, cost model, deadline).  The cancellation token
+        // is normalized out: its live flag is request state, and a cancelled
+        // compile is degraded and never cached.
         let mut config = self.config.clone();
-        config.threads = 0;
         config.budget.cancel = None;
         crate::hash::fnv1a_64(&format!("{}|{config:?}", Compiler::name(self)))
     }

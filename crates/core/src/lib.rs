@@ -39,7 +39,8 @@
 //! run and reused by each compile's portfolio candidates and the solvers'
 //! nested multi-start restarts, so a run at `--threads N` uses exactly `N`
 //! workers with no nested spawning.  A standalone compile with no pool
-//! installed provisions one of its own (see [`TwoQanConfig::threads`]).
+//! installed runs its candidates on a transient pool with one worker per
+//! core, provisioned by [`pool::run_indexed`].
 //!
 //! # Example
 //!
@@ -74,7 +75,7 @@ pub mod scheduling;
 
 pub use twoqan_pool as pool;
 
-pub use batch::{BatchCompiler, BatchJob};
+pub use batch::{compile_isolated, BatchCompiler, BatchJob};
 pub use budget::{CancelToken, CompileBudget, SolverBudget};
 pub use compiler::{CompilationResult, TwoQanCompiler, TwoQanConfig};
 pub use error::CompileError;

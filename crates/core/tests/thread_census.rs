@@ -58,27 +58,23 @@ fn batch_spawns_exactly_the_requested_workers_with_no_nested_threads() {
 
 #[test]
 fn standalone_portfolio_compile_spawns_at_most_one_pool() {
-    // With no pool installed, a compile provisions one pool for its
-    // candidates and their nested solver restarts instead of spawning
-    // scoped threads per candidate.
+    // With no pool installed, a compile's candidates provision one
+    // transient pool with a worker per core, shared by their nested solver
+    // restarts, instead of spawning threads per candidate.
     let device = Device::montreal().with_heterogeneous_calibration(5);
     let circuit = trotter_step(&nnn_heisenberg(10, 2), 1.0);
     let _census = census_lock();
     assert!(CompilePool::current_workers().is_none());
-    for threads in [0usize, 1, 2] {
-        let compiler = TwoQanCompiler::new(TwoQanConfig {
-            threads,
-            ..TwoQanConfig::calibration_aware()
-        });
-        let before = spawned_thread_census();
-        let (_, report) = compiler.compile_with_report(&circuit, &device).unwrap();
-        let spawned = spawned_thread_census() - before;
-        assert_eq!(report.trials, 6, "the full portfolio ran");
-        assert_eq!(report.rung, DegradationRung::Full);
-        assert!(
-            spawned < max_useful_workers(),
-            "threads: {threads} spawned {spawned} threads on {} cores",
-            max_useful_workers()
-        );
-    }
+    let compiler = TwoQanCompiler::new(TwoQanConfig::calibration_aware());
+    let before = spawned_thread_census();
+    let (_, report) = compiler.compile_with_report(&circuit, &device).unwrap();
+    let spawned = spawned_thread_census() - before;
+    assert_eq!(report.trials, 6, "the full portfolio ran");
+    assert_eq!(report.rung, DegradationRung::Full);
+    assert_eq!(
+        spawned,
+        max_useful_workers() - 1,
+        "spawned {spawned} threads on {} cores",
+        max_useful_workers()
+    );
 }

@@ -5,8 +5,8 @@
 //! provides that alternative so the mapping pass can be configured with
 //! either solver (and so the ablation benches can compare them).
 //!
-//! Like the Tabu solver, annealing runs independent restart schedules on a
-//! thread pool with per-restart seeds pre-drawn from the caller's RNG, so
+//! Like the Tabu solver, annealing runs independent restart schedules on the
+//! compile pool with per-restart seeds pre-drawn from the caller's RNG, so
 //! results are bit-identical for a fixed seed regardless of thread count —
 //! and, once the chain has cooled enough that most proposals are rejected,
 //! evaluates moves through the same incrementally maintained
@@ -14,7 +14,6 @@
 //! recomputing `swap_delta` from scratch.
 
 use crate::budget::SolverBudget;
-use crate::parallel::run_indexed;
 use crate::qap::QapProblem;
 use crate::tabu::DeltaTable;
 use rand::rngs::StdRng;
@@ -83,7 +82,7 @@ pub fn simulated_annealing<R: Rng + ?Sized>(
 ) -> AnnealingResult {
     let restarts = config.restarts.max(1);
     let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
-    let results = run_indexed(restarts, true, |k| {
+    let results = twoqan_pool::run_indexed(restarts, |k| {
         let mut restart_rng = StdRng::seed_from_u64(seeds[k]);
         let start = match warm {
             Some(start) if k == 0 => start.to_vec(),
@@ -198,7 +197,7 @@ mod tests {
     use super::*;
     use crate::distance::DistanceMatrix;
     use crate::graph::Graph;
-    use crate::parallel::tests::serially;
+    use crate::tests::serially;
 
     fn line_on_grid(n: usize, rows: usize, cols: usize) -> QapProblem {
         let hw = DistanceMatrix::floyd_warshall(&Graph::grid(rows, cols));

@@ -19,10 +19,10 @@
 //! The two QAP solvers share one signature,
 //! `solver(problem, config, warm, budget, rng)` — [`tabu_search`] and
 //! [`simulated_annealing`].  Each runs `config.restarts` seeded restarts
-//! (on the installed [`twoqan_pool::CompilePool`], if any) and keeps the
-//! best; `warm: Some(assignment)` starts restart slot 0 from a known
-//! placement, and `budget` is a cooperative [`SolverBudget`]
-//! ([`SolverBudget::unlimited`] for an unbounded search).
+//! through [`twoqan_pool::run_indexed`] (on the installed compile pool, or
+//! on a transient one) and keeps the best; `warm: Some(assignment)` starts
+//! restart slot 0 from a known placement, and `budget` is a cooperative
+//! [`SolverBudget`] ([`SolverBudget::unlimited`] for an unbounded search).
 
 #![deny(missing_docs)]
 
@@ -31,7 +31,6 @@ pub mod budget;
 pub mod coloring;
 pub mod distance;
 pub mod graph;
-pub mod parallel;
 pub mod qap;
 pub mod random_regular;
 pub mod simd;
@@ -50,3 +49,15 @@ pub use tabu::{
     DeltaTable, ScanOutcome, TabuConfig, TabuResult,
 };
 pub use weighted::WeightedDistanceMatrix;
+
+#[cfg(test)]
+pub(crate) mod tests {
+    /// Runs `f` with a 1-worker pool installed, so every restart fan-out
+    /// inside it runs inline on the calling thread: the serial reference of
+    /// the solvers' determinism tests.
+    pub(crate) fn serially<T>(f: impl FnOnce() -> T) -> T {
+        let pool = twoqan_pool::CompilePool::new(1);
+        let _guard = pool.install();
+        f()
+    }
+}

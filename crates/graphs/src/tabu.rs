@@ -13,12 +13,12 @@
 //!   each accepted move (O(1) for pairs not touching the swapped facilities,
 //!   O(n) for the O(n) pairs that do), so one iteration costs O(n²) instead
 //!   of the O(n³) of re-deriving every swap delta from scratch;
-//! * **parallel restarts** — the independent random restarts run on a thread
-//!   pool with per-restart seeds pre-drawn from the caller's RNG, so results
-//!   are bit-identical for a fixed seed regardless of thread count.
+//! * **parallel restarts** — the independent random restarts run on the
+//!   compile pool (`twoqan_pool::run_indexed`) with per-restart seeds
+//!   pre-drawn from the caller's RNG, so results are bit-identical for a
+//!   fixed seed regardless of thread count.
 
 use crate::budget::SolverBudget;
-use crate::parallel::run_indexed;
 use crate::qap::QapProblem;
 use crate::simd;
 use rand::rngs::StdRng;
@@ -90,7 +90,7 @@ pub fn tabu_search<R: Rng + ?Sized>(
 ) -> TabuResult {
     let restarts = config.restarts.max(1);
     let seeds: Vec<u64> = (0..restarts).map(|_| rng.gen::<u64>()).collect();
-    let results = run_indexed(restarts, true, |k| {
+    let results = twoqan_pool::run_indexed(restarts, |k| {
         let start = match warm {
             Some(start) if k == 0 => start.to_vec(),
             _ => problem.random_assignment(&mut StdRng::seed_from_u64(seeds[k])),
@@ -556,7 +556,7 @@ mod tests {
     use super::*;
     use crate::distance::DistanceMatrix;
     use crate::graph::Graph;
-    use crate::parallel::tests::serially;
+    use crate::tests::serially;
     use std::time::Duration;
 
     /// A line of interacting qubits on a grid device: the optimum places the

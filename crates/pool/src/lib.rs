@@ -1,19 +1,25 @@
-//! Shared work-stealing compile pool.
+//! Shared work-stealing compile pool: the workspace's only parallel runtime.
 //!
-//! The workspace has two layers of data parallelism: the batch driver
-//! (`twoqan::BatchCompiler`) fans compile jobs out over threads, and *inside*
-//! each job the QAP solvers fan their multi-start restarts out again
-//! (`twoqan_graphs::run_indexed`).  Before this crate each layer spawned its
-//! own `std::thread::scope`, which oversubscribes small machines
-//! (jobs × restarts threads) and collapses to serial on 1-core ones.
+//! Compile work fans out at several layers: the batch driver
+//! (`twoqan::BatchCompiler`) over jobs, a 2QAN compile over its portfolio
+//! candidates, the QAP solvers over their multi-start restarts, the
+//! trajectory simulator over shots and the state-vector kernels over chunks
+//! of the amplitude range.  Every layer submits its fan-out through
+//! [`run_indexed`], so all of them share **one** set of worker threads
+//! instead of nesting thread layers that oversubscribe small machines.
+//! This crate is the only code in the workspace's library crates that spawns
+//! a thread, and the only place that decides how many.
 //!
-//! [`CompilePool`] replaces both layers with **one** set of long-lived worker
-//! threads provisioned once per batch run (or once per compile when a
-//! `threads` knob is set).  Work is submitted as *indexed batches*
-//! ([`CompilePool::run_indexed`]): the submitting thread participates as a
-//! worker, idle workers steal tickets from a shared queue, and results are
-//! collected by index, so the output is bit-identical to serial execution for
-//! any worker count and any scheduling.
+//! Work is submitted as *indexed batches* ([`CompilePool::run_indexed`]):
+//! the submitting thread participates as a worker, idle workers steal
+//! tickets from a shared queue, and results are collected by index, so the
+//! output is bit-identical to serial execution for any worker count and any
+//! scheduling.
+//!
+//! Who provisions the pool: the compile service keeps one long-lived pool,
+//! `BatchCompiler` creates one per batch, and otherwise [`run_indexed`]
+//! creates a transient one (one worker per core) for the duration of the
+//! call.  Nested fan-outs find the installed pool and never spawn.
 //!
 //! Nesting is deadlock-free by construction: a worker that is executing a
 //! batch item and submits a nested batch keeps draining indices itself
@@ -21,9 +27,9 @@
 //! for stragglers, so progress never depends on a free worker existing.
 //!
 //! The crate is std-only (the build environment has no crates.io access) and
-//! keeps a global census of every OS thread spawned for compile work — pool
-//! workers and any legacy scoped fallback — so tests can prove that a run at
-//! `--threads N` used exactly `N` workers with no nested spawning.
+//! keeps a global census of every OS thread the pool spawns, so tests can
+//! prove that a run at `--threads N` used exactly `N` workers with no nested
+//! spawning.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -31,33 +37,64 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Global count of OS threads ever spawned for compile work (pool workers
-/// plus any legacy scoped-thread fallback).  Monotonic; read it before and
-/// after an operation to count the threads that operation spawned.
+/// Global count of OS threads ever spawned by [`CompilePool`]s.  Monotonic;
+/// read it before and after an operation to count the threads that
+/// operation spawned.
 static SPAWNED_THREAD_CENSUS: AtomicUsize = AtomicUsize::new(0);
 
-/// Returns the global spawned-thread census (see [`census_add`]).
+/// Returns the global count of OS threads the pool has ever spawned.
 pub fn spawned_thread_census() -> usize {
     SPAWNED_THREAD_CENSUS.load(Ordering::SeqCst)
 }
 
-/// Records `n` newly spawned compile-work threads in the global census.
-///
-/// The pool calls this for its own workers; the legacy scoped fallback in
-/// `twoqan_graphs::run_indexed` calls it for each scoped thread so tests can
-/// assert that no nested spawning happens while a pool is installed.
-pub fn census_add(n: usize) {
-    SPAWNED_THREAD_CENSUS.fetch_add(n, Ordering::SeqCst);
-}
-
 /// The number of workers that can make concurrent progress on this machine.
 ///
-/// Provisioning policies (`BatchCompiler`, the per-compile `threads` knob)
-/// clamp explicit thread requests to this: compile work is CPU-bound, so
-/// workers beyond the core count only add context-switch and condvar churn —
-/// the source of the sub-serial batch sweeps this clamp fixes.
+/// Compile work is CPU-bound, so workers beyond the core count only add
+/// context-switch and condvar churn — the source of the sub-serial batch
+/// sweeps that clamping every provisioned pool to this fixed.
 pub fn max_useful_workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The worker count a `threads` setting resolves to: `0` means one worker
+/// per core, and any other `n` is clamped to the core count
+/// ([`max_useful_workers`]).
+pub fn resolve_workers(threads: usize) -> usize {
+    let cores = max_useful_workers();
+    match threads {
+        0 => cores,
+        n => n.min(cores),
+    }
+}
+
+/// Runs `f(0), …, f(count - 1)` and returns the results in index order.
+///
+/// With a pool installed on the current thread (see
+/// [`CompilePool::install`]; pool workers always have their own installed)
+/// the batch runs on it, even when it has a single worker: an installed
+/// pool is the sole source of threads.  Otherwise a batch of at most one
+/// item runs inline, and a larger one provisions a transient pool with one
+/// worker per core, installed for the duration of the call so that nested
+/// fan-outs inside `f` share its workers.  The result is identical in every
+/// mode (index `k` always holds `f(k)`), so callers get determinism for free
+/// as long as `f` itself is a pure function of its index.
+pub fn run_indexed<T, F>(count: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if let Some(results) = run_installed(count, &f) {
+        return results;
+    }
+    if count <= 1 {
+        return (0..count).map(f).collect();
+    }
+    let pool = CompilePool::new(max_useful_workers());
+    // Dropped before the pool, so the thread's TLS is restored first.
+    let guard = pool.install();
+    let results = pool.run_indexed(count, f);
+    drop(guard);
+    results
 }
 
 /// A batch of `count` indexed work items sharing one type-erased entry point.
@@ -182,7 +219,7 @@ impl CompilePool {
             idle: AtomicUsize::new(0),
         });
         let spawned = workers - 1;
-        census_add(spawned);
+        SPAWNED_THREAD_CENSUS.fetch_add(spawned, Ordering::SeqCst);
         let handles = (0..spawned)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -202,8 +239,8 @@ impl CompilePool {
 
     /// Installs this pool as the current thread's submission target and
     /// returns a guard that restores the previous target on drop.  While
-    /// installed, `twoqan_graphs::run_indexed` (and anything else using
-    /// [`run_installed`]) routes through this pool instead of spawning.
+    /// installed, [`run_indexed`] routes through this pool instead of
+    /// provisioning one.
     pub fn install(&self) -> PoolGuard {
         let prev = CURRENT.with(|c| c.borrow_mut().replace(Arc::clone(&self.inner)));
         PoolGuard { prev }
@@ -270,11 +307,9 @@ impl Drop for PoolGuard {
 }
 
 /// Runs an indexed batch on the pool installed on the current thread, if
-/// any.  Returns `None` when no pool is installed (caller should fall back
-/// to its own strategy).  With a 1-worker pool installed this still returns
-/// `Some` — executing serially inline — so an installed pool is *always* the
-/// sole source of compile-work threads.
-pub fn run_installed<T, F>(count: usize, f: &F) -> Option<Vec<T>>
+/// any.  Returns `None` when no pool is installed.  With a 1-worker pool
+/// installed this still returns `Some` — executing serially inline.
+fn run_installed<T, F>(count: usize, f: &F) -> Option<Vec<T>>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -455,6 +490,24 @@ mod tests {
         });
         let expect: Vec<usize> = (0..8).map(|i| (0..6).map(|j| i * 10 + j).sum()).collect();
         assert_eq!(outer, expect);
+    }
+
+    #[test]
+    fn serial_and_parallel_agree_in_order() {
+        let serial = {
+            let pool = CompilePool::new(1);
+            let _guard = pool.install();
+            run_indexed(17, |k| k * k)
+        };
+        let parallel = run_indexed(17, |k| k * k);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial[3], 9);
+    }
+
+    #[test]
+    fn zero_and_one_counts_work() {
+        assert_eq!(run_indexed(0, |k| k), Vec::<usize>::new());
+        assert_eq!(run_indexed(1, |k| k + 1), vec![1]);
     }
 
     #[test]

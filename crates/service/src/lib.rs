@@ -84,7 +84,7 @@ use std::time::{Duration, Instant};
 
 use twoqan::hash::ContentHasher;
 use twoqan::pipeline::{CompiledOutput, Compiler, DegradationRung};
-use twoqan::{BatchCompiler, BatchJob, CompileError, CompilePool};
+use twoqan::{compile_isolated, CompileError, CompilePool};
 use twoqan_baselines::CompilerRegistry;
 use twoqan_circuit::{Circuit, GateKind};
 use twoqan_device::{Device, Target, TwoQubitBasis};
@@ -101,9 +101,6 @@ pub struct ServiceConfig {
     /// core).  Provisioned **once** at construction — requests never pay
     /// per-call pool spawn costs.
     pub threads: usize,
-    /// Per-job retry budget for transient compile failures (see
-    /// [`BatchCompiler::with_retries`]).
-    pub retries: usize,
     /// Maximum number of concurrently admitted miss compiles (in-flight
     /// *leaders*); `0` means unbounded.  A request that would start a new
     /// compile while the cap is saturated is fast-rejected with
@@ -113,14 +110,13 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// 1024 cached outputs over 8 shards, one worker per core, no retries,
-    /// unbounded admission.
+    /// 1024 cached outputs over 8 shards, one worker per core, unbounded
+    /// admission.
     fn default() -> Self {
         Self {
             capacity: 1024,
             shards: 8,
             threads: 0,
-            retries: 0,
             max_in_flight: 0,
         }
     }
@@ -134,7 +130,8 @@ pub enum ServiceError {
         /// The requested compiler name.
         name: String,
     },
-    /// The compile itself failed (after any configured retries).
+    /// The compile itself failed (a panic surfaces as
+    /// [`CompileError::Internal`]).
     Compile(CompileError),
     /// The admission cap on concurrent miss compiles is saturated: serving
     /// this request would require starting a new compile, and
@@ -265,17 +262,6 @@ pub struct StatsSnapshot {
     pub invalidations: u64,
     /// Cached artifacts dropped by those invalidation calls.
     pub invalidated_entries: u64,
-}
-
-impl StatsSnapshot {
-    /// Fraction of requests answered from the cache.
-    pub fn hit_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.requests as f64
-        }
-    }
 }
 
 #[derive(Default)]
@@ -467,6 +453,9 @@ struct Miss<'a> {
     /// clone's), so successive recompiles keep finding the freshest
     /// placement.
     stable: u128,
+    /// Hash of the device snapshot, computed once per miss for the
+    /// placement check, the cache insert and the placement record.
+    device_fingerprint: u128,
     arrival: Instant,
     /// Miss compiles in flight when the request arrived.
     queue_depth: usize,
@@ -566,7 +555,6 @@ pub struct CompileService {
     /// by the same capacity as the artifact cache.
     placements: Mutex<PlacementIndex>,
     placement_capacity: usize,
-    batch: BatchCompiler,
     pool: CompilePool,
     stats: Stats,
 }
@@ -587,11 +575,6 @@ impl CompileService {
     /// A service over an explicit compiler set (names must be unique).
     pub fn with_compilers(config: ServiceConfig, compilers: Vec<Box<dyn Compiler>>) -> Self {
         let shards = config.shards.max(1);
-        let threads = if config.threads == 0 {
-            twoqan::pool::max_useful_workers()
-        } else {
-            config.threads.min(twoqan::pool::max_useful_workers())
-        };
         Self {
             compilers,
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
@@ -601,8 +584,7 @@ impl CompileService {
             max_in_flight: config.max_in_flight,
             placements: Mutex::new(PlacementIndex::default()),
             placement_capacity: config.capacity.max(1),
-            batch: BatchCompiler::new(threads).with_retries(config.retries),
-            pool: CompilePool::new(threads),
+            pool: CompilePool::new(twoqan::pool::resolve_workers(config.threads)),
             stats: Stats::default(),
         }
     }
@@ -756,6 +738,7 @@ impl CompileService {
             device,
             key,
             stable: stable_key(registered, circuit, device),
+            device_fingerprint: device_fingerprint(device),
             arrival,
             queue_depth,
         };
@@ -772,7 +755,7 @@ impl CompileService {
         };
         // Fast path for a repeat recompile against an unchanged snapshot
         // whose artifact is still cached under its own key.
-        if record.device_fingerprint == device_fingerprint(device) {
+        if record.device_fingerprint == miss.device_fingerprint {
             let recorded = record.artifact_key;
             if let Some(output) = self.shard(recorded).touch(recorded) {
                 // A recorded artifact under a different key than the cold
@@ -804,23 +787,14 @@ impl CompileService {
             .map(|c| c.as_ref())
     }
 
-    /// Compiles a miss on the calling thread, panic-isolated and with the
-    /// configured retries, timing the wait before it and the compile
-    /// itself.  Callers install the service pool first, so the solvers'
-    /// restarts run on its workers.
+    /// Compiles a miss on the calling thread, panic-isolated, timing the
+    /// wait before it and the compile itself.  Callers install the service
+    /// pool first, so the portfolio candidates and solver restarts run on
+    /// its workers.
     fn compile(&self, miss: &Miss<'_>) -> Compiled {
         let queue_wait_ms = ms_since(miss.arrival);
         let start = Instant::now();
-        let job = BatchJob {
-            circuit: miss.circuit,
-            device: miss.device,
-            compiler: miss.compiler(),
-        };
-        let result = self
-            .batch
-            .compile_batch(&[job])
-            .pop()
-            .expect("one job in, one result out");
+        let result = compile_isolated(miss.compiler(), miss.circuit, miss.device);
         Compiled {
             result,
             queue_wait_ms,
@@ -853,8 +827,8 @@ impl CompileService {
         });
         // Cache *before* the flight clears so a newcomer always finds the
         // key in one of the two maps.
-        let cached = self.maybe_cache(miss.key, &output, miss.device);
-        self.record_placement(miss.stable, miss.key, &output, miss.device);
+        let cached = self.maybe_cache(miss, &output);
+        self.record_placement(miss, &output);
         lease.publish(Ok(Arc::clone(&output)));
         Ok(ServiceResponse {
             output,
@@ -904,13 +878,7 @@ impl CompileService {
     /// drifted snapshot can warm-start from it.  Degraded artifacts are
     /// skipped (their placement may come from the trivial fallback), as are
     /// compilers that report no placement.
-    fn record_placement(
-        &self,
-        stable: u128,
-        artifact_key: u128,
-        output: &CompiledOutput,
-        device: &Device,
-    ) {
+    fn record_placement(&self, miss: &Miss<'_>, output: &CompiledOutput) {
         if output.report.rung != DegradationRung::Full || output.initial_placement.is_empty() {
             return;
         }
@@ -918,10 +886,10 @@ impl CompileService {
             .lock()
             .expect("placement index poisoned")
             .record(
-                stable,
+                miss.stable,
                 PlacementRecord {
-                    device_fingerprint: device_fingerprint(device),
-                    artifact_key,
+                    device_fingerprint: miss.device_fingerprint,
+                    artifact_key: miss.key,
                     placement: output.initial_placement.clone(),
                 },
                 self.placement_capacity,
@@ -1155,15 +1123,15 @@ impl CompileService {
     /// Caches a successful compile unless a deadline degraded it: only
     /// [`DegradationRung::Full`] artifacts may be served as the canonical
     /// result for their key.
-    fn maybe_cache(&self, key: u128, output: &Arc<CompiledOutput>, device: &Device) -> bool {
+    fn maybe_cache(&self, miss: &Miss<'_>, output: &Arc<CompiledOutput>) -> bool {
         if output.report.rung != DegradationRung::Full {
             Stats::bump(&self.stats.uncacheable);
             return false;
         }
-        let evicted = self.shard(key).insert(
-            key,
+        let evicted = self.shard(miss.key).insert(
+            miss.key,
             Arc::clone(output),
-            device_fingerprint(device),
+            miss.device_fingerprint,
             self.shard_capacity,
         );
         Stats::bump(&self.stats.insertions);
@@ -1384,7 +1352,6 @@ mod tests {
             capacity: 64,
             shards: 4,
             threads: 1,
-            retries: 0,
             max_in_flight: 0,
         })
     }

@@ -39,7 +39,6 @@ fn config() -> ServiceConfig {
         capacity: 64,
         shards: 4,
         threads: 1,
-        retries: 0,
         max_in_flight: 0,
     }
 }

@@ -31,7 +31,6 @@ fn small_service() -> CompileService {
         capacity: 64,
         shards: 4,
         threads: 1,
-        retries: 0,
         max_in_flight: 0,
     })
 }

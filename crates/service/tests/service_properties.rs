@@ -31,7 +31,6 @@ fn small_service(capacity: usize, shards: usize) -> CompileService {
         capacity,
         shards,
         threads: 1,
-        retries: 0,
         max_in_flight: 0,
     })
 }
@@ -177,7 +176,6 @@ fn failed_or_degraded_compiles_are_never_cached() {
             capacity: 16,
             shards: 1,
             threads: 1,
-            retries: 0,
             max_in_flight: 0,
         },
         vec![Box::new(starved) as Box<dyn Compiler>],

@@ -30,9 +30,10 @@
 //!
 //! # Determinism
 //!
-//! Kernels optionally fan the base-index range out over scoped threads.
+//! Kernels optionally split the base-index range into a fixed number of
+//! chunks and run them on the compile pool (`twoqan_pool::run_indexed`).
 //! Every output amplitude is a pure function of input amplitudes computed by
-//! exactly one thread with exactly the same arithmetic as the serial path,
+//! exactly one chunk with exactly the same arithmetic as the serial path,
 //! so results are **bit-identical** for any thread count.
 
 use twoqan_circuit::{Circuit, Gate, GateKind, MatrixCache, ScheduledCircuit};
@@ -281,26 +282,27 @@ impl CompiledCircuit {
 // ------------------------------------------------------------------------
 
 /// State size (amplitudes) below which [`auto_threads`] stays serial.
-/// Each kernel invocation spawns a fresh scoped pool, so fan-out only
-/// amortizes once per-gate work reaches the ~millisecond scale — around
-/// `2^20` amplitudes on current hardware.  The threshold is consulted
-/// *only* by the automatic policy: explicit thread counts passed to the
-/// kernels are always honoured (the determinism tests rely on forcing
-/// multi-threaded execution on small states).
+/// Each kernel invocation is one pool batch (and, with no pool installed,
+/// provisions a transient one), so fan-out only amortizes once per-gate
+/// work reaches the ~millisecond scale — around `2^20` amplitudes on
+/// current hardware.  The threshold is consulted *only* by the automatic
+/// policy: explicit chunk counts passed to the kernels are always honoured
+/// (the determinism tests rely on forcing chunked execution on small
+/// states).
 const PAR_MIN_DIM: usize = 1 << 20;
 
 /// The thread count the state-vector front end uses for a state of `dim`
-/// amplitudes: all available cores once the state is large enough to
-/// amortize per-kernel thread startup, serial otherwise.
+/// amplitudes: one chunk per core once the state is large enough to
+/// amortize per-kernel fan-out, serial otherwise.
 pub fn auto_threads(dim: usize) -> usize {
     if dim < PAR_MIN_DIM {
         1
     } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        twoqan_pool::max_useful_workers()
     }
 }
 
-/// A raw shared view of the amplitude buffer for scoped worker threads.
+/// A raw shared view of the amplitude buffer for concurrent kernel chunks.
 ///
 /// Safety: every kernel partitions the *base-index* space into disjoint
 /// ranges, and distinct base indices address disjoint amplitude pairs /
@@ -346,12 +348,13 @@ impl SharedAmps {
     }
 }
 
-/// Runs `body(start, end)` over a partition of `0..total` on up to
-/// `threads` scoped threads (serial when `threads <= 1`; thresholds on the
-/// state size are the caller's job, see [`auto_threads`]).  The partition
-/// depends only on `total` and `threads`, and every index is processed by
-/// exactly one invocation, so any `body` whose writes are per-index pure
-/// functions yields bit-identical results in all modes.
+/// Runs `body(start, end)` over a partition of `0..total` into up to
+/// `threads` chunks, run on the compile pool (inline when `threads <= 1`;
+/// thresholds on the state size are the caller's job, see
+/// [`auto_threads`]).  The partition depends only on `total` and `threads`,
+/// and every index is processed by exactly one invocation, so any `body`
+/// whose writes are per-index pure functions yields bit-identical results
+/// in all modes.
 fn run_chunked<F: Fn(usize, usize) + Sync>(total: usize, threads: usize, body: F) {
     let threads = threads.clamp(1, total.max(1));
     if threads == 1 {
@@ -359,14 +362,11 @@ fn run_chunked<F: Fn(usize, usize) + Sync>(total: usize, threads: usize, body: F
         return;
     }
     let chunk = total.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let start = t * chunk;
-            let end = ((t + 1) * chunk).min(total);
-            if start < end {
-                let body = &body;
-                scope.spawn(move || body(start, end));
-            }
+    twoqan_pool::run_indexed(threads, |t| {
+        let start = t * chunk;
+        let end = ((t + 1) * chunk).min(total);
+        if start < end {
+            body(start, end);
         }
     });
 }

@@ -17,7 +17,8 @@
 //! stride-enumeration kernels with specialized fast paths for the
 //! diagonal / swap-like gate classes that dominate 2QAN workloads, per-kind
 //! matrix caching, and deterministic amplitude-chunk / shot-level
-//! multi-threading (bit-identical results for any thread count).  See
+//! parallelism on the shared compile pool (`twoqan_pool`; bit-identical
+//! results for any worker count).  See
 //! `BENCHMARKS.md` § Simulation for the perf trajectory.
 
 #![deny(missing_docs)]

@@ -14,10 +14,11 @@
 //! The default [`SimEngine::Kernelized`] engine classifies the circuit once
 //! ([`CompiledCircuit`]), precomputes the per-gate error probabilities and
 //! the per-basis-state Ising cost table ([`IsingCostTable`]), and replays
-//! shots on a thread pool.  Every shot derives its RNG from a seed pre-drawn
-//! from the sampler's seed and shot values are reduced in shot order, so the
-//! estimate is **bit-identical** for a fixed seed regardless of thread
-//! count.  [`SimEngine::Naive`] preserves the original per-index,
+//! shots on the compile pool (`twoqan_pool::run_indexed`; install a 1-worker
+//! `CompilePool` for serial shots).  Every shot derives its RNG from a seed
+//! pre-drawn from the sampler's seed and shot values are reduced in shot
+//! order, so the estimate is **bit-identical** for a fixed seed regardless
+//! of thread count.  [`SimEngine::Naive`] preserves the original per-index,
 //! matrix-rebuilding serial implementation as the before/after reference of
 //! `BENCH_sim.json`.
 
@@ -28,14 +29,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use twoqan_circuit::ScheduledCircuit;
 use twoqan_device::TwoQubitBasis;
-use twoqan_graphs::parallel::run_indexed;
 use twoqan_math::pauli::Pauli;
 
 /// Which gate-application engine a [`TrajectorySimulator`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimEngine {
     /// Stride-enumeration kernels, per-circuit matrix caching, precomputed
-    /// cost table, optional shot-level parallelism.
+    /// cost table, shot-level parallelism.
     #[default]
     Kernelized,
     /// The pre-kernel reference: branch-per-index loops, matrices rebuilt
@@ -104,7 +104,6 @@ pub struct TrajectorySimulator {
     basis: TwoQubitBasis,
     shots: usize,
     seed: u64,
-    parallel: bool,
     engine: SimEngine,
 }
 
@@ -116,16 +115,8 @@ impl TrajectorySimulator {
             basis,
             shots,
             seed,
-            parallel: true,
             engine: SimEngine::Kernelized,
         }
-    }
-
-    /// Selects serial or thread-pool shot execution (the estimate is
-    /// bit-identical either way).
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
     }
 
     /// Selects the gate-application engine.
@@ -154,8 +145,8 @@ impl TrajectorySimulator {
         }
     }
 
-    /// The kernelized engine: classify once, replay shots (optionally in
-    /// parallel) from pre-drawn per-shot seeds.
+    /// The kernelized engine: classify once, replay shots on the compile
+    /// pool from pre-drawn per-shot seeds.
     fn kernelized_expectation(&self, schedule: &ScheduledCircuit, edges: &[(usize, usize)]) -> f64 {
         let n = schedule.num_qubits();
         let error_per_native_gate = self.noise.two_qubit_error();
@@ -190,7 +181,7 @@ impl TrajectorySimulator {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let shot_seeds: Vec<u64> = (0..self.shots).map(|_| rng.gen::<u64>()).collect();
 
-        let shot_values = run_indexed(self.shots, self.parallel, |k| {
+        let shot_values = twoqan_pool::run_indexed(self.shots, |k| {
             let mut shot_rng = StdRng::seed_from_u64(shot_seeds[k]);
             let mut state = StateVector::plus_state(n);
             for (op, error_probability) in compiled.ops().iter().zip(&error_probabilities) {
@@ -408,16 +399,15 @@ mod tests {
             ..Calibration::montreal_october_2021()
         };
         let noise = NoiseModel::from_calibration(noisy_calibration);
+        let on_pool = |workers: usize, sim: &TrajectorySimulator| {
+            let pool = twoqan_pool::CompilePool::new(workers);
+            let _guard = pool.install();
+            sim.ising_cost_expectation(&schedule, &edges)
+        };
         for seed in 0..5 {
             let sim = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 24, seed);
-            let serial = sim
-                .clone()
-                .with_parallel(false)
-                .ising_cost_expectation(&schedule, &edges);
-            let parallel = sim
-                .clone()
-                .with_parallel(true)
-                .ising_cost_expectation(&schedule, &edges);
+            let serial = on_pool(1, &sim);
+            let parallel = on_pool(2, &sim);
             assert_eq!(
                 serial.to_bits(),
                 parallel.to_bits(),

@@ -419,10 +419,11 @@ fn kernels_are_bit_identical_across_thread_counts() {
     });
 }
 
-/// Trajectory sampling returns bit-identical estimates in serial and
-/// thread-pool shot execution for a fixed seed.
+/// Trajectory sampling returns bit-identical estimates on a 1-worker and a
+/// 2-worker installed compile pool for a fixed seed.
 #[test]
 fn trajectory_sampling_is_bit_identical_across_thread_modes() {
+    use twoqan_repro::twoqan::CompilePool;
     use twoqan_repro::twoqan_circuit::ScheduledCircuit;
     for_random_cases(6, 113, |rng| {
         let n = rng.gen_range(3..6usize);
@@ -433,14 +434,13 @@ fn trajectory_sampling_is_bit_identical_across_thread_modes() {
         let noise = NoiseModel::from_device(&Device::montreal());
         let seed = rng.gen::<u64>();
         let sim = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 16, seed);
-        let serial = sim
-            .clone()
-            .with_parallel(false)
-            .ising_cost_expectation(&schedule, &edges);
-        let parallel = sim
-            .clone()
-            .with_parallel(true)
-            .ising_cost_expectation(&schedule, &edges);
+        let on_pool = |workers: usize| {
+            let pool = CompilePool::new(workers);
+            let _guard = pool.install();
+            sim.ising_cost_expectation(&schedule, &edges)
+        };
+        let serial = on_pool(1);
+        let parallel = on_pool(2);
         assert_eq!(
             serial.to_bits(),
             parallel.to_bits(),
@@ -812,7 +812,7 @@ fn pooled_solver_restarts_are_bit_identical_for_any_worker_count() {
 
 /// Parallel and serial multi-start runs of both QAP solvers return
 /// bit-identical results for a fixed seed.  The parallel run has no pool
-/// installed, so its restarts take the scoped-thread path.
+/// installed, so its restarts run on a transient pool.
 #[test]
 fn solver_restarts_are_deterministic_across_thread_modes() {
     for_random_cases(8, 110, |rng| {
