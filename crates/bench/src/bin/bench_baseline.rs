@@ -17,8 +17,6 @@
 //! ```text
 //! cargo run --release -p twoqan-bench --bin bench_baseline -- \
 //!     [--samples N] [--out PATH] [--threads T1,T2,...] [--smoke]
-//! cargo run --release -p twoqan-bench --bin bench_baseline -- --kernels \
-//!     [--samples N] [--out PATH] [--smoke]
 //! cargo run --release -p twoqan-bench --bin bench_baseline -- --check PATH \
 //!     [--samples N] [--tolerance PCT]
 //! ```
@@ -27,11 +25,6 @@
 //! the current directory, thread sweep `1,2,4` (override with `--threads`;
 //! `0` = one worker per core).  `--smoke` is the CI mode: sizes 10/20 only,
 //! 1 sample, no n = 200 entry.
-//!
-//! `--kernels` instead microbenchmarks the QAP delta-table kernels (build /
-//! apply / neighbourhood scan, blocked + SIMD vs. the reference
-//! implementations kept in `twoqan_graphs::tabu`) and the dense 4×4
-//! statevector kernel (SIMD vs. scalar), writing `BENCH_kernels.json`.
 //!
 //! `--check PATH` re-measures the n = 80 end-to-end compile and exits
 //! non-zero if its median regressed more than `--tolerance` percent
@@ -42,20 +35,11 @@
 use std::time::Instant;
 use twoqan::{BatchCompiler, BatchJob, TwoQanCompiler, TwoQanConfig};
 use twoqan_baselines::CompilerRegistry;
-use twoqan_bench::report::{median, median_ms};
+use twoqan_bench::report::median;
 use twoqan_bench::{scaling_device, LARGE_SCALING_SIZE, SCALING_SIZES};
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
-use twoqan_graphs::tabu::{
-    build_delta_table_reference, select_best_move, select_best_move_reference, DeltaTable,
-};
-use twoqan_graphs::{DistanceMatrix, Graph, QapProblem, SolverBudget};
 use twoqan_ham::{nnn_heisenberg, trotter_step};
-use twoqan_math::{gates, Complex};
-use twoqan_sim::simd::{apply_general4, apply_general4_scalar};
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 struct Entry {
     n: usize,
@@ -231,197 +215,6 @@ fn measure_batch(sizes: &[usize], samples: usize, thread_counts: &[usize]) -> Ba
 }
 
 // ---------------------------------------------------------------------------
-// `--kernels`: QAP delta-table + statevector kernel microbenches.
-// ---------------------------------------------------------------------------
-
-/// A padded NNN-chain mapping QAP on an `rows × cols` grid device — the same
-/// shape the QAP-mapping pass solves (circuit qubits = device qubits − 1,
-/// the rest dummies).
-fn nnn_mapping_qap(rows: usize, cols: usize) -> QapProblem {
-    let hw = DistanceMatrix::bfs(&Graph::grid(rows, cols));
-    let m = hw.num_vertices();
-    let circuit_qubits = m - 1;
-    let mut interactions = Vec::new();
-    for i in 0..circuit_qubits {
-        if i + 1 < circuit_qubits {
-            interactions.push((i, i + 1));
-        }
-        if i + 2 < circuit_qubits {
-            interactions.push((i, i + 2));
-        }
-    }
-    QapProblem::from_interactions(m, &interactions, &hw)
-}
-
-struct KernelEntry {
-    name: &'static str,
-    n: usize,
-    blocked_ms: f64,
-    reference_ms: f64,
-}
-
-fn measure_kernels(samples: usize, smoke: bool) -> Vec<KernelEntry> {
-    let mut entries = Vec::new();
-    let grids: &[(usize, usize)] = if smoke {
-        &[(9, 9)]
-    } else {
-        &[(9, 9), (15, 14)]
-    };
-    for &(rows, cols) in grids {
-        let problem = nnn_mapping_qap(rows, cols);
-        let n = problem.num_facilities();
-        let mut rng = StdRng::seed_from_u64(7);
-        let assignment = problem.random_assignment(&mut rng);
-
-        // Delta-table build: streaming SIMD rows vs. the O(n³) swap_delta
-        // reference.
-        entries.push(KernelEntry {
-            name: "delta_build",
-            n,
-            blocked_ms: median_ms(samples, || {
-                std::hint::black_box(DeltaTable::new(&problem, &assignment));
-            }),
-            reference_ms: median_ms(samples, || {
-                std::hint::black_box(build_delta_table_reference(&problem, &assignment));
-            }),
-        });
-
-        // Post-swap maintenance: two rank-1 updates (a swap and its inverse,
-        // so the table returns to its starting state every iteration) vs.
-        // two full reference rebuilds.
-        let (u, v) = (3usize, 17usize);
-        let mut table = DeltaTable::new(&problem, &assignment);
-        let mut assign = assignment.clone();
-        entries.push(KernelEntry {
-            name: "apply_swap_x2",
-            n,
-            blocked_ms: median_ms(samples, || {
-                assign.swap(u, v);
-                table.apply_swap(&problem, &assign, u, v);
-                assign.swap(u, v);
-                table.apply_swap(&problem, &assign, u, v);
-            }),
-            reference_ms: median_ms(samples, || {
-                assign.swap(u, v);
-                std::hint::black_box(build_delta_table_reference(&problem, &assign));
-                assign.swap(u, v);
-                std::hint::black_box(build_delta_table_reference(&problem, &assign));
-            }),
-        });
-
-        // Neighbourhood scan: span-truncated early-abort scan vs. the full
-        // reference scan.  Both must pick the same move.
-        let tabu_until = vec![0usize; n * n];
-        let current_cost = problem.cost(&assignment);
-        let budget = SolverBudget::unlimited();
-        let blocked_pick = select_best_move(
-            &table,
-            &problem,
-            &tabu_until,
-            1,
-            current_cost,
-            current_cost,
-            &budget,
-        );
-        let reference_pick = select_best_move_reference(
-            &table,
-            &problem,
-            &tabu_until,
-            1,
-            current_cost,
-            current_cost,
-        );
-        assert_eq!(
-            blocked_pick, reference_pick,
-            "blocked and reference scans disagree on n = {n}"
-        );
-        entries.push(KernelEntry {
-            name: "scan",
-            n,
-            blocked_ms: median_ms(samples, || {
-                std::hint::black_box(select_best_move(
-                    &table,
-                    &problem,
-                    &tabu_until,
-                    1,
-                    current_cost,
-                    current_cost,
-                    &budget,
-                ));
-            }),
-            reference_ms: median_ms(samples, || {
-                std::hint::black_box(select_best_move_reference(
-                    &table,
-                    &problem,
-                    &tabu_until,
-                    1,
-                    current_cost,
-                    current_cost,
-                ));
-            }),
-        });
-    }
-
-    // Dense 4×4 statevector kernel on long amplitude runs (the
-    // `two_canonical_general` laggard): SIMD vs. the scalar original.  The
-    // gate is unitary, so applying it in place repeatedly stays normalised.
-    let run_len = if smoke { 1 << 8 } else { 1 << 14 };
-    let m = gates::canonical(0.5, 0.25, 0.125);
-    let mut rng = StdRng::seed_from_u64(13);
-    let mut runs: Vec<Vec<Complex>> = (0..4)
-        .map(|_| {
-            (0..run_len)
-                .map(|_| Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
-                .collect()
-        })
-        .collect();
-    let mut scalar_runs = runs.clone();
-    entries.push(KernelEntry {
-        name: "sim_general4",
-        n: run_len,
-        blocked_ms: median_ms(samples, || {
-            let [a, b, c, d] = &mut runs[..] else {
-                unreachable!()
-            };
-            apply_general4(&m, a, b, c, d);
-        }),
-        reference_ms: median_ms(samples, || {
-            let [a, b, c, d] = &mut scalar_runs[..] else {
-                unreachable!()
-            };
-            apply_general4_scalar(&m, a, b, c, d);
-        }),
-    });
-    entries
-}
-
-fn run_kernels(samples: usize, smoke: bool, out: &str) {
-    let entries = measure_kernels(samples, smoke);
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"qap_and_sim_kernels\",\n");
-    json.push_str("  \"unit\": \"ms (median wall clock)\",\n");
-    json.push_str(&format!("  \"samples\": {samples},\n"));
-    json.push_str("  \"kernels\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"blocked_ms\": {:.4}, \"reference_ms\": {:.4}, \"speedup\": {:.2}}}{}\n",
-            e.name,
-            e.n,
-            e.blocked_ms,
-            e.reference_ms,
-            e.reference_ms / e.blocked_ms.max(1e-9),
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n");
-    json.push_str("}\n");
-    std::fs::write(out, &json).expect("writing the kernel baseline file");
-    println!("{json}");
-    println!("wrote {out}");
-}
-
-// ---------------------------------------------------------------------------
 // `--check`: the CI perf-regression guard.
 // ---------------------------------------------------------------------------
 
@@ -491,7 +284,6 @@ fn main() {
     let mut out: Option<String> = None;
     let mut threads: Option<Vec<usize>> = None;
     let mut smoke = false;
-    let mut kernels = false;
     let mut check: Option<String> = None;
     let mut tolerance_pct = 10.0f64;
     let mut args = std::env::args().skip(1);
@@ -521,9 +313,6 @@ fn main() {
             "--smoke" => {
                 smoke = true;
             }
-            "--kernels" => {
-                kernels = true;
-            }
             "--check" => {
                 check = Some(args.next().unwrap_or_else(|| {
                     eprintln!("--check needs the committed baseline path");
@@ -545,7 +334,7 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown argument {other}; supported: --samples N, --threads T1,T2,..., \
-                     --smoke, --kernels, --check PATH, --tolerance PCT, --out PATH"
+                     --smoke, --check PATH, --tolerance PCT, --out PATH"
                 );
                 std::process::exit(2);
             }
@@ -557,11 +346,6 @@ fn main() {
 
     if let Some(baseline) = check {
         run_check(&baseline, samples, tolerance_pct);
-        return;
-    }
-    if kernels {
-        let out = out.unwrap_or_else(|| "BENCH_kernels.json".into());
-        run_kernels(samples, smoke, &out);
         return;
     }
 

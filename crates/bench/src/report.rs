@@ -4,7 +4,6 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]
@@ -123,21 +122,6 @@ pub fn format_ratio(ratio: f64) -> String {
 pub fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
     samples[samples.len() / 2]
-}
-
-/// Median wall-clock milliseconds of `samples` runs of `f`, after one
-/// warm-up run (which fills caches such as the device's distance matrix).
-pub fn median_ms<F: FnMut()>(samples: usize, mut f: F) -> f64 {
-    f();
-    median(
-        (0..samples)
-            .map(|_| {
-                let t0 = Instant::now();
-                f();
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect(),
-    )
 }
 
 /// Nearest-rank percentile `p` (0–100) of a sample set, sorted in place.

@@ -96,7 +96,7 @@ pub fn estimated_success_probability(
 /// Supported two-qubit kinds: `Cnot`, `Cz`, ZZ-only canonical gates, plain
 /// SWAPs and ZZ-only dressed SWAPs — exactly the gates produced when
 /// compiling QAOA / Ising workloads.  XX/YY-bearing unitaries are emitted via
-/// the exact (but not CNOT-count-optimal) reference synthesis.
+/// the exact (but not CNOT-count-optimal) `synthesis::canonical_circuit`.
 ///
 /// # Errors
 ///
@@ -122,12 +122,7 @@ pub fn decompose_to_cnot_exact(schedule: &ScheduledCircuit) -> Result<Circuit, C
                 if xx == 0.0 && yy == 0.0 {
                     emit_synth(&mut out, &synthesis::zz_circuit(zz), a, b);
                 } else {
-                    emit_synth(
-                        &mut out,
-                        &synthesis::canonical_circuit_reference(xx, yy, zz),
-                        a,
-                        b,
-                    );
+                    emit_synth(&mut out, &synthesis::canonical_circuit(xx, yy, zz), a, b);
                 }
             }
             GateKind::DressedSwap { xx, yy, zz } => {
@@ -136,12 +131,7 @@ pub fn decompose_to_cnot_exact(schedule: &ScheduledCircuit) -> Result<Circuit, C
                 } else {
                     // Exact but non-optimal: SWAP followed by the canonical part
                     // (the metrics still use the optimal 3-gate count).
-                    emit_synth(
-                        &mut out,
-                        &synthesis::canonical_circuit_reference(xx, yy, zz),
-                        a,
-                        b,
-                    );
+                    emit_synth(&mut out, &synthesis::canonical_circuit(xx, yy, zz), a, b);
                     emit_synth(&mut out, &synthesis::swap_circuit(), a, b);
                 }
             }
@@ -247,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn general_canonical_gates_use_the_reference_synthesis() {
+    fn general_canonical_gates_use_canonical_circuit() {
         let s = schedule_of(vec![Gate::canonical(0, 1, 0.3, 0.2, 0.1)], 2);
         let c = decompose_to_cnot_exact(&s).unwrap();
         assert_eq!(c.count_kind(|k| matches!(k, GateKind::Cnot)), 6);

@@ -33,7 +33,7 @@ pub mod distance;
 pub mod graph;
 pub mod qap;
 pub mod random_regular;
-pub mod simd;
+mod simd;
 pub mod tabu;
 pub mod weighted;
 
@@ -44,10 +44,7 @@ pub use distance::DistanceMatrix;
 pub use graph::Graph;
 pub use qap::QapProblem;
 pub use random_regular::{random_regular_graph, try_random_regular_graph, RandomRegularError};
-pub use tabu::{
-    build_delta_table_reference, select_best_move, select_best_move_reference, tabu_search,
-    DeltaTable, ScanOutcome, TabuConfig, TabuResult,
-};
+pub use tabu::{select_best_move, tabu_search, DeltaTable, ScanOutcome, TabuConfig, TabuResult};
 pub use weighted::WeightedDistanceMatrix;
 
 #[cfg(test)]

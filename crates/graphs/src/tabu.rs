@@ -122,10 +122,10 @@ const BUDGET_CHECK_ROWS: usize = 32;
 /// * `dloc` caches the assignment-permuted distance matrix
 ///   (`dloc[r·n + k] = d(φ(r), φ(k))`), turning every delta recomputation
 ///   into a gather-free dot product over four contiguous rows
-///   ([`crate::simd::delta_dot`]);
+///   (`simd::delta_dot`);
 /// * [`DeltaTable::apply_swap`] applies the Taillard update as a rank-1
 ///   row sweep (`(sg[i] − sg[j])·(h[i] − h[j])` from two O(n) difference
-///   vectors) via the explicit-SIMD seam ([`crate::simd::update_row`]);
+///   vectors) via the explicit-SIMD seam (`simd::update_row`);
 /// * each row's minimum is cached while its data is hot (`row_min`), giving
 ///   the neighbourhood scan a lower bound to early-abort whole rows.
 #[derive(Debug, Clone)]
@@ -316,9 +316,10 @@ pub enum ScanOutcome {
 
 /// Blocked, early-aborting neighbourhood scan over the cached delta table.
 ///
-/// Semantically identical to [`select_best_move_reference`] (same move, same
-/// delta, same tie-breaks) whenever the budget does not expire.  Two filters
-/// cut the scanned volume:
+/// Semantically identical to a full first-wins scan of every admissible pair
+/// in index order (same move, same delta, same tie-breaks) whenever the
+/// budget does not expire; `tests/scan_equivalence.rs` holds that reference
+/// scan and checks the equivalence.  Two filters cut the scanned volume:
 ///
 /// 1. **Best-bound-first incumbent seeding** — the row with the globally
 ///    smallest cached lower bound ([`DeltaTable::row_lower_bound`]) is
@@ -332,7 +333,7 @@ pub enum ScanOutcome {
 ///
 /// Candidate replacement is tie-aware (`delta < d`, or `delta == d` at a
 /// lex-smaller `(i, j)`), which makes the result order-independent and equal
-/// to the reference scan's first-wins winner.  The budget is checked once
+/// to the full scan's first-wins winner.  The budget is checked once
 /// per `BUDGET_CHECK_ROWS`-row tile.
 pub fn select_best_move(
     table: &DeltaTable,
@@ -357,8 +358,8 @@ pub fn select_best_move(
         let i_active = problem.is_active(i);
         for j in lo..span {
             // The span truncates dummy rows at the last active facility, but
-            // dummy partners *below* it still need the reference's
-            // dummy-dummy exclusion.
+            // dummy partners *below* it still need the dummy-dummy
+            // exclusion.
             if !i_active && !problem.is_active(j) {
                 continue;
             }
@@ -414,58 +415,6 @@ pub fn select_best_move(
         Some((i, j, delta)) => ScanOutcome::Move(i, j, delta),
         None => ScanOutcome::Exhausted,
     }
-}
-
-/// Reference full scan of the swap neighbourhood — the pre-blocking PR-1
-/// semantics, kept as the oracle for the property tests and the `--kernels`
-/// microbench.  Never checks the budget.
-pub fn select_best_move_reference(
-    table: &DeltaTable,
-    problem: &QapProblem,
-    tabu_until: &[usize],
-    iter: usize,
-    current_cost: f64,
-    best_cost: f64,
-) -> ScanOutcome {
-    let n = problem.num_facilities();
-    let mut best: Option<(usize, usize, f64)> = None;
-    for i in 0..n {
-        let i_active = problem.is_active(i);
-        for j in (i + 1)..n {
-            if !i_active && !problem.is_active(j) {
-                continue;
-            }
-            let delta = table.delta(i, j);
-            let is_tabu = tabu_until[i * n + j] > iter;
-            let aspires = current_cost + delta < best_cost - 1e-12;
-            if is_tabu && !aspires {
-                continue;
-            }
-            if best.map(|(_, _, d)| delta < d).unwrap_or(true) {
-                best = Some((i, j, delta));
-            }
-        }
-    }
-    match best {
-        Some((i, j, delta)) => ScanOutcome::Move(i, j, delta),
-        None => ScanOutcome::Exhausted,
-    }
-}
-
-/// Reference O(n³) delta-table build on top of `QapProblem::swap_delta` —
-/// the pre-blocking PR-1 semantics, kept as the oracle for property tests
-/// and the `--kernels` microbench.  Returns the full upper-triangle buffer.
-pub fn build_delta_table_reference(problem: &QapProblem, assignment: &[usize]) -> Vec<f64> {
-    let n = problem.num_facilities();
-    let mut delta = vec![0.0; n * n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if problem.is_active(i) || problem.is_active(j) {
-                delta[i * n + j] = problem.swap_delta(assignment, i, j);
-            }
-        }
-    }
-    delta
 }
 
 /// The Tabu descent of one restart, from a valid starting assignment,

@@ -1,24 +1,111 @@
-//! Property tests: the early-abort neighbourhood scan must be bit-identical
-//! to the PR-1 reference full scan — same move, same delta, same tie-breaks
-//! — across seeded QAP instances at the sizes the compiler actually feeds
-//! it (n ∈ {40, 81, 210}, padded NNN mapping instances on grid devices).
+//! Property tests: the blocked delta-table build and the early-abort
+//! neighbourhood scan must be bit-identical to their straight-line
+//! reference implementations, which live here as the oracles — the O(n³)
+//! `swap_delta` table build and the full first-wins scan.
 //!
-//! The trajectories are realistic: each case runs the actual Tabu descent
-//! loop (accepted moves, tenure updates, delta-table maintenance) and
-//! compares the two scans at every iteration, both from random starts and
-//! from warm (locally optimized) starts where almost every row's lower
-//! bound is non-negative — the regime the best-bound-first seeding is built
-//! for.
+//! The scan is compared on seeded QAP instances at the sizes the compiler
+//! actually feeds it (n ∈ {40, 81, 210}, padded NNN mapping instances on
+//! grid devices) and on small random padded instances.  The trajectories
+//! are realistic: each case runs the actual Tabu descent loop (accepted
+//! moves, tenure updates, delta-table maintenance) and compares the two
+//! scans at every iteration, both from random starts and from warm (locally
+//! optimized) starts where almost every row's lower bound is non-negative —
+//! the regime the best-bound-first seeding is built for.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use twoqan_graphs::{
-    select_best_move, select_best_move_reference, tabu_search, DeltaTable, DistanceMatrix, Graph,
-    QapProblem, ScanOutcome, SolverBudget, TabuConfig,
+    select_best_move, tabu_search, DeltaTable, DistanceMatrix, Graph, QapProblem, ScanOutcome,
+    SolverBudget, TabuConfig,
 };
 
-/// The `bench_baseline --kernels` instance family: an NNN chain over all but
-/// one qubit of a `rows × cols` grid, padded with one dummy facility.
+/// Reference full scan of the swap neighbourhood: every admissible pair in
+/// index order, the first strictly smaller delta wins.  Never checks a
+/// budget.
+fn select_best_move_reference(
+    table: &DeltaTable,
+    problem: &QapProblem,
+    tabu_until: &[usize],
+    iter: usize,
+    current_cost: f64,
+    best_cost: f64,
+) -> ScanOutcome {
+    let n = problem.num_facilities();
+    let mut best: Option<(usize, usize, f64)> = None;
+    for i in 0..n {
+        let i_active = problem.is_active(i);
+        for j in (i + 1)..n {
+            if !i_active && !problem.is_active(j) {
+                continue;
+            }
+            let delta = table.delta(i, j);
+            let is_tabu = tabu_until[i * n + j] > iter;
+            let aspires = current_cost + delta < best_cost - 1e-12;
+            if is_tabu && !aspires {
+                continue;
+            }
+            if best.map(|(_, _, d)| delta < d).unwrap_or(true) {
+                best = Some((i, j, delta));
+            }
+        }
+    }
+    match best {
+        Some((i, j, delta)) => ScanOutcome::Move(i, j, delta),
+        None => ScanOutcome::Exhausted,
+    }
+}
+
+/// Reference O(n³) delta-table build on top of `QapProblem::swap_delta`.
+/// Returns the full upper-triangle buffer.
+fn build_delta_table_reference(problem: &QapProblem, assignment: &[usize]) -> Vec<f64> {
+    let n = problem.num_facilities();
+    let mut delta = vec![0.0; n * n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if problem.is_active(i) || problem.is_active(j) {
+                delta[i * n + j] = problem.swap_delta(assignment, i, j);
+            }
+        }
+    }
+    delta
+}
+
+/// Runs `property` over `cases` independent random cases drawn from a
+/// deterministically seeded generator.
+fn for_random_cases(cases: usize, seed: u64, mut property: impl FnMut(&mut StdRng)) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..cases {
+        property(&mut rng);
+    }
+}
+
+/// A random QAP instance: random interactions over `n` circuit qubits,
+/// padded onto a random grid device — the exact shape the mapping pass
+/// produces.
+fn arbitrary_qap(rng: &mut StdRng) -> QapProblem {
+    let rows = rng.gen_range(2..4usize);
+    let cols = rng.gen_range(3..5usize);
+    let m = rows * cols;
+    let n = rng.gen_range(3..=m.min(9));
+    let num_gates = rng.gen_range(1..12usize);
+    let mut interactions = Vec::with_capacity(num_gates);
+    for _ in 0..num_gates {
+        let a = rng.gen_range(0..n);
+        let mut b = rng.gen_range(0..n);
+        if a == b {
+            b = (b + 1) % n;
+        }
+        interactions.push((a, b));
+    }
+    let hw = DistanceMatrix::bfs(&Graph::grid(rows, cols));
+    // Pad to the device size, as `initial_mapping` does, so the instance has
+    // dummy facilities and the dummy-skipping paths are exercised.
+    QapProblem::from_interactions(m, &interactions, &hw)
+}
+
+/// The padded NNN-chain mapping instance: an NNN chain over all but one
+/// qubit of a `rows × cols` grid, padded with one dummy facility — the shape
+/// the QAP-mapping pass solves.
 fn nnn_mapping_qap(rows: usize, cols: usize) -> QapProblem {
     let hw = DistanceMatrix::bfs(&Graph::grid(rows, cols));
     let m = hw.num_vertices();
@@ -173,4 +260,71 @@ fn early_abort_scan_matches_reference_under_heavy_tabu_pressure() {
             }
         }
     }
+}
+
+/// The streaming + SIMD delta-table build is bit-identical to the O(n³)
+/// `swap_delta` reference on padded mapping instances (hop-count matrices
+/// are small integers, so every reassociation is exact).
+#[test]
+fn blocked_delta_table_build_matches_the_reference() {
+    for_random_cases(24, 201, |rng| {
+        let p = arbitrary_qap(rng);
+        let n = p.num_facilities();
+        let a = p.random_assignment(rng);
+        let table = DeltaTable::new(&p, &a);
+        let reference = build_delta_table_reference(&p, &a);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                assert_eq!(
+                    table.delta(i, j),
+                    reference[i * n + j],
+                    "pair ({i},{j}) diverged from the reference build"
+                );
+            }
+        }
+    });
+}
+
+/// The blocked, early-aborting neighbourhood scan picks exactly the move
+/// the full reference scan picks — same pair, same delta, same tie-breaks —
+/// under random tabu state, aspiration thresholds and accepted-swap
+/// history.  This is the "early abort never skips the true best move"
+/// guarantee.
+#[test]
+fn blocked_scan_matches_the_reference_scan() {
+    for_random_cases(24, 202, |rng| {
+        let p = arbitrary_qap(rng);
+        let n = p.num_facilities();
+        let mut assignment = p.random_assignment(rng);
+        let mut table = DeltaTable::new(&p, &assignment);
+        let budget = SolverBudget::unlimited();
+        for step in 0..6 {
+            // Random tabu state: some pairs forbidden, some recently freed.
+            let tabu_until: Vec<usize> = (0..n * n).map(|_| rng.gen_range(0..8usize)).collect();
+            let iter = rng.gen_range(0..8usize);
+            let current_cost = p.cost(&assignment);
+            // best_cost sometimes below current (aspiration can fire) and
+            // sometimes above (it cannot).
+            let best_cost = current_cost + rng.gen_range(-4.0..4.0);
+            let blocked = select_best_move(
+                &table,
+                &p,
+                &tabu_until,
+                iter,
+                current_cost,
+                best_cost,
+                &budget,
+            );
+            let reference =
+                select_best_move_reference(&table, &p, &tabu_until, iter, current_cost, best_cost);
+            assert_eq!(blocked, reference, "step {step} diverged");
+            // Walk the search forward so later scans see updated tables.
+            if let ScanOutcome::Move(i, j, _) = blocked {
+                assignment.swap(i, j);
+                table.apply_swap(&p, &assignment, i, j);
+            } else {
+                break;
+            }
+        }
+    });
 }

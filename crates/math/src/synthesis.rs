@@ -11,10 +11,10 @@
 //! * `SWAP` → 3 CNOTs (Fig. 5, left),
 //! * `SWAP · exp(iθZZ)` (a dressed SWAP) → 3 CNOTs + 1 Rz (Fig. 5, right),
 //! * `exp(iθXX)`, `exp(iθYY)` → 2 CNOTs each via basis changes,
-//! * `Can(a,b,c)` → a *reference* 6-CNOT circuit obtained by concatenating
-//!   the three commuting exponentials.  This reference circuit is exact but
-//!   not CNOT-optimal; the optimal count (3) is what the cost model reports
-//!   and what an analytic KAK-based synthesiser would emit.
+//! * `Can(a,b,c)` → a 6-CNOT circuit obtained by concatenating the three
+//!   commuting exponentials.  This circuit is exact but not CNOT-optimal;
+//!   the optimal count (3) is what the cost model reports and what an
+//!   analytic KAK-based synthesiser would emit.
 
 use crate::gates;
 use crate::matrix::{Matrix2, Matrix4};
@@ -163,10 +163,10 @@ pub fn yy_circuit(theta: f64) -> Vec<SynthGate> {
     c
 }
 
-/// Exact reference circuit for `Can(a, b, c) = exp(i(aXX + bYY + cZZ))`
-/// obtained by concatenating the three commuting exponentials (6 CNOTs;
-/// CNOT-optimal synthesis would use 3 — see the module documentation).
-pub fn canonical_circuit_reference(a: f64, b: f64, c: f64) -> Vec<SynthGate> {
+/// Exact circuit for `Can(a, b, c) = exp(i(aXX + bYY + cZZ))` obtained by
+/// concatenating the three commuting exponentials (6 CNOTs; CNOT-optimal
+/// synthesis would use 3 — see the module documentation).
+pub fn canonical_circuit(a: f64, b: f64, c: f64) -> Vec<SynthGate> {
     let mut circ = Vec::new();
     if a != 0.0 {
         circ.extend(xx_circuit(a));
@@ -235,14 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn canonical_reference_circuit_is_exact() {
+    fn canonical_circuit_is_exact() {
         let (a, b, c) = (0.3, -0.2, 0.7);
-        let m = circuit_matrix(&canonical_circuit_reference(a, b, c));
+        let m = circuit_matrix(&canonical_circuit(a, b, c));
         assert!(m.approx_eq(&gates::canonical(a, b, c), 1e-9));
         // Zero coefficients skip their block entirely.
-        assert_eq!(cnot_count(&canonical_circuit_reference(0.0, 0.0, 0.5)), 2);
-        assert_eq!(cnot_count(&canonical_circuit_reference(a, b, c)), 6);
-        assert!(canonical_circuit_reference(0.0, 0.0, 0.0).is_empty());
+        assert_eq!(cnot_count(&canonical_circuit(0.0, 0.0, 0.5)), 2);
+        assert_eq!(cnot_count(&canonical_circuit(a, b, c)), 6);
+        assert!(canonical_circuit(0.0, 0.0, 0.0).is_empty());
     }
 
     #[test]

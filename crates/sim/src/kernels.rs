@@ -790,7 +790,7 @@ pub fn apply_two_kernel(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -810,7 +810,7 @@ mod tests {
     }
 
     /// Reference single-qubit application (the naive branch-per-index loop).
-    fn naive_single(amps: &mut [Complex], qubit: usize, u: &Matrix2) {
+    pub(crate) fn naive_single(amps: &mut [Complex], qubit: usize, u: &Matrix2) {
         let bit = 1usize << qubit;
         for idx in 0..amps.len() {
             if idx & bit == 0 {
@@ -824,7 +824,7 @@ mod tests {
     }
 
     /// Reference two-qubit application.
-    fn naive_two(amps: &mut [Complex], qa: usize, qb: usize, u: &Matrix4) {
+    pub(crate) fn naive_two(amps: &mut [Complex], qa: usize, qb: usize, u: &Matrix4) {
         let (ba, bb) = (1usize << qa, 1usize << qb);
         for idx in 0..amps.len() {
             if idx & ba == 0 && idx & bb == 0 {
@@ -840,6 +840,20 @@ mod tests {
                 amps[idx | ba] = w[2];
                 amps[idx | ba | bb] = w[3];
             }
+        }
+    }
+
+    /// Reference application of a circuit-IR gate, rebuilding its matrix.
+    pub(crate) fn naive_gate(amps: &mut [Complex], gate: &Gate) {
+        if gate.is_two_qubit() {
+            naive_two(
+                amps,
+                gate.qubit0(),
+                gate.qubit1(),
+                &gate.kind.two_qubit_matrix(),
+            );
+        } else {
+            naive_single(amps, gate.qubit0(), &gate.kind.single_qubit_matrix());
         }
     }
 
@@ -988,16 +1002,7 @@ mod tests {
         let mut reference = random_state(4, 5);
         let mut fast = reference.clone();
         for g in c.iter() {
-            if g.is_two_qubit() {
-                naive_two(
-                    &mut reference,
-                    g.qubit0(),
-                    g.qubit1(),
-                    &g.kind.two_qubit_matrix(),
-                );
-            } else {
-                naive_single(&mut reference, g.qubit0(), &g.kind.single_qubit_matrix());
-            }
+            naive_gate(&mut reference, g);
         }
         compiled.apply(&mut fast, 1);
         assert_close(&fast, &reference);

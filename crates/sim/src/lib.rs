@@ -13,20 +13,22 @@
 //! shallower circuits) and application performance — which is exactly what a
 //! calibrated depolarizing model yields.
 //!
-//! Gate application runs on the kernelized engine of [`kernels`]:
-//! stride-enumeration kernels with specialized fast paths for the
-//! diagonal / swap-like gate classes that dominate 2QAN workloads, per-kind
-//! matrix caching, and deterministic amplitude-chunk / shot-level
-//! parallelism on the shared compile pool (`twoqan_pool`; bit-identical
-//! results for any worker count).  See
-//! `BENCHMARKS.md` § Simulation for the perf trajectory.
+//! Gate application runs on the kernels of [`kernels`]: stride-enumeration
+//! kernels with specialized fast paths for the diagonal / swap-like gate
+//! classes that dominate 2QAN workloads, per-kind matrix caching, and
+//! deterministic amplitude-chunk / shot-level parallelism on the shared
+//! compile pool (`twoqan_pool`; bit-identical results for any worker
+//! count).  The naive branch-per-index loops and the serial trajectory
+//! estimator they replaced are test oracles only: the `kernels` and
+//! `trajectories` test modules and the workspace property suite compare
+//! against them.  See `BENCHMARKS.md` § Simulation for the perf history.
 
 #![deny(missing_docs)]
 
 pub mod kernels;
 pub mod noise;
 pub mod qaoa_eval;
-pub mod simd;
+mod simd;
 pub mod statevector;
 pub mod trajectories;
 
@@ -34,4 +36,4 @@ pub use kernels::{CompiledCircuit, CompiledOp, SingleKernel, TwoKernel};
 pub use noise::{EspBreakdown, NoiseModel, TargetNoiseModel};
 pub use qaoa_eval::{evaluate_qaoa, optimize_angles, QaoaEvaluation};
 pub use statevector::StateVector;
-pub use trajectories::{IsingCostTable, SimEngine, TrajectorySimulator};
+pub use trajectories::{IsingCostTable, TrajectorySimulator};

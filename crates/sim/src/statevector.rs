@@ -6,15 +6,15 @@
 //! the 4×4 matrix.
 //!
 //! Gate application goes through the stride-enumeration kernels of
-//! [`crate::kernels`]; the original branch-per-index loops are kept as
-//! `*_naive` reference implementations for the correctness property tests
-//! and the before/after entries of `BENCH_sim.json`.
+//! [`crate::kernels`]; the tests compare them against the original
+//! branch-per-index loops, which live in the test code.
 
 use crate::kernels::{
     apply_single_kernel, apply_two_kernel, auto_threads, CompiledCircuit, SingleKernel, TwoKernel,
 };
 use twoqan_circuit::{Circuit, Gate, ScheduledCircuit};
 use twoqan_math::{Complex, Matrix2, Matrix4};
+use twoqan_pool::CompilePool;
 
 /// A pure-state simulator for up to ~24 qubits.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,8 +62,8 @@ impl StateVector {
     }
 
     /// Mutable amplitude access for external kernel drivers (the benches
-    /// drive [`crate::kernels`] directly).  Callers are responsible for
-    /// keeping the state normalized.
+    /// drive [`crate::kernels`] directly, the tests their reference loops).
+    /// Callers are responsible for keeping the state normalized.
     pub fn amplitudes_mut(&mut self) -> &mut [Complex] {
         &mut self.amplitudes
     }
@@ -117,70 +117,12 @@ impl StateVector {
         );
     }
 
-    /// Reference implementation of [`Self::apply_single`]: the original
-    /// branch-per-index loop over all `2^n` indices.  Kept for the kernel
-    /// correctness property tests and the naive-engine benchmarks.
-    pub fn apply_single_naive(&mut self, qubit: usize, u: &Matrix2) {
-        assert!(qubit < self.num_qubits, "qubit {qubit} out of range");
-        let bit = 1usize << qubit;
-        for idx in 0..self.amplitudes.len() {
-            if idx & bit == 0 {
-                let other = idx | bit;
-                let a0 = self.amplitudes[idx];
-                let a1 = self.amplitudes[other];
-                self.amplitudes[idx] = u.data[0][0] * a0 + u.data[0][1] * a1;
-                self.amplitudes[other] = u.data[1][0] * a0 + u.data[1][1] * a1;
-            }
-        }
-    }
-
-    /// Reference implementation of [`Self::apply_two`]; see
-    /// [`Self::apply_single_naive`].
-    pub fn apply_two_naive(&mut self, qubit_a: usize, qubit_b: usize, u: &Matrix4) {
-        assert!(
-            qubit_a < self.num_qubits && qubit_b < self.num_qubits,
-            "qubit out of range"
-        );
-        assert_ne!(qubit_a, qubit_b, "two-qubit gate requires distinct qubits");
-        let bit_a = 1usize << qubit_a;
-        let bit_b = 1usize << qubit_b;
-        for idx in 0..self.amplitudes.len() {
-            if idx & bit_a == 0 && idx & bit_b == 0 {
-                let i00 = idx;
-                let i01 = idx | bit_b;
-                let i10 = idx | bit_a;
-                let i11 = idx | bit_a | bit_b;
-                let v = [
-                    self.amplitudes[i00],
-                    self.amplitudes[i01],
-                    self.amplitudes[i10],
-                    self.amplitudes[i11],
-                ];
-                let w = u.mul_vec(v);
-                self.amplitudes[i00] = w[0];
-                self.amplitudes[i01] = w[1];
-                self.amplitudes[i10] = w[2];
-                self.amplitudes[i11] = w[3];
-            }
-        }
-    }
-
     /// Applies a circuit-IR gate.
     pub fn apply_gate(&mut self, gate: &Gate) {
         if gate.is_two_qubit() {
             self.apply_two(gate.qubit0(), gate.qubit1(), &gate.kind.two_qubit_matrix());
         } else {
             self.apply_single(gate.qubit0(), &gate.kind.single_qubit_matrix());
-        }
-    }
-
-    /// Applies a circuit-IR gate through the naive reference loops,
-    /// rebuilding the gate matrix from scratch (the pre-kernel behaviour).
-    pub fn apply_gate_naive(&mut self, gate: &Gate) {
-        if gate.is_two_qubit() {
-            self.apply_two_naive(gate.qubit0(), gate.qubit1(), &gate.kind.two_qubit_matrix());
-        } else {
-            self.apply_single_naive(gate.qubit0(), &gate.kind.single_qubit_matrix());
         }
     }
 
@@ -204,12 +146,19 @@ impl StateVector {
     }
 
     /// Applies a pre-classified circuit with the automatic thread policy.
+    /// A state large enough to fan out runs on the installed compile pool;
+    /// with none installed, one pool is provisioned for the whole circuit
+    /// rather than one per gate.
     ///
     /// # Panics
     ///
     /// Panics if the compiled qubit count does not match this state.
     pub fn apply_compiled(&mut self, compiled: &CompiledCircuit) {
         let threads = auto_threads(self.amplitudes.len());
+        let pool = (threads > 1 && CompilePool::current_workers().is_none())
+            .then(|| CompilePool::new(threads));
+        // Dropped before the pool, restoring the thread's previous target.
+        let _guard = pool.as_ref().map(CompilePool::install);
         self.apply_compiled_with_threads(compiled, threads);
     }
 

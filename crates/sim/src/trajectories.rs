@@ -9,18 +9,17 @@
 //! probability.  Averaging over shots yields a noisy `⟨C⟩` estimate that the
 //! tests compare against the analytic model.
 //!
-//! # Engines and parallelism
+//! # Kernels and parallelism
 //!
-//! The default [`SimEngine::Kernelized`] engine classifies the circuit once
-//! ([`CompiledCircuit`]), precomputes the per-gate error probabilities and
-//! the per-basis-state Ising cost table ([`IsingCostTable`]), and replays
-//! shots on the compile pool (`twoqan_pool::run_indexed`; install a 1-worker
-//! `CompilePool` for serial shots).  Every shot derives its RNG from a seed
-//! pre-drawn from the sampler's seed and shot values are reduced in shot
-//! order, so the estimate is **bit-identical** for a fixed seed regardless
-//! of thread count.  [`SimEngine::Naive`] preserves the original per-index,
-//! matrix-rebuilding serial implementation as the before/after reference of
-//! `BENCH_sim.json`.
+//! The sampler classifies the circuit once ([`CompiledCircuit`]),
+//! precomputes the per-gate error probabilities and the per-basis-state
+//! Ising cost table ([`IsingCostTable`]), and replays shots on the compile
+//! pool (`twoqan_pool::run_indexed`; install a 1-worker `CompilePool` for
+//! serial shots).  Every shot derives its RNG from a seed pre-drawn from the
+//! sampler's seed and shot values are reduced in shot order, so the estimate
+//! is **bit-identical** for a fixed seed regardless of thread count.  The
+//! tests check it against the original per-index, matrix-rebuilding serial
+//! estimator, which lives in the test module.
 
 use crate::kernels::{CompiledCircuit, CompiledOp, SingleKernel};
 use crate::noise::NoiseModel;
@@ -30,18 +29,6 @@ use rand::{Rng, SeedableRng};
 use twoqan_circuit::ScheduledCircuit;
 use twoqan_device::TwoQubitBasis;
 use twoqan_math::pauli::Pauli;
-
-/// Which gate-application engine a [`TrajectorySimulator`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimEngine {
-    /// Stride-enumeration kernels, per-circuit matrix caching, precomputed
-    /// cost table, shot-level parallelism.
-    #[default]
-    Kernelized,
-    /// The pre-kernel reference: branch-per-index loops, matrices rebuilt
-    /// per application, shots strictly serial.
-    Naive,
-}
 
 /// The Ising cost `Σ_{(u,v)} ±1` of every computational basis state,
 /// precomputed once so a shot's read-out reduces to a single weighted pass
@@ -104,25 +91,17 @@ pub struct TrajectorySimulator {
     basis: TwoQubitBasis,
     shots: usize,
     seed: u64,
-    engine: SimEngine,
 }
 
 impl TrajectorySimulator {
-    /// Creates a trajectory simulator (kernelized engine, parallel shots).
+    /// Creates a trajectory simulator.
     pub fn new(noise: NoiseModel, basis: TwoQubitBasis, shots: usize, seed: u64) -> Self {
         Self {
             noise,
             basis,
             shots,
             seed,
-            engine: SimEngine::Kernelized,
         }
-    }
-
-    /// Selects the gate-application engine.
-    pub fn with_engine(mut self, engine: SimEngine) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Number of shots per estimate.
@@ -134,20 +113,14 @@ impl TrajectorySimulator {
     /// `edges` after executing `schedule` starting from `|+⟩^{⊗n}` — the
     /// QAOA setting.  `edges` are given in terms of the *physical* qubits the
     /// logical cost-graph vertices were mapped to.
+    ///
+    /// The circuit is classified once and the shots replay on the compile
+    /// pool from pre-drawn per-shot seeds.
     pub fn ising_cost_expectation(
         &self,
         schedule: &ScheduledCircuit,
         edges: &[(usize, usize)],
     ) -> f64 {
-        match self.engine {
-            SimEngine::Kernelized => self.kernelized_expectation(schedule, edges),
-            SimEngine::Naive => self.naive_expectation(schedule, edges),
-        }
-    }
-
-    /// The kernelized engine: classify once, replay shots on the compile
-    /// pool from pre-drawn per-shot seeds.
-    fn kernelized_expectation(&self, schedule: &ScheduledCircuit, edges: &[(usize, usize)]) -> f64 {
         let n = schedule.num_qubits();
         let error_per_native_gate = self.noise.two_qubit_error();
         let readout = self.noise.readout_error();
@@ -210,45 +183,6 @@ impl TrajectorySimulator {
         });
         shot_values.iter().sum::<f64>() / self.shots as f64
     }
-
-    /// The original pre-kernel implementation, kept as the perf-trajectory
-    /// reference ("before" entries in `BENCH_sim.json`).
-    fn naive_expectation(&self, schedule: &ScheduledCircuit, edges: &[(usize, usize)]) -> f64 {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let n = schedule.num_qubits();
-        let error_per_native_gate = self.noise.two_qubit_error();
-        let readout = self.noise.readout_error();
-        let mut total = 0.0;
-        for _ in 0..self.shots {
-            let mut state = StateVector::plus_state(n);
-            for gate in schedule.iter_gates() {
-                state.apply_gate_naive(gate);
-                if gate.is_two_qubit() {
-                    let native = gate.kind.hardware_two_qubit_cost(self.basis.cost_model());
-                    let error_probability = 1.0 - (1.0 - error_per_native_gate).powi(native as i32);
-                    if rng.gen::<f64>() < error_probability {
-                        inject_random_pauli_naive(
-                            &mut state,
-                            gate.qubit0(),
-                            gate.qubit1(),
-                            &mut rng,
-                        );
-                    }
-                }
-            }
-            let mut shot_value = 0.0;
-            for &(u, v) in edges {
-                let mut zz = state.expectation_zz(u, v);
-                // Read-out errors flip each of the two measured qubits
-                // independently; a single flip inverts the parity.
-                let flip_parity = readout * (1.0 - readout) * 2.0;
-                zz *= 1.0 - 2.0 * flip_parity;
-                shot_value += zz;
-            }
-            total += shot_value;
-        }
-        total / self.shots as f64
-    }
 }
 
 /// Applies a uniformly random non-identity two-qubit Pauli error through the
@@ -276,35 +210,65 @@ fn inject_random_pauli<R: Rng + ?Sized>(
     }
 }
 
-/// Applies a uniformly random non-identity two-qubit Pauli error through the
-/// naive reference loops.
-fn inject_random_pauli_naive<R: Rng + ?Sized>(
-    state: &mut StateVector,
-    a: usize,
-    b: usize,
-    rng: &mut R,
-) {
-    loop {
-        let pa = Pauli::ALL[rng.gen_range(0..4)];
-        let pb = Pauli::ALL[rng.gen_range(0..4)];
-        if pa == Pauli::I && pb == Pauli::I {
-            continue;
-        }
-        if pa != Pauli::I {
-            state.apply_single_naive(a, &pa.matrix());
-        }
-        if pb != Pauli::I {
-            state.apply_single_naive(b, &pb.matrix());
-        }
-        return;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::tests::{naive_gate, naive_single};
     use twoqan_circuit::{Gate, GateKind, ScheduledCircuit};
     use twoqan_device::{Calibration, Device};
+
+    /// The pre-kernel reference estimator: branch-per-index loops, matrices
+    /// rebuilt per application, one RNG stream for strictly serial shots,
+    /// and one read-out pass per edge.
+    fn naive_expectation(
+        sim: &TrajectorySimulator,
+        schedule: &ScheduledCircuit,
+        edges: &[(usize, usize)],
+    ) -> f64 {
+        let mut rng = StdRng::seed_from_u64(sim.seed);
+        let n = schedule.num_qubits();
+        let error_per_native_gate = sim.noise.two_qubit_error();
+        let readout = sim.noise.readout_error();
+        let mut total = 0.0;
+        for _ in 0..sim.shots {
+            let mut state = StateVector::plus_state(n);
+            for gate in schedule.iter_gates() {
+                naive_gate(state.amplitudes_mut(), gate);
+                if gate.is_two_qubit() {
+                    let native = gate.kind.hardware_two_qubit_cost(sim.basis.cost_model());
+                    let error_probability = 1.0 - (1.0 - error_per_native_gate).powi(native as i32);
+                    if rng.gen::<f64>() < error_probability {
+                        // A uniformly random non-identity two-qubit Pauli.
+                        loop {
+                            let pa = Pauli::ALL[rng.gen_range(0..4)];
+                            let pb = Pauli::ALL[rng.gen_range(0..4)];
+                            if pa == Pauli::I && pb == Pauli::I {
+                                continue;
+                            }
+                            if pa != Pauli::I {
+                                naive_single(state.amplitudes_mut(), gate.qubit0(), &pa.matrix());
+                            }
+                            if pb != Pauli::I {
+                                naive_single(state.amplitudes_mut(), gate.qubit1(), &pb.matrix());
+                            }
+                            break;
+                        }
+                    }
+                }
+            }
+            let mut shot_value = 0.0;
+            for &(u, v) in edges {
+                let mut zz = state.expectation_zz(u, v);
+                // Read-out errors flip each of the two measured qubits
+                // independently; a single flip inverts the parity.
+                let flip_parity = readout * (1.0 - readout) * 2.0;
+                zz *= 1.0 - 2.0 * flip_parity;
+                shot_value += zz;
+            }
+            total += shot_value;
+        }
+        total / sim.shots as f64
+    }
 
     /// One QAOA layer on a 4-cycle, already "compiled" (the cycle embeds in
     /// any of the devices, so the physical circuit equals the logical one).
@@ -334,11 +298,8 @@ mod tests {
             "trajectories {value} vs exact {exact}"
         );
         assert!(exact < 0.0);
-        // The naive engine agrees on the noiseless value as well.
-        let naive = sim
-            .clone()
-            .with_engine(SimEngine::Naive)
-            .ising_cost_expectation(&schedule, &edges);
+        // The naive estimator agrees on the noiseless value as well.
+        let naive = naive_expectation(&sim, &schedule, &edges);
         assert!((naive - exact).abs() < 1e-9);
     }
 
@@ -426,9 +387,11 @@ mod tests {
         let noise = NoiseModel::from_calibration(noisy_calibration);
         let kernelized = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 150, 9)
             .ising_cost_expectation(&schedule, &edges);
-        let naive = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 150, 9)
-            .with_engine(SimEngine::Naive)
-            .ising_cost_expectation(&schedule, &edges);
+        let naive = naive_expectation(
+            &TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 150, 9),
+            &schedule,
+            &edges,
+        );
         // Different RNG stream layouts, same distribution: the two Monte
         // Carlo estimates must land close together.
         assert!(
