@@ -126,14 +126,13 @@ fn anneal<R: Rng + ?Sized>(
     }
 
     // O(1) amortized move evaluation via the Tabu solver's DeltaTable.
-    // The table read is O(1) but every *accepted* move pays the O(n²)
+    // The table read is O(1) but every *accepted* move pays the O(n·deg)
     // Taillard update, whereas recomputing `swap_delta` directly is O(n)
-    // per proposal with no update cost.  The table therefore only pays off
-    // once acceptance falls below ~1/n — which the cooling schedule
-    // guarantees eventually, but which is false by design in the hot
-    // phase.  Run table-free while the chain is hot and switch (once,
-    // deterministically) as soon as a sweep's acceptance rate drops under
-    // 1/n.
+    // per proposal with no update cost.  Run table-free while the chain is
+    // hot and switch (once, deterministically) as soon as a sweep's
+    // acceptance rate drops under 1/n, which the cooling schedule
+    // guarantees eventually.  The switch point is part of the annealed
+    // placement: moving it changes the chain's floating-point deltas.
     let mut deltas: Option<DeltaTable> = None;
 
     let mut temperature = config.initial_temperature.max(config.final_temperature);

@@ -9,7 +9,11 @@
 //!
 //! Both matrices are stored flat in row-major order so the solvers' inner
 //! loops are simple strided reads; `flow_row`/`distance_row` expose whole
-//! rows for cache-friendly scans.
+//! rows for cache-friendly scans.  Interaction graphs of 2-local
+//! Hamiltonians and QAOA have bounded degree (about 3–4 non-zeros per row
+//! at n = 200), so each row of the symmetric flow sums also carries a
+//! bitset of its non-zero columns, and the delta-table kernels sum over a
+//! row's support rather than all `n` columns.
 
 use crate::distance::DistanceMatrix;
 use crate::weighted::WeightedDistanceMatrix;
@@ -25,10 +29,13 @@ pub struct QapProblem {
     m: usize,
     flow: Vec<f64>,
     distance: Vec<f64>,
-    /// Symmetric flow sums, `sym[i·n + j] = flow(i, j) + flow(j, i)`.  The
-    /// delta-table kernels stream over whole `sym` rows instead of gathering
-    /// matching `flow` row/column entries.
+    /// Symmetric flow sums, `sym[i·n + j] = flow(i, j) + flow(j, i)`.
     sym: Vec<f64>,
+    /// Bitsets of the non-zero columns of each `sym` row, `n.div_ceil(64)`
+    /// words per row: bit `j % 64` of word `i·words + j / 64` is set iff
+    /// `sym(i, j) ≠ 0`.  OR-ing two rows' words yields the union of their
+    /// supports in ascending column order without a data-dependent merge.
+    sym_support: Vec<u64>,
     /// `active[i]` is `false` for facilities whose flow row and column are
     /// all zero — the dummy facilities introduced by device-size padding.
     /// Exchanging two inactive facilities never changes the cost, so the
@@ -89,10 +96,16 @@ impl QapProblem {
             })
             .collect();
         let last_active = active.iter().rposition(|&a| a);
+        let words = n.div_ceil(64);
         let mut sym = vec![0.0; n * n];
+        let mut sym_support = vec![0u64; n * words];
         for i in 0..n {
             for j in 0..n {
-                sym[i * n + j] = flow[i * n + j] + flow[j * n + i];
+                let s = flow[i * n + j] + flow[j * n + i];
+                sym[i * n + j] = s;
+                if s != 0.0 {
+                    sym_support[i * words + j / 64] |= 1 << (j % 64);
+                }
             }
         }
         Self {
@@ -101,6 +114,7 @@ impl QapProblem {
             flow,
             distance,
             sym,
+            sym_support,
             active,
             last_active,
         }
@@ -203,6 +217,15 @@ impl QapProblem {
         &self.sym[i * self.n..(i + 1) * self.n]
     }
 
+    /// The support of [`sym_row(i)`](Self::sym_row) as a bitset of
+    /// `n.div_ceil(64)` words: bit `j % 64` of word `j / 64` is set iff
+    /// `sym_row(i)[j] ≠ 0`.
+    #[inline]
+    pub(crate) fn sym_support(&self, i: usize) -> &[u64] {
+        let words = self.n.div_ceil(64);
+        &self.sym_support[i * words..(i + 1) * words]
+    }
+
     /// Returns `false` for dummy facilities (all-zero flow row and column)
     /// introduced by padding the QAP up to the device size.
     #[inline]
@@ -278,56 +301,6 @@ impl QapProblem {
         delta += fi[j] * (dj[pi] - di[pj]);
         delta += fj[i] * (di[pj] - dj[pi]);
         delta
-    }
-
-    /// Taillard-style O(1) update of a cached swap delta.
-    ///
-    /// Let `Δ(φ; i, j)` be [`swap_delta`](Self::swap_delta) under assignment
-    /// `φ`.  After a swap of facilities `u` and `v` is *accepted*, turning
-    /// `φ` into `φ'`, the cached delta of any pair `{i, j}` disjoint from
-    /// `{u, v}` can be updated in constant time:
-    ///
-    /// `Δ(φ'; i, j) = Δ(φ; i, j) + (f_iu − f_iv − f_ju + f_jv)·(d_{φ(i)a} −
-    /// d_{φ(i)b} − d_{φ(j)a} + d_{φ(j)b}) + (f_ui − f_vi − f_uj +
-    /// f_vj)·(d_{aφ(i)} − d_{bφ(i)} − d_{aφ(j)} + d_{bφ(j)})`
-    ///
-    /// where `a = φ(u)` and `b = φ(v)` are the locations of `u`/`v` *before*
-    /// the accepted swap.  `assignment` must be the assignment **after** the
-    /// `(u, v)` swap was applied (so `a = assignment[v]`,
-    /// `b = assignment[u]`), which is what a solver naturally has in hand.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that `{i, j}` and `{u, v}` are disjoint; for pairs that
-    /// overlap the swapped facilities the delta must be recomputed with
-    /// [`swap_delta`](Self::swap_delta).
-    #[inline]
-    pub fn swap_delta_update(
-        &self,
-        assignment: &[usize],
-        old_delta: f64,
-        i: usize,
-        j: usize,
-        u: usize,
-        v: usize,
-    ) -> f64 {
-        debug_assert!(i != u && i != v && j != u && j != v && i != j);
-        let a = assignment[v]; // φ(u) before the accepted swap
-        let b = assignment[u]; // φ(v) before the accepted swap
-        let (pi, pj) = (assignment[i], assignment[j]);
-        let fi = self.flow_row(i);
-        let fj = self.flow_row(j);
-        let fu = self.flow_row(u);
-        let fv = self.flow_row(v);
-        let di = self.distance_row(pi);
-        let dj = self.distance_row(pj);
-        let da = self.distance_row(a);
-        let db = self.distance_row(b);
-        let row_flow = fi[u] - fi[v] - fj[u] + fj[v];
-        let row_dist = di[a] - di[b] - dj[a] + dj[b];
-        let col_flow = fu[i] - fv[i] - fu[j] + fv[j];
-        let col_dist = da[pi] - db[pi] - da[pj] + db[pj];
-        old_delta + row_flow * row_dist + col_flow * col_dist
     }
 
     /// A random assignment of facilities to distinct locations.
@@ -457,40 +430,28 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // pair indices (i, j) read clearest
-    fn swap_delta_update_matches_recomputation() {
-        let mut rng = StdRng::seed_from_u64(21);
-        for _ in 0..10 {
-            let p = random_problem(8, &mut rng);
-            let mut assignment = p.random_assignment(&mut rng);
-            // Cache deltas for all pairs, then apply a random swap and check
-            // the O(1) update against a fresh O(n) computation.
-            for _ in 0..5 {
-                let u = rng.gen_range(0..8);
-                let mut v = rng.gen_range(0..8);
-                if u == v {
-                    v = (v + 1) % 8;
-                }
-                let mut cached = vec![vec![0.0; 8]; 8];
-                for i in 0..8 {
-                    for j in (i + 1)..8 {
-                        cached[i][j] = p.swap_delta(&assignment, i, j);
-                    }
-                }
-                assignment.swap(u, v);
-                for i in 0..8 {
-                    for j in (i + 1)..8 {
-                        if i == u || i == v || j == u || j == v {
-                            continue;
-                        }
-                        let updated = p.swap_delta_update(&assignment, cached[i][j], i, j, u, v);
-                        let fresh = p.swap_delta(&assignment, i, j);
-                        assert!(
-                            (updated - fresh).abs() < 1e-9,
-                            "update mismatch pair ({i},{j}) after swap ({u},{v}): {updated} vs {fresh}"
-                        );
-                    }
-                }
+    fn sym_support_marks_exactly_the_nonzero_symmetric_flows() {
+        let mut rng = StdRng::seed_from_u64(13);
+        // 70 facilities: the support spans two words.
+        let mut flow = vec![0.0; 70 * 70];
+        for _ in 0..120 {
+            let (a, b) = (rng.gen_range(0..70), rng.gen_range(0..70));
+            flow[a * 70 + b] = f64::from(rng.gen_range(1..4u32));
+        }
+        let hw = DistanceMatrix::bfs(&Graph::grid(7, 10));
+        let mut distance = vec![0.0; 70 * 70];
+        for a in 0..70 {
+            for b in 0..70 {
+                distance[a * 70 + b] = hw.distance_f64(a, b);
+            }
+        }
+        let p = QapProblem::from_flat(70, flow, 70, distance);
+        for i in 0..70 {
+            let support = p.sym_support(i);
+            assert_eq!(support.len(), 2);
+            for j in 0..70 {
+                let marked = support[j / 64] >> (j % 64) & 1 == 1;
+                assert_eq!(marked, p.sym_row(i)[j] != 0.0, "({i}, {j})");
             }
         }
     }

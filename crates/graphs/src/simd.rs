@@ -1,11 +1,8 @@
 //! Explicit-SIMD inner loops for the QAP delta-table kernels.
 //!
-//! Three primitives cover the hot paths of the Taillard delta table
+//! Two primitives cover the dense hot paths of the Taillard delta table
 //! ([`crate::tabu::DeltaTable`]):
 //!
-//! * [`delta_dot`] — `Σ_k (a[k] − b[k])·(c[k] − d[k])`, the streaming form of
-//!   a swap-delta recomputation over the symmetric flow matrix and the
-//!   permuted (assignment-local) distance matrix;
 //! * [`update_row`] — the rank-1 Taillard update of one delta-table row after
 //!   an accepted swap, `row[j] += (A·B + sgh[j]) − (A·h[j] + B·sg[j])`;
 //! * [`row_min`] — the per-row lower bound used by the early-abort
@@ -15,39 +12,35 @@
 //! intrinsics — AVX2 on x86_64 and NEON on aarch64, selected at runtime —
 //! with portable scalar fallbacks (`*_scalar`) behind the same seam.  The
 //! fallbacks are the reference semantics: `update_row` performs the exact
-//! same elementwise operation order as the vector path (no FMA contraction),
-//! and `delta_dot`/`row_min` differ only by reduction order, which is exact
-//! on the integer-valued hop-count matrices the compiler pipelines feed in.
+//! same elementwise operation order as the vector path (no FMA
+//! contraction), and `row_min` returns the same minimum.
+//!
+//! The swap deltas themselves are sparse sums (`tabu::delta_pair`) that
+//! keep the floating-point order of an explicit-SIMD dense dot product
+//! `Σ_k x[k]`, so a placement does not depend on the flow's sparsity and
+//! stays the same across releases on each platform.  [`dot_lanes`] is that
+//! product's accumulator count `L`: 4 under AVX2, 2 under NEON, 1
+//! otherwise.  Term `k` of the vector body `k < n − n mod L` goes to lane
+//! `k mod L`, the lanes are reduced as `(a0 + a2) + (a1 + a3)` (`L = 4`)
+//! or `a0 + a1` (`L = 2`), and the tail terms are added after that, in
+//! index order.
 
-/// `Σ_k (a[k] − b[k]) · (c[k] − d[k])` over four equal-length slices.
-#[inline]
-pub fn delta_dot(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> f64 {
-    debug_assert!(a.len() == b.len() && a.len() == c.len() && a.len() == d.len());
+/// Accumulator lanes of the platform's dot-product order: 4 with AVX2, 2
+/// with NEON, 1 for the scalar fallback.
+pub fn dot_lanes() -> usize {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            return unsafe { x86::delta_dot(a, b, c, d) };
+            return 4;
         }
     }
     #[cfg(target_arch = "aarch64")]
     {
         if std::arch::is_aarch64_feature_detected!("neon") {
-            // SAFETY: NEON support was just verified at runtime.
-            return unsafe { neon::delta_dot(a, b, c, d) };
+            return 2;
         }
     }
-    delta_dot_scalar(a, b, c, d)
-}
-
-/// Scalar reference implementation of [`delta_dot`].
-#[inline]
-pub fn delta_dot_scalar(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> f64 {
-    let mut total = 0.0;
-    for k in 0..a.len() {
-        total += (a[k] - b[k]) * (c[k] - d[k]);
-    }
-    total
+    1
 }
 
 /// Rank-1 Taillard row update: `row[j] += (A·B + sgh[j]) − (A·h[j] + B·sg[j])`
@@ -126,30 +119,6 @@ mod x86 {
 
     /// SAFETY: callers must have verified AVX2 support at runtime.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn delta_dot(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> f64 {
-        let n = a.len();
-        let mut acc = _mm256_setzero_pd();
-        let mut k = 0;
-        while k + 4 <= n {
-            let va = _mm256_loadu_pd(a.as_ptr().add(k));
-            let vb = _mm256_loadu_pd(b.as_ptr().add(k));
-            let vc = _mm256_loadu_pd(c.as_ptr().add(k));
-            let vd = _mm256_loadu_pd(d.as_ptr().add(k));
-            let left = _mm256_sub_pd(va, vb);
-            let right = _mm256_sub_pd(vc, vd);
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(left, right));
-            k += 4;
-        }
-        let mut total = hsum(acc);
-        while k < n {
-            total += (a[k] - b[k]) * (c[k] - d[k]);
-            k += 1;
-        }
-        total
-    }
-
-    /// SAFETY: callers must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
     pub unsafe fn update_row(
         row: &mut [f64],
         sg: &[f64],
@@ -205,44 +174,11 @@ mod x86 {
         }
         min
     }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd::<1>(v);
-        let s2 = _mm_add_pd(lo, hi);
-        let s1 = _mm_add_sd(s2, _mm_unpackhi_pd(s2, s2));
-        _mm_cvtsd_f64(s1)
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use std::arch::aarch64::*;
-
-    /// SAFETY: callers must have verified NEON support at runtime.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn delta_dot(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> f64 {
-        let n = a.len();
-        let mut acc = vdupq_n_f64(0.0);
-        let mut k = 0;
-        while k + 2 <= n {
-            let va = vld1q_f64(a.as_ptr().add(k));
-            let vb = vld1q_f64(b.as_ptr().add(k));
-            let vc = vld1q_f64(c.as_ptr().add(k));
-            let vd = vld1q_f64(d.as_ptr().add(k));
-            let left = vsubq_f64(va, vb);
-            let right = vsubq_f64(vc, vd);
-            acc = vaddq_f64(acc, vmulq_f64(left, right));
-            k += 2;
-        }
-        let mut total = vgetq_lane_f64::<0>(acc) + vgetq_lane_f64::<1>(acc);
-        while k < n {
-            total += (a[k] - b[k]) * (c[k] - d[k]);
-            k += 1;
-        }
-        total
-    }
 
     /// SAFETY: callers must have verified NEON support at runtime.
     #[target_feature(enable = "neon")]
@@ -315,17 +251,6 @@ mod tests {
 
     fn random_vec(rng: &mut StdRng, n: usize) -> Vec<f64> {
         (0..n).map(|_| f64::from(rng.gen_range(-9..10))).collect()
-    }
-
-    #[test]
-    fn delta_dot_matches_scalar_on_integer_inputs() {
-        let mut rng = StdRng::seed_from_u64(7);
-        for n in [0usize, 1, 3, 4, 5, 8, 13, 64, 81, 200] {
-            let (a, b) = (random_vec(&mut rng, n), random_vec(&mut rng, n));
-            let (c, d) = (random_vec(&mut rng, n), random_vec(&mut rng, n));
-            // Integer-valued inputs: every reduction order is exact.
-            assert_eq!(delta_dot(&a, &b, &c, &d), delta_dot_scalar(&a, &b, &c, &d));
-        }
     }
 
     #[test]

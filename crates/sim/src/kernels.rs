@@ -122,11 +122,6 @@ impl TwoKernel {
     pub fn from_kind(kind: &GateKind, cache: &mut MatrixCache) -> Self {
         TwoKernel::from_matrix(&cache.two(kind))
     }
-
-    /// Returns `true` for the specialized (non-dense) kernel forms.
-    pub fn is_specialized(&self) -> bool {
-        !matches!(self, TwoKernel::General(_))
-    }
 }
 
 /// One classified operation of a [`CompiledCircuit`].
@@ -251,16 +246,6 @@ impl CompiledCircuit {
     /// Returns `true` if the circuit has no operations.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Number of two-qubit operations that hit a specialized (diagonal,
-    /// swap-diagonal or canonical-block) kernel — the fraction the 2QAN
-    /// workloads live on.
-    pub fn specialized_two_qubit_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, CompiledOp::Two { kernel, .. } if kernel.is_specialized()))
-            .count()
     }
 
     /// Applies every operation to `amps` using up to `threads` threads per
@@ -996,8 +981,15 @@ pub(crate) mod tests {
         assert_eq!(compiled.num_qubits(), 4);
         assert!(!compiled.is_empty());
         // 3 RZZ (diagonal) + 1 SWAP (swap-diagonal) + the Heisenberg term
-        // (canonical blocks).
-        assert_eq!(compiled.specialized_two_qubit_count(), 5);
+        // (canonical blocks): no two-qubit op falls back to the dense kernel.
+        let specialized = compiled
+            .ops()
+            .iter()
+            .filter(|op| {
+                matches!(op, CompiledOp::Two { kernel, .. } if !matches!(kernel, TwoKernel::General(_)))
+            })
+            .count();
+        assert_eq!(specialized, 5);
         // Applying the compiled circuit equals applying the gates naively.
         let mut reference = random_state(4, 5);
         let mut fast = reference.clone();
