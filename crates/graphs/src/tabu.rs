@@ -129,7 +129,7 @@ const BUDGET_CHECK_ROWS: usize = 32;
 ///   facilities' flow supports, found by OR-ing [`QapProblem`]'s support
 ///   bitsets; the build is O(n²·deg);
 /// * [`DeltaTable::apply_swap`] applies the Taillard update
-///   `(sg[i] − sg[j])·(h[i] − h[j])` as a rank-1 SIMD row sweep
+///   `(sg[i] − sg[j])·(h[i] − h[j])` as a rank-1 vectorized row sweep
 ///   (`simd::update_row`) only on the rows where `sg[i] ≠ 0` — the flow
 ///   neighbours of the swapped pair.  Every other row changes only in the
 ///   O(deg) columns where `sg[j] ≠ 0`, plus its two recomputed columns, for
@@ -138,16 +138,14 @@ const BUDGET_CHECK_ROWS: usize = 32;
 ///   scan a lower bound to early-abort whole rows.  It stays exact: a row
 ///   is rescanned only when an entry that held its minimum grew.
 ///
-/// The sparse sums keep the floating-point order of an `L`-lane dense dot
-/// product, `L` being the platform's `simd::dot_lanes`, so every delta is
-/// bit-identical to a dense evaluation, also on non-integer
-/// (calibration-weighted) distances.  Only the sign of a zero delta may
-/// differ, and no comparison or cost update can see it.
+/// The sparse sums keep the floating-point order of a fixed 4-lane dense
+/// dot product on every host, so every delta is bit-identical to a dense
+/// evaluation, also on non-integer (calibration-weighted) distances.  Only
+/// the sign of a zero delta may differ, and no comparison or cost update
+/// can see it.
 #[derive(Debug, Clone)]
 pub struct DeltaTable {
     n: usize,
-    /// `L − 1` for the `L` summation lanes of `delta_pair`.
-    lane_mask: usize,
     /// Upper-triangle swap deltas in a full row-major `n × n` buffer.
     delta: Vec<f64>,
     /// Assignment-permuted distances: `dloc[r·n + k] = d(φ(r), φ(k))`.
@@ -179,20 +177,7 @@ impl DeltaTable {
         assignment: &[usize],
         budget: &SolverBudget,
     ) -> Option<Self> {
-        Self::build(problem, assignment, budget, simd::dot_lanes())
-    }
-
-    /// [`new_budgeted`](Self::new_budgeted) summing in the order of an
-    /// `lanes`-lane dot product (1, 2 or 4).
-    fn build(
-        problem: &QapProblem,
-        assignment: &[usize],
-        budget: &SolverBudget,
-        lanes: usize,
-    ) -> Option<Self> {
-        debug_assert!(matches!(lanes, 1 | 2 | 4));
         let n = problem.num_facilities();
-        let lane_mask = lanes - 1;
         let mut dloc = vec![0.0; n * n];
         for (r, row) in dloc.chunks_exact_mut(n).enumerate() {
             let drow = problem.distance_row(assignment[r]);
@@ -212,13 +197,12 @@ impl DeltaTable {
                 continue;
             }
             for j in lo..span {
-                delta[i * n + j] = delta_pair(problem, &dloc, n, lane_mask, i, j);
+                delta[i * n + j] = delta_pair(problem, &dloc, n, i, j);
             }
             row_min[i] = simd::row_min(&delta[i * n + lo..i * n + span]);
         }
         Some(Self {
             n,
-            lane_mask,
             delta,
             dloc,
             row_min,
@@ -253,7 +237,6 @@ impl DeltaTable {
         debug_assert!(u != v && u < n && v < n);
         debug_assert_eq!(assignment.len(), n);
         let (u, v) = (u.min(v), u.max(v));
-        let lane_mask = self.lane_mask;
 
         // 1. Re-permute the cached distance matrix: swapping facilities u, v
         //    permutes dloc by the transposition (u v) on both axes.
@@ -305,7 +288,7 @@ impl DeltaTable {
             let base = i * n;
             if i == u || i == v {
                 for j in lo..span {
-                    self.delta[base + j] = delta_pair(problem, &self.dloc, n, lane_mask, i, j);
+                    self.delta[base + j] = delta_pair(problem, &self.dloc, n, i, j);
                 }
                 self.row_min[i] = simd::row_min(&self.delta[base + lo..base + span]);
             } else if sg[i] != 0.0 {
@@ -322,7 +305,7 @@ impl DeltaTable {
                 // overwrite them with exact recomputations.
                 for w in [u, v] {
                     if w > i && w < span {
-                        self.delta[base + w] = delta_pair(problem, &self.dloc, n, lane_mask, i, w);
+                        self.delta[base + w] = delta_pair(problem, &self.dloc, n, i, w);
                     }
                 }
                 self.row_min[i] = simd::row_min(&self.delta[base + lo..base + span]);
@@ -357,7 +340,7 @@ impl DeltaTable {
                 for w in [u, v] {
                     if w > i && w < span {
                         let old = self.delta[base + w];
-                        let new = delta_pair(problem, &self.dloc, n, lane_mask, i, w);
+                        let new = delta_pair(problem, &self.dloc, n, i, w);
                         self.delta[base + w] = new;
                         record(old, new);
                     }
@@ -383,30 +366,25 @@ impl DeltaTable {
 ///
 /// Only `k` in the union of the two flow supports can contribute, so the
 /// sum visits the set bits of the OR of the two support bitsets, in
-/// ascending `k`: O(deg + n/64).  It replays the order of an `L`-lane dense
-/// dot product (`lane_mask = L − 1`, see `simd::dot_lanes`): term `k` of
-/// the body `k < n − n mod L` goes to lane `k & lane_mask`, the lanes are
-/// reduced as `(a0 + a2) + (a1 + a3)` and the tail terms follow in index
-/// order.  Leaving out the terms off the union is exact: each is ±0.0, and
-/// adding ±0.0 to a lane that started at +0.0 never changes it (a sum is
-/// −0.0 only if both operands are).  For the same reason the one reduction
-/// formula is exact for `L` = 1 and 2, whose unused lanes stay +0.0.
-/// Distances must be finite.
+/// ascending `k`: O(deg + n/64).  Leaving out the terms off the union is
+/// exact: each is ±0.0, and adding ±0.0 to a lane that started at +0.0
+/// never changes it (a sum is −0.0 only if both operands are).  Distances
+/// must be finite.
+///
+/// The summation order is the artifact contract, the same on every host:
+/// term `k` of the body `k < n & !3` goes to lane `k & 3`, the four lanes
+/// are reduced as `(a0 + a2) + (a1 + a3)`, and the tail terms follow in
+/// index order.  On weighted distances a different order rounds
+/// differently and can change a placement, so changing it changes the
+/// committed goldens.
 #[inline]
-fn delta_pair(
-    problem: &QapProblem,
-    dloc: &[f64],
-    n: usize,
-    lane_mask: usize,
-    i: usize,
-    j: usize,
-) -> f64 {
+fn delta_pair(problem: &QapProblem, dloc: &[f64], n: usize, i: usize, j: usize) -> f64 {
     let sym_i = problem.sym_row(i);
     let sym_j = problem.sym_row(j);
     let dloc_i = &dloc[i * n..(i + 1) * n];
     let dloc_j = &dloc[j * n..(j + 1) * n];
     let term = |k: usize| (sym_i[k] - sym_j[k]) * (dloc_j[k] - dloc_i[k]);
-    let body = n & !lane_mask;
+    let body = n & !3;
     let mut lanes = [0.0f64; 4];
     let mut tail = [0.0f64; 3];
     let mut tail_len = 0;
@@ -417,7 +395,7 @@ fn delta_pair(
             let k = word * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
             if k < body {
-                lanes[k & lane_mask] += term(k);
+                lanes[k & 3] += term(k);
             } else {
                 tail[tail_len] = term(k);
                 tail_len += 1;
@@ -908,14 +886,13 @@ mod tests {
     /// `dloc` rows, and every accepted swap sweeps all O(n²) entries.
     struct DenseTable {
         n: usize,
-        lanes: usize,
         delta: Vec<f64>,
         dloc: Vec<f64>,
         row_min: Vec<f64>,
     }
 
     impl DenseTable {
-        fn new(problem: &QapProblem, assignment: &[usize], lanes: usize) -> Self {
+        fn new(problem: &QapProblem, assignment: &[usize]) -> Self {
             let n = problem.num_facilities();
             let mut dloc = vec![0.0; n * n];
             for r in 0..n {
@@ -925,7 +902,6 @@ mod tests {
             }
             let mut table = Self {
                 n,
-                lanes,
                 delta: vec![0.0; n * n],
                 dloc,
                 row_min: vec![f64::INFINITY; n],
@@ -949,7 +925,7 @@ mod tests {
             let sym_j = problem.sym_row(j);
             let dloc_i = &self.dloc[i * n..(i + 1) * n];
             let dloc_j = &self.dloc[j * n..(j + 1) * n];
-            let full = dense_dot(sym_i, sym_j, dloc_j, dloc_i, self.lanes);
+            let full = dense_dot(sym_i, sym_j, dloc_j, dloc_i);
             let at_i = (sym_i[i] - sym_j[i]) * (dloc_j[i] - dloc_i[i]);
             let at_j = (sym_i[j] - sym_j[j]) * (dloc_j[j] - dloc_i[j]);
             full - at_i - at_j
@@ -1003,22 +979,17 @@ mod tests {
         }
     }
 
-    /// `Σ_k (a[k] − b[k])·(c[k] − d[k])` in the order of the dense
-    /// `lanes`-lane kernel.  The AVX2 (4 lanes) and NEON (2 lanes) kernels'
-    /// lane operations are IEEE-754 per lane with no FMA, so these scalar
-    /// accumulators reproduce them exactly.
-    fn dense_dot(a: &[f64], b: &[f64], c: &[f64], d: &[f64], lanes: usize) -> f64 {
+    /// `Σ_k (a[k] − b[k])·(c[k] − d[k])` in the order of the dense 4-lane
+    /// kernel the sparse sums replay: every term, lane `k mod 4` over the
+    /// body, then the tail in index order.
+    fn dense_dot(a: &[f64], b: &[f64], c: &[f64], d: &[f64]) -> f64 {
         let n = a.len();
-        let body = n - n % lanes;
+        let body = n - n % 4;
         let mut acc = [0.0f64; 4];
         for k in 0..body {
-            acc[k % lanes] += (a[k] - b[k]) * (c[k] - d[k]);
+            acc[k % 4] += (a[k] - b[k]) * (c[k] - d[k]);
         }
-        let mut total = match lanes {
-            4 => (acc[0] + acc[2]) + (acc[1] + acc[3]),
-            2 => acc[0] + acc[1],
-            _ => acc[0],
-        };
+        let mut total = (acc[0] + acc[2]) + (acc[1] + acc[3]);
         for k in body..n {
             total += (a[k] - b[k]) * (c[k] - d[k]);
         }
@@ -1051,14 +1022,14 @@ mod tests {
     /// Drives both tables through a Tabu descent (the production scan, tabu
     /// list and aspiration) and then a hot annealing chain, `steps` accepted
     /// swaps each, comparing them after every accepted swap.
-    fn run_lockstep(p: &QapProblem, lanes: usize, steps: usize, seed: u64, what: &str) {
+    fn run_lockstep(p: &QapProblem, steps: usize, seed: u64, what: &str) {
         let n = p.num_facilities();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut current = p.random_assignment(&mut rng);
         let unlimited = SolverBudget::unlimited();
-        let mut sparse = DeltaTable::build(p, &current, &unlimited, lanes).unwrap();
-        let mut dense = DenseTable::new(p, &current, lanes);
-        assert_lockstep(&sparse, &dense, p, &format!("{what}, L = {lanes}, build"));
+        let mut sparse = DeltaTable::new(p, &current);
+        let mut dense = DenseTable::new(p, &current);
+        assert_lockstep(&sparse, &dense, p, &format!("{what}, build"));
 
         let mut current_cost = p.cost(&current);
         let mut best_cost = current_cost;
@@ -1082,12 +1053,7 @@ mod tests {
             tabu_until[i * n + j] = iter + 8;
             sparse.apply_swap(p, &current, i, j);
             dense.apply_swap(p, i, j);
-            assert_lockstep(
-                &sparse,
-                &dense,
-                p,
-                &format!("{what}, L = {lanes}, tabu {iter}"),
-            );
+            assert_lockstep(&sparse, &dense, p, &format!("{what}, tabu {iter}"));
         }
 
         let temperature = 1.0 + current_cost.abs() / n as f64;
@@ -1108,12 +1074,7 @@ mod tests {
                 sparse.apply_swap(p, &current, i, j);
                 dense.apply_swap(p, i, j);
                 accepted += 1;
-                assert_lockstep(
-                    &sparse,
-                    &dense,
-                    p,
-                    &format!("{what}, L = {lanes}, anneal {accepted}"),
-                );
+                assert_lockstep(&sparse, &dense, p, &format!("{what}, anneal {accepted}"));
             }
         }
     }
@@ -1160,10 +1121,8 @@ mod tests {
         ];
         for (name, hardware, interactions, steps) in &cases {
             let [hop, weighted] = mapping_qaps(hardware, interactions);
-            for lanes in [1, 2, 4] {
-                run_lockstep(&hop, lanes, *steps, 11, &format!("{name} hop"));
-                run_lockstep(&weighted, lanes, *steps, 12, &format!("{name} weighted"));
-            }
+            run_lockstep(&hop, *steps, 11, &format!("{name} hop"));
+            run_lockstep(&weighted, *steps, 12, &format!("{name} weighted"));
         }
     }
 
@@ -1193,15 +1152,7 @@ mod tests {
                 }
             }
             let p = QapProblem::from_flat(n, flow, m, distance);
-            for lanes in [1, 2, 4] {
-                run_lockstep(
-                    &p,
-                    lanes,
-                    30,
-                    case,
-                    &format!("random case {case} (n = {n})"),
-                );
-            }
+            run_lockstep(&p, 30, case, &format!("random case {case} (n = {n})"));
         }
     }
 }

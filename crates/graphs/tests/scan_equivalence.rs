@@ -262,7 +262,7 @@ fn early_abort_scan_matches_reference_under_heavy_tabu_pressure() {
     }
 }
 
-/// The streaming + SIMD delta-table build is bit-identical to the O(n³)
+/// The sparse 4-lane delta-table build is bit-identical to the O(n³)
 /// `swap_delta` reference on padded mapping instances (hop-count matrices
 /// are small integers, so every reassociation is exact).
 #[test]

@@ -11,12 +11,18 @@
 # BENCHMARK.json workload for PAIRS alternating pairs: pair i runs the
 # parent first when i is odd and the change first when i is even.  Each run
 # is `svcbench --workload W --seed SEED --seconds SECONDS --trace 0`, and its
-# final JSON line is kept.  The second form is the comparison alone, on two
-# files that hold one saved svcbench result line per run.
+# final JSON line is appended to results/svcbench_ab/<parent12>-<UTC stamp>/
+# W.parent or W.change in the repository (results/ is not tracked); that
+# directory is printed at the end.  The second form is the comparison
+# alone, on two files that hold one saved svcbench result line per run.
 #
 # For each end-to-end metric the comparison prints the parent and change
 # medians, their ratio, the parent's spread ((max - min) / median of its
-# runs), the metric's bound and a verdict:
+# runs), the metric's bound, a verdict, the change's wins out of the pairs
+# (line i of one file against line i of the other, better in BENCHMARK.json's
+# `better` direction; a tie counts for neither side; `n/a` when the files
+# hold different numbers of lines) and the parent's first and third
+# quartiles (linear interpolation).  The verdict is:
 #   worse       the change is worse than the parent by more than the bound,
 #               in the direction BENCHMARK.json gives as `better`, and the
 #               parent's spread is within the bound;
@@ -34,10 +40,19 @@ USAGE="usage: $0 PARENT_REV PAIRS SECONDS SEED
        $0 --compare PARENT_LINES CHANGE_LINES"
 
 # One TSV row per end-to-end metric: name, parent median, change median,
-# ratio, parent spread, bound, verdict.
+# ratio, parent spread, bound, verdict, change wins, parent Q1, parent Q3.
 COMPARE_JQ='
 def median: sort | if length % 2 == 1 then .[(length - 1) / 2]
                    else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+def quantile($q): sort as $s | (length - 1) * $q | floor as $lo | (. - $lo) as $f
+  | if $f == 0 then $s[$lo] else $s[$lo] + $f * ($s[$lo + 1] - $s[$lo]) end;
+def wins($name; $better):
+  if ($p | length) != ($c | length) then "n/a"
+  else [range($p | length) as $i
+        | [$p[$i].metrics[$name].value, $c[$i].metrics[$name].value]
+        | select(all(.[]; type == "number"))
+        | select(if $better == "lower" then .[1] < .[0] else .[1] > .[0] end)]
+       | "\(length)/\($p | length)" end;
 def over($base): if $base != 0 then . / $base elif . == 0 then 1 else infinite end;
 def values($runs; $name):
   [$runs[] | .metrics[$name].value | numbers]
@@ -51,20 +66,21 @@ $bench[0].end_to_end[]
 | (if .better == "lower" then $ratio > 1 + $bound else $ratio < 1 - $bound end) as $worse
 | [$name, $pm, $cm, $ratio, $spread, $bound,
    (if $worse and $spread <= $bound then "worse"
-    elif $worse then "unresolved" else "ok" end)]
+    elif $worse then "unresolved" else "ok" end),
+   wins($name; .better), ($pv | quantile(0.25)), ($pv | quantile(0.75))]
 | @tsv'
 
 # compare PARENT_LINES CHANGE_LINES: prints the verdict table; returns 1
 # on any `worse` or a lower mean ok_share.
 compare() {
-    local rows status=0 name pm cm ratio spread bound verdict
+    local rows status=0 name pm cm ratio spread bound verdict wins q1 q3
     rows=$(jq -n -r --slurpfile bench "$BENCHMARK" --slurpfile p "$1" --slurpfile c "$2" \
         "$COMPARE_JQ") || return 1
-    printf '%-20s %12s %12s %7s %7s %6s  %s\n' \
-        metric parent change ratio spread bound verdict
-    while IFS=$'\t' read -r name pm cm ratio spread bound verdict; do
-        printf '%-20s %12.6g %12.6g %7.3f %7.3f %6.2f  %s\n' \
-            "$name" "$pm" "$cm" "$ratio" "$spread" "$bound" "$verdict"
+    printf '%-20s %12s %12s %7s %7s %6s  %-10s %6s %12s %12s\n' \
+        metric parent change ratio spread bound verdict wins parent_q1 parent_q3
+    while IFS=$'\t' read -r name pm cm ratio spread bound verdict wins q1 q3; do
+        printf '%-20s %12.6g %12.6g %7.3f %7.3f %6.2f  %-10s %6s %12.6g %12.6g\n' \
+            "$name" "$pm" "$cm" "$ratio" "$spread" "$bound" "$verdict" "$wins" "$q1" "$q3"
         [[ $verdict == worse ]] && status=1
     done <<<"$rows"
     if ! jq -n -e --slurpfile p "$1" --slurpfile c "$2" \
@@ -106,11 +122,14 @@ main() {
     fi
     build "$work/parent"
     build "$REPO"
+    local results
+    results="$REPO/results/svcbench_ab/${rev:0:12}-$(date -u +%Y%m%dT%H%M%SZ)"
+    mkdir -p "$results"
 
     local status=0 workload i side tree order out
     for workload in $(jq -r '.workloads[].name' "$BENCHMARK"); do
-        : >"$work/$workload.parent"
-        : >"$work/$workload.change"
+        : >"$results/$workload.parent"
+        : >"$results/$workload.change"
         for ((i = 1; i <= pairs; i++)); do
             if ((i % 2 == 1)); then order="parent change"; else order="change parent"; fi
             for side in $order; do
@@ -122,13 +141,14 @@ main() {
                     tail -n 20 "$out" "$work/run.err" >&2
                     status=1
                 fi
-                tail -n 1 "$out" | jq -c 'select(.metrics)' >>"$work/$workload.$side" || true
+                tail -n 1 "$out" | jq -c 'select(.metrics)' >>"$results/$workload.$side" || true
                 echo "$workload pair $i/$pairs $side done" >&2
             done
         done
         echo "== $workload ($pairs pairs, $seconds s, seed $seed; parent ${rev:0:12})"
-        compare "$work/$workload.parent" "$work/$workload.change" || status=1
+        compare "$results/$workload.parent" "$results/$workload.change" || status=1
     done
+    echo "per-run result lines: $results"
     if ((status == 0)); then echo "A/B: pass"; else echo "A/B: FAIL"; fi
     return $status
 }

@@ -579,3 +579,40 @@ fn multi_layer_schedules_reverse_and_scale() {
         result.hardware_circuit.two_qubit_gate_count()
     );
 }
+
+/// Pins the calibration-aware placement of a 54-qubit QAOA-REG-3 circuit on
+/// two heterogeneous Sycamore targets.  Weighted QAP distances are not
+/// integers, so a swap delta's value depends on its summation order: this
+/// fails on any host whose placement path computes a different delta than
+/// the one the committed goldens were recorded with.
+#[test]
+fn heterogeneous_qaoa_54_placement_is_pinned() {
+    use twoqan_repro::twoqan::hash::fnv1a_64;
+    let circuit = QaoaProblem::random_regular(54, 3, 0)
+        .circuit(&[QaoaProblem::optimal_p1_angles_regular3()], false);
+    let pinned: Vec<_> = [1u64, 3]
+        .into_iter()
+        .map(|seed| {
+            let device = Device::sycamore().with_heterogeneous_calibration(seed);
+            let r = TwoQanCompiler::new(TwoQanConfig::calibration_aware())
+                .compile(&circuit, &device)
+                .unwrap();
+            let placement = fnv1a_64(&format!("{:?}", r.initial_map.assignment()));
+            (
+                seed,
+                r.swap_count(),
+                r.metrics.hardware_two_qubit_depth,
+                placement,
+            )
+        })
+        .collect();
+    // (calibration seed, SWAPs, native two-qubit depth, FNV-1a of the
+    // initial placement's Debug form)
+    assert_eq!(
+        pinned,
+        [
+            (1, 67, 52, 0x70c9_e077_00fd_51c0),
+            (3, 65, 54, 0xd23a_9def_9d08_c558),
+        ]
+    );
+}
