@@ -25,7 +25,7 @@
 //! [`SolverBudget`] ([`SolverBudget::unlimited`] for an unbounded search).
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod annealing;
 pub mod budget;

@@ -8,67 +8,31 @@
 //! * [`row_min`] — the per-row lower bound used by the early-abort
 //!   neighbourhood scan.
 //!
-//! Each has one safe body that the compiler vectorizes.  The baseline
-//! x86_64 target only has SSE2, so on x86_64 a CPU with AVX2 runs a clone of
-//! the same body compiled with `#[target_feature(enable = "avx2")]` (and
-//! without `fma`); aarch64's baseline already includes NEON.  Neither result
-//! depends on the clone: `update_row` is elementwise IEEE-754 arithmetic in
-//! one fixed order with no multiply-add contraction, and the minimum of
-//! non-NaN values is exact (only the sign of a zero minimum may differ, and
-//! no comparison can see it).
+//! Each is one safe body that the compiler vectorizes for the build target
+//! (SSE2 on baseline x86_64, NEON on aarch64).  There is no runtime
+//! dispatch: an AVX2 clone of both bodies ran no faster end to end
+//! (`BENCHMARKS.md` § QAP kernels).  Neither result depends on the target:
+//! `update_row` is elementwise IEEE-754 arithmetic in one fixed order with
+//! no multiply-add contraction, and the minimum of non-NaN values is exact
+//! (only the sign of a zero minimum may differ, and no comparison can see
+//! it).
 
 /// Rank-1 Taillard row update: `row[j] += (A·B + sgh[j]) − (A·h[j] + B·sg[j])`
 /// with `A = a_sg`, `B = a_h`.  All slices must have the same length.
 #[inline]
 pub fn update_row(row: &mut [f64], sg: &[f64], h: &[f64], sgh: &[f64], a_sg: f64, a_h: f64) {
     debug_assert!(row.len() == sg.len() && row.len() == h.len() && row.len() == sgh.len());
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            #[allow(unsafe_code)]
-            unsafe {
-                update_row_avx2(row, sg, h, sgh, a_sg, a_h)
-            };
-            return;
-        }
-    }
-    update_row_body(row, sg, h, sgh, a_sg, a_h);
-}
-
-#[inline(always)]
-fn update_row_body(row: &mut [f64], sg: &[f64], h: &[f64], sgh: &[f64], a_sg: f64, a_h: f64) {
     let ab = a_sg * a_h;
     for (((r, &sg), &h), &sgh) in row.iter_mut().zip(sg).zip(h).zip(sgh) {
         *r += (ab + sgh) - (a_sg * h + a_h * sg);
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn update_row_avx2(row: &mut [f64], sg: &[f64], h: &[f64], sgh: &[f64], a_sg: f64, a_h: f64) {
-    update_row_body(row, sg, h, sgh, a_sg, a_h);
-}
-
 /// Minimum of a slice (`+∞` for an empty one).  Inputs are finite deltas,
-/// never NaN.
+/// never NaN.  Four independent select-min accumulators run over the
+/// 4-element chunks, so the loop vectorizes, then the tail.
 #[inline]
 pub fn row_min(xs: &[f64]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            #[allow(unsafe_code)]
-            return unsafe { row_min_avx2(xs) };
-        }
-    }
-    row_min_body(xs)
-}
-
-/// Four independent select-min accumulators over the 4-element chunks, so
-/// the loop vectorizes, then the tail.
-#[inline(always)]
-fn row_min_body(xs: &[f64]) -> f64 {
     let smaller = |a: f64, b: f64| if b < a { b } else { a };
     let mut acc = [f64::INFINITY; 4];
     let chunks = xs.chunks_exact(4);
@@ -80,12 +44,6 @@ fn row_min_body(xs: &[f64]) -> f64 {
     }
     let body = smaller(smaller(acc[0], acc[2]), smaller(acc[1], acc[3]));
     tail.iter().fold(body, |min, &x| smaller(min, x))
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn row_min_avx2(xs: &[f64]) -> f64 {
-    row_min_body(xs)
 }
 
 #[cfg(test)]
@@ -126,16 +84,13 @@ mod tests {
             let h: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
             let sgh: Vec<f64> = sg.iter().zip(&h).map(|(&s, &t)| s * t).collect();
             let (a_sg, a_h) = (rng.gen::<f64>() * 3.0, rng.gen::<f64>() * 3.0);
-            let mut dispatched = base.clone();
-            let mut portable = base.clone();
+            let mut vectorized = base.clone();
             let mut scalar = base;
-            update_row(&mut dispatched, &sg, &h, &sgh, a_sg, a_h);
-            update_row_body(&mut portable, &sg, &h, &sgh, a_sg, a_h);
+            update_row(&mut vectorized, &sg, &h, &sgh, a_sg, a_h);
             update_row_scalar(&mut scalar, &sg, &h, &sgh, a_sg, a_h);
-            // Non-integer inputs on purpose: every path shares the exact
+            // Non-integer inputs on purpose: both loops share the exact
             // operation order, so equality is bitwise, not just approximate.
-            assert_eq!(dispatched, scalar, "n = {n}");
-            assert_eq!(portable, scalar, "n = {n}");
+            assert_eq!(vectorized, scalar, "n = {n}");
         }
     }
 
@@ -143,12 +98,10 @@ mod tests {
     fn row_min_matches_scalar_and_handles_edges() {
         let mut rng = StdRng::seed_from_u64(9);
         assert_eq!(row_min(&[]), f64::INFINITY);
-        assert_eq!(row_min_body(&[]), f64::INFINITY);
         for n in [1usize, 2, 3, 4, 5, 9, 64, 81, 203] {
             let xs = random_vec(&mut rng, n);
             let expect = row_min_scalar(&xs);
             assert_eq!(row_min(&xs), expect);
-            assert_eq!(row_min_body(&xs), expect);
             assert_eq!(xs.iter().copied().fold(f64::INFINITY, f64::min), expect);
         }
     }

@@ -6,11 +6,10 @@
 //! structure to exploit.  Canonical-shaped gates — every `Can(a, b, c)`
 //! interaction term — are two independent complex 2×2 blocks, so
 //! [`apply_canonical_blocks`] does 8 multiply–adds per quad instead.  Both
-//! vectorise the long-run branch over the amplitude axis using the same
-//! stable-`core::arch` seam as the QAP delta-table kernels
-//! (`crates/graphs/src/simd.rs`): AVX2 on x86_64 (two complexes per 256-bit
-//! vector), NEON on aarch64 (one complex per 128-bit vector), and a scalar
-//! fallback that *is* the original loop.
+//! vectorise the long-run branch over the amplitude axis with stable
+//! `core::arch` intrinsics, chosen at run time: AVX2 on x86_64 (two
+//! complexes per 256-bit vector), NEON on aarch64 (one complex per 128-bit
+//! vector), and a scalar fallback that *is* the original loop.
 //!
 //! The vector paths keep the scalar operation order exactly — a complex
 //! product is `x·re(w) + swap(x)·(∓im(w))` lane-wise, which matches
