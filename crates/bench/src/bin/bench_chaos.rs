@@ -43,9 +43,8 @@ use twoqan::{
 };
 use twoqan_baselines::{CompilerRegistry, RegistryOptions};
 use twoqan_bench::report::Table;
-use twoqan_bench::scaling_device;
 use twoqan_circuit::Circuit;
-use twoqan_device::Device;
+use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::{nnn_heisenberg, trotter_step};
 use twoqan_verify::{
     check_structural, random_device, random_workload, run_fuzz, verify_output, EquivalenceChecker,
@@ -199,7 +198,7 @@ fn check_zero_fault_identity(master_seed: u64) -> usize {
 /// circuit (the degraded rungs are valid placements by construction).
 fn deadline_probe() -> (f64, &'static str, bool) {
     let circuit = trotter_step(&nnn_heisenberg(80, 1), 1.0);
-    let device = scaling_device(80);
+    let device = Device::grid(9, 9, TwoQubitBasis::Cnot);
     let config = TwoQanConfig {
         budget: CompileBudget::with_deadline(Duration::from_millis(10)),
         ..TwoQanConfig::default()

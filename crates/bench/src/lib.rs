@@ -26,4 +26,4 @@ pub mod workloads;
 
 pub use compilers::{CompilerKind, MetricsRow};
 pub use report::{write_csv, Table};
-pub use workloads::{scaling_device, Workload, WorkloadKind, LARGE_SCALING_SIZE, SCALING_SIZES};
+pub use workloads::{Workload, WorkloadKind};

@@ -113,17 +113,6 @@ pub fn format_ratio(ratio: f64) -> String {
     }
 }
 
-/// Median of a sample set: the upper of the two middle samples when the
-/// count is even.
-///
-/// # Panics
-///
-/// Panics on an empty sample set or a NaN sample.
-pub fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[samples.len() / 2]
-}
-
 /// Nearest-rank percentile `p` (0–100) of a sample set, sorted in place.
 ///
 /// # Panics
@@ -170,9 +159,7 @@ mod tests {
     }
 
     #[test]
-    fn median_takes_the_upper_middle_and_percentile_the_nearest_rank() {
-        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
+    fn percentile_takes_the_nearest_rank() {
         let mut samples: Vec<f64> = (1..=10).rev().map(f64::from).collect();
         assert_eq!(percentile(&mut samples, 50.0), 5.0);
         assert_eq!(percentile(&mut samples, 99.0), 10.0);

@@ -1,35 +1,11 @@
 //! Benchmark workload generators (§IV of the paper).
 
 use twoqan_circuit::Circuit;
-use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::{nnn_heisenberg, nnn_ising, nnn_xy, trotter_step, QaoaProblem};
 // The model constructors are shared with `twoqan_verify::workloads` — both
 // re-export them from `twoqan-ham`, the single home of the benchmark-model
 // builders.
 pub use twoqan_ham::{heisenberg_on_edges, transverse_ising_on_edges, xy_on_edges, zz_on_edges};
-
-/// The problem sizes of the §V-D compiler-pass scalability sweep, shared by
-/// the `compiler_passes` criterion bench and the `bench_baseline` binary so
-/// the checked-in `BENCH_compiler.json` always tracks what the bench
-/// measures.
-pub const SCALING_SIZES: [usize; 4] = [10, 20, 40, 80];
-
-/// The stress size beyond the paper's sweep, used by `bench_baseline` to
-/// record one large end-to-end compile (n = 200 on a 15×14 grid).
-pub const LARGE_SCALING_SIZE: usize = 200;
-
-/// The smallest stock device a size-`n` scalability workload fits on:
-/// Sycamore up to its 54 qubits, a 9×9 grid up to 81, a 15×14 grid beyond
-/// (210 qubits, enough for the [`LARGE_SCALING_SIZE`] stress compile).
-pub fn scaling_device(n: usize) -> Device {
-    if n <= 54 {
-        Device::sycamore()
-    } else if n <= 81 {
-        Device::grid(9, 9, TwoQubitBasis::Cnot)
-    } else {
-        Device::grid(15, 14, TwoQubitBasis::Cnot)
-    }
-}
 
 /// The benchmark families evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,18 +141,6 @@ mod tests {
         assert!(w.qaoa.is_some());
         let w = Workload::generate(WorkloadKind::NnnIsing, 6, 0);
         assert_eq!(w.circuit.single_qubit_gate_count(), 6);
-    }
-
-    #[test]
-    fn scaling_device_fits_every_scaling_size() {
-        for n in SCALING_SIZES.into_iter().chain([LARGE_SCALING_SIZE]) {
-            assert!(
-                scaling_device(n).num_qubits() >= n,
-                "scaling device too small for n = {n}"
-            );
-        }
-        assert_eq!(scaling_device(54).name(), scaling_device(10).name());
-        assert_ne!(scaling_device(80).name(), scaling_device(200).name());
     }
 
     #[test]

@@ -303,14 +303,18 @@ impl TwoQanCompiler {
     /// [`twoqan_pool::CompilePool`], or on a transient one with a worker per
     /// core that the solvers' nested restarts share — and their results are
     /// folded in index order: the result with the fewest SWAPs
-    /// (then fewest hardware gates, then lowest depth) is kept, or with the
-    /// highest ESP for the calibration-aware portfolio.  So an unbudgeted
-    /// compile is bit-identical for every worker count.  The report sums
-    /// each pass's busy time over the candidates, so under concurrency it
-    /// can exceed the compile's wall time, and it snapshots gate/depth from
-    /// the winning candidate.  The deterministic unifying pre-pass is
-    /// hoisted out of the portfolio (it would produce the same circuit for
-    /// every candidate), so its report entry is a single measurement.
+    /// (then fewest hardware gates, then lowest depth) is kept, or for the
+    /// calibration-aware portfolio the one with the highest ESP, compared
+    /// as the sum of the logs of its gate, idle and readout factors
+    /// ([`twoqan_device::Target::esp_factors`]), which stays finite where
+    /// their product underflows; equal scores fall back to the SWAP rule.
+    /// So an unbudgeted compile is bit-identical for every worker count.
+    /// The report sums each pass's busy time over the candidates, so under
+    /// concurrency it can exceed the compile's wall time, and it snapshots
+    /// gate/depth from the winning candidate.  The deterministic unifying
+    /// pre-pass is hoisted out of the portfolio (it would produce the same
+    /// circuit for every candidate), so its report entry is a single
+    /// measurement.
     ///
     /// Under a limited [`CompileBudget`] the planned portfolio degrades
     /// along an explicit ladder instead of erroring.  Candidate 0, a
@@ -412,12 +416,12 @@ impl TwoQanCompiler {
                     let esp = if error_aware {
                         let timeline =
                             timeline.expect("the decompose pass sets the timeline for device runs");
-                        crate::decompose::estimated_success_probability_with_timeline(
+                        ln_esp(device.target().esp_factors(
                             &candidate.hardware_circuit,
-                            candidate.basis,
-                            device.target(),
                             &timeline,
-                        )
+                            candidate.basis.cost_model(),
+                            &timeline.used_qubits(),
+                        ))
                     } else {
                         0.0
                     };
@@ -451,8 +455,8 @@ impl TwoQanCompiler {
             };
             completed += 1;
             // Candidate selection: fewest SWAPs (then gates, then depth) as
-            // in the paper; the error-aware portfolio ranks by ESP first so
-            // the kept candidate is the one likeliest to succeed, not
+            // in the paper; the error-aware portfolio ranks by log ESP first
+            // so the kept candidate is the one likeliest to succeed, not
             // merely the smallest.
             let better = match &best {
                 None => true,
@@ -568,10 +572,31 @@ impl Compiler for TwoQanCompiler {
     }
 }
 
+/// The natural log of an estimated success probability, from its
+/// `(gate, idle, readout)` factors.  The portfolio ranks by this sum: the
+/// product underflows to 0.0 below about 1e-308, where every candidate
+/// would tie.
+fn ln_esp((gate, idle, readout): (f64, f64, f64)) -> f64 {
+    gate.ln() + idle.ln() + readout.ln()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use twoqan_ham::{nnn_heisenberg, nnn_ising, nnn_xy, trotter_step, QaoaProblem};
+
+    #[test]
+    fn log_space_ranking_separates_esps_whose_products_underflow() {
+        let better = (1e-200, 1e-140, 0.9);
+        let worse = (1e-200, 1e-150, 0.9);
+        for (gate, idle, readout) in [better, worse] {
+            assert_eq!(gate * idle * readout, 0.0, "the product underflows");
+        }
+        let (high, low) = (ln_esp(better), ln_esp(worse));
+        assert!(high.is_finite() && low.is_finite());
+        assert!(high > low, "ln ESP {high} must outrank {low}");
+        assert!((high - low - 10.0 * std::f64::consts::LN_10).abs() < 1e-9);
+    }
 
     fn compile(circuit: &Circuit, device: &Device) -> CompilationResult {
         TwoQanCompiler::new(TwoQanConfig {

@@ -57,37 +57,27 @@ pub fn timeline_with_target(
 }
 
 /// The estimated success probability (ESP) of a schedule under a target's
-/// per-channel noise figures, with the duration-aware timeline supplied by
-/// the caller (measuring every qubit the timeline touches).  The shared
-/// accounting lives in [`Target::esp_factors`] — the same formula
-/// `twoqan_sim::TargetNoiseModel` reports for the benchmarks.
+/// per-channel noise figures, on the duration-aware timeline built from the
+/// target's calibrated durations (measuring every qubit the timeline
+/// touches).  The shared accounting lives in [`Target::esp_factors`] — the
+/// same formula `twoqan_sim::TargetNoiseModel` reports for the benchmarks.
 ///
-/// This is the compiler-side scorer the calibration-aware trial selection
-/// maximises.
-pub fn estimated_success_probability_with_timeline(
-    schedule: &ScheduledCircuit,
-    basis: TwoQubitBasis,
-    target: &Target,
-    timeline: &Timeline,
-) -> f64 {
-    let (gate, idle, readout) = target.esp_factors(
-        schedule,
-        timeline,
-        basis.cost_model(),
-        &timeline.used_qubits(),
-    );
-    gate * idle * readout
-}
-
-/// Like [`estimated_success_probability_with_timeline`], building the
-/// timeline from the target's calibrated durations.
+/// The product underflows to 0.0 below about 1e-308, so the
+/// calibration-aware portfolio ranks its candidates by the sum of the
+/// factors' logs instead.
 pub fn estimated_success_probability(
     schedule: &ScheduledCircuit,
     basis: TwoQubitBasis,
     target: &Target,
 ) -> f64 {
     let timeline = timeline_with_target(schedule, basis, target);
-    estimated_success_probability_with_timeline(schedule, basis, target, &timeline)
+    let (gate, idle, readout) = target.esp_factors(
+        schedule,
+        &timeline,
+        basis.cost_model(),
+        &timeline.used_qubits(),
+    );
+    gate * idle * readout
 }
 
 /// Decomposes a scheduled circuit into an explicit CNOT + single-qubit-gate

@@ -562,8 +562,8 @@ impl Target {
     /// The estimated-success-probability factors `(gate, idle, readout)` of
     /// one execution of `schedule` under this target — the single source of
     /// truth for the per-channel ESP accounting shared by the compiler's
-    /// trial selection (`twoqan::decompose`) and the benchmark noise model
-    /// (`twoqan_sim::TargetNoiseModel`):
+    /// portfolio ranking (`twoqan::TwoQanCompiler`, which sums the factors'
+    /// logs) and the benchmark noise model (`twoqan_sim::TargetNoiseModel`):
     ///
     /// * **gate** — per two-qubit gate: its edge's fidelity to the power of
     ///   the native-gate count, times one interleaved single-qubit layer

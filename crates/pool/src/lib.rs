@@ -35,7 +35,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Global count of OS threads ever spawned by [`CompilePool`]s.  Monotonic;
 /// read it before and after an operation to count the threads that
@@ -286,7 +286,19 @@ impl CompilePool {
 
 impl Drop for CompilePool {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Set under the queue lock: a worker reads the flag and parks on
+        // `queue_cv` under that lock, so the wakeup cannot fall between the
+        // two and leave it parked while this thread joins it.  The lock only
+        // orders the store (the queue is not touched), so a poisoned one is
+        // recovered rather than panicking in `drop`.
+        {
+            let _queue = self
+                .inner
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.queue_cv.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
