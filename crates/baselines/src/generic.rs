@@ -17,7 +17,6 @@
 //! [`Compiler`] trait.
 
 use crate::passes::{AsapSchedulePass, OrderedRoutingPass, PlacementPass};
-use crate::result::BaselineResult;
 use twoqan::pipeline::{ensure_fits, CompilationContext, CompiledOutput, Compiler, PassManager};
 use twoqan::{CompileError, DecomposePass, UnifyPass};
 use twoqan_circuit::Circuit;
@@ -89,17 +88,6 @@ impl GenericCompiler {
             Box::new(AsapSchedulePass),
             Box::new(DecomposePass),
         ])
-    }
-
-    /// Compiles a circuit onto a device, respecting the input gate order
-    /// and propagating pipeline failures (for instance an oversized
-    /// circuit) as typed errors.
-    pub fn compile(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-    ) -> Result<BaselineResult, CompileError> {
-        Compiler::compile(self, circuit, device).map(BaselineResult::from)
     }
 }
 
@@ -224,12 +212,5 @@ mod tests {
         let err = Compiler::compile(&GenericCompiler::qiskit_like(), &circuit, &Device::aspen())
             .unwrap_err();
         assert!(matches!(err, CompileError::TooManyQubits { .. }));
-    }
-
-    #[test]
-    fn rejects_oversized_circuits_with_a_typed_error() {
-        let circuit = trotter_step(&nnn_ising(20, 0), 1.0);
-        let result = GenericCompiler::qiskit_like().compile(&circuit, &Device::aspen());
-        assert!(matches!(result, Err(CompileError::TooManyQubits { .. })));
     }
 }

@@ -17,7 +17,6 @@
 //! * no dressed SWAPs, ASAP dependency-respecting scheduling.
 
 use crate::passes::{AnnealingPlacementPass, AsapSchedulePass, CommutationRoutingPass};
-use crate::result::BaselineResult;
 use twoqan::pipeline::{ensure_fits, CompilationContext, CompiledOutput, Compiler, PassManager};
 use twoqan::{CompileError, DecomposePass, UnifyPass};
 use twoqan_circuit::Circuit;
@@ -50,16 +49,6 @@ impl IcQaoaCompiler {
             Box::new(AsapSchedulePass),
             Box::new(DecomposePass),
         ])
-    }
-
-    /// Compiles a (QAOA-style) circuit onto a device, propagating pipeline
-    /// failures (for instance an oversized circuit) as typed errors.
-    pub fn compile(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-    ) -> Result<BaselineResult, CompileError> {
-        Compiler::compile(self, circuit, device).map(BaselineResult::from)
     }
 }
 

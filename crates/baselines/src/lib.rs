@@ -20,13 +20,14 @@
 //!   dressed SWAPs).
 //!
 //! All baselines receive the same circuit-unified input as 2QAN (the paper
-//! pre-processes the inputs of Qiskit and t|ket⟩ the same way) and report
-//! their results through the common [`BaselineResult`] type.
+//! pre-processes the inputs of Qiskit and t|ket⟩ the same way).
 //!
 //! Every baseline is expressed as a pass pipeline over the shared
-//! `twoqan::pipeline` framework (see [`passes`]) and registered — together
-//! with 2QAN itself — in the [`CompilerRegistry`], the single dispatch
-//! point benchmark and verification code constructs compilers through.
+//! `twoqan::pipeline` framework (see [`passes`]), compiles only through
+//! `twoqan::Compiler::compile` into a `twoqan::CompiledOutput`, and is
+//! registered — together with 2QAN itself — in the [`CompilerRegistry`],
+//! the single dispatch point benchmark and verification code constructs
+//! compilers through.
 
 #![deny(missing_docs)]
 
@@ -36,7 +37,6 @@ pub mod nomap;
 pub mod passes;
 pub mod paulihedral;
 pub mod registry;
-pub mod result;
 
 pub use generic::{GenericCompiler, GenericConfig};
 pub use ic_qaoa::IcQaoaCompiler;
@@ -47,4 +47,3 @@ pub use passes::{
 };
 pub use paulihedral::PaulihedralCompiler;
 pub use registry::{CompilerRegistry, RegistryOptions};
-pub use result::BaselineResult;

@@ -14,17 +14,16 @@
 //!   no permutation-aware routing, no dressed SWAPs, no hybrid scheduler.
 //!
 //! On all-to-all topologies this ties 2QAN on gate count (the under-
-//! reproduction of the 2-D/3-D gap is recorded in EXPERIMENTS.md); on
-//! constrained devices it pays the routing penalty visible in Table III's
-//! QAOA rows.
+//! reproduction of the 2-D/3-D gap is recorded in BENCHMARKS.md § Table
+//! III); on constrained devices it pays the routing penalty visible in
+//! Table III's QAOA rows.
 
 use crate::generic::{GenericCompiler, GenericConfig};
-use crate::nomap::color_schedule;
-use crate::result::BaselineResult;
-use twoqan::pipeline::{CompiledOutput, Compiler};
-use twoqan::CompileError;
+use crate::passes::ColorSchedulePass;
+use twoqan::pipeline::{CompilationContext, CompiledOutput, Compiler, PassManager};
+use twoqan::{CompileError, DecomposePass};
 use twoqan_circuit::{Circuit, Gate};
-use twoqan_device::Device;
+use twoqan_device::{Device, TwoQubitBasis};
 use twoqan_ham::Hamiltonian;
 
 /// The Paulihedral-style baseline compiler.
@@ -68,17 +67,6 @@ impl PaulihedralCompiler {
         circuit
     }
 
-    /// Compiles an already-built circuit onto a device using block ordering
-    /// plus order-respecting routing, propagating pipeline failures as
-    /// typed errors.
-    pub fn compile(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-    ) -> Result<BaselineResult, CompileError> {
-        self.generic().compile(circuit, device)
-    }
-
     /// Compiles assuming all-to-all connectivity (the Heisenberg rows of
     /// Table III): no SWAPs are needed; the commuting-block parallelism of
     /// Paulihedral is modelled with the same conflict-graph colouring the
@@ -87,24 +75,22 @@ impl PaulihedralCompiler {
     /// Because this model is given the same same-pair term-fusion strength
     /// as 2QAN, it ties 2QAN on the all-to-all Heisenberg rows of Table III;
     /// the 1.5–1.7× gate-count gap the paper reports for the 2-D/3-D
-    /// lattices is therefore under-reproduced (recorded in EXPERIMENTS.md).
+    /// lattices is therefore under-reproduced (recorded in BENCHMARKS.md
+    /// § Table III).  The output keeps the identity placement (qubit `i`
+    /// stays qubit `i`) and reports metrics for `basis`.
     pub fn compile_all_to_all(
         &self,
         hamiltonian: &Hamiltonian,
         dt: f64,
-        basis: twoqan_device::TwoQubitBasis,
-    ) -> BaselineResult {
-        let circuit = self.block_ordered_circuit(hamiltonian, dt);
-        let schedule = color_schedule(&circuit);
-        let metrics = twoqan_circuit::HardwareMetrics::of(&schedule, basis.cost_model());
-        BaselineResult {
-            compiler: "Paulihedral-like".into(),
-            hardware_circuit: schedule,
-            metrics,
-            basis,
-            // All-to-all connectivity: qubit i stays qubit i.
-            initial_placement: Some((0..circuit.num_qubits()).collect()),
-        }
+        basis: TwoQubitBasis,
+    ) -> CompiledOutput {
+        let mut ctx =
+            CompilationContext::deviceless(self.block_ordered_circuit(hamiltonian, dt), basis);
+        let report =
+            PassManager::with_passes(vec![Box::new(ColorSchedulePass), Box::new(DecomposePass)])
+                .run(&mut ctx)
+                .expect("the deviceless colouring pipeline cannot fail");
+        ctx.into_output(Compiler::name(self), report)
     }
 }
 
@@ -125,7 +111,6 @@ impl Compiler for PaulihedralCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twoqan_device::TwoQubitBasis;
     use twoqan_ham::{heisenberg_lattice, LatticeDimensions, QaoaProblem};
 
     #[test]

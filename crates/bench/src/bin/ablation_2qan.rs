@@ -12,9 +12,8 @@
 //! Usage: `cargo run --release -p twoqan-bench --bin ablation_2qan [--quick]`
 
 use twoqan::mapping::InitialMappingStrategy;
-use twoqan::routing::RoutingConfig;
 use twoqan::scheduling::SchedulingStrategy;
-use twoqan::{TwoQanCompiler, TwoQanConfig};
+use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
 use twoqan_bench::figures::quick_mode;
 use twoqan_bench::report::Table;
 use twoqan_bench::workloads::{Workload, WorkloadKind};
@@ -27,10 +26,7 @@ fn variants() -> Vec<(&'static str, TwoQanConfig)> {
         (
             "no dressed SWAPs",
             TwoQanConfig {
-                routing: RoutingConfig {
-                    enable_dressing: false,
-                    ..RoutingConfig::default()
-                },
+                enable_dressing: false,
                 ..base.clone()
             },
         ),
@@ -94,7 +90,7 @@ fn main() {
                 device.name().to_string(),
                 name.to_string(),
                 result.swap_count().to_string(),
-                result.dressed_swap_count().to_string(),
+                result.metrics.dressed_swap_count.to_string(),
                 result.metrics.hardware_two_qubit_count.to_string(),
                 result.metrics.hardware_two_qubit_depth.to_string(),
             ]);

@@ -36,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use twoqan::pipeline::Compiler;
+use twoqan::pipeline::{bit_identical, Compiler};
 use twoqan::{
     BatchCompiler, BatchJob, ChaosCompiler, CompileBudget, CompileError, FaultConfig,
     FaultInjector, TwoQanCompiler, TwoQanConfig,
@@ -185,7 +185,7 @@ fn check_zero_fault_identity(master_seed: u64) -> usize {
             .with_fault_injector(Arc::new(FaultInjector::disarmed()))
             .compile(&workload.circuit, &device)
             .expect("disarmed-injector compile succeeds");
-        if stock.hardware_circuit != chaos.hardware_circuit || stock.metrics != chaos.metrics {
+        if !bit_identical(&stock, &chaos) {
             eprintln!("zero-fault identity VIOLATED on combo {combo} ({n} qubits)");
             mismatches += 1;
         }
@@ -204,8 +204,8 @@ fn deadline_probe() -> (f64, &'static str, bool) {
         ..TwoQanConfig::default()
     };
     let started = Instant::now();
-    let (result, report) = TwoQanCompiler::new(config)
-        .compile_with_report(&circuit, &device)
+    let result = TwoQanCompiler::new(config)
+        .compile(&circuit, &device)
         .expect("deadline-limited compiles degrade instead of failing");
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
     let compatible = result.hardware_compatible(&device);
@@ -216,7 +216,7 @@ fn deadline_probe() -> (f64, &'static str, bool) {
     );
     (
         elapsed_ms,
-        report.rung.name(),
+        result.report.rung.name(),
         compatible && structural.is_ok(),
     )
 }

@@ -23,7 +23,7 @@
 //!
 //! [`TargetNoiseModel`]: twoqan_sim::TargetNoiseModel
 
-use twoqan::{TwoQanCompiler, TwoQanConfig};
+use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
 use twoqan_bench::noise::esp_breakdown;
 use twoqan_bench::report::{write_csv, Table};
 use twoqan_bench::workloads::{Workload, WorkloadKind};

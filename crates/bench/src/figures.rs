@@ -4,7 +4,6 @@ use crate::compilers::{CompilerKind, MetricsRow};
 use crate::report::{format_ratio, write_csv, Table};
 use crate::workloads::{Workload, WorkloadKind};
 use std::collections::BTreeMap;
-use twoqan::{TwoQanCompiler, TwoQanConfig};
 use twoqan_baselines::PaulihedralCompiler;
 use twoqan_circuit::HardwareMetrics;
 use twoqan_device::{Device, TwoQubitBasis};
@@ -364,7 +363,6 @@ pub fn run_table3() -> Table {
             "2QAN depth",
         ],
     );
-    let paulihedral = PaulihedralCompiler::new();
     // Heisenberg lattices, 30 qubits, all-to-all connectivity.
     let lattices = [
         ("Heisenberg-1D (30 qubits)", LatticeDimensions::OneD(30)),
@@ -376,17 +374,18 @@ pub fn run_table3() -> Table {
     ];
     for (name, dims) in lattices {
         let h = heisenberg_lattice(dims, 3);
-        let p = paulihedral.compile_all_to_all(&h, 1.0, TwoQubitBasis::Cnot);
+        let p = PaulihedralCompiler::new().compile_all_to_all(&h, 1.0, TwoQubitBasis::Cnot);
         // On all-to-all connectivity 2QAN reduces to its colouring scheduler
         // over the unified circuit — the NoMap compilation of the same model.
         let circuit = twoqan_ham::trotter_step(&h, 1.0);
-        let q = twoqan_baselines::NoMapCompiler::new().compile(&circuit, TwoQubitBasis::Cnot);
+        let all_to_all = Device::all_to_all(h.num_qubits(), TwoQubitBasis::Cnot);
+        let (_, q) = CompilerKind::NoMap.compile(&circuit, &all_to_all);
         table.push_row(vec![
             name.into(),
             p.metrics.hardware_two_qubit_count.to_string(),
             p.metrics.hardware_two_qubit_depth.to_string(),
-            q.metrics.hardware_two_qubit_count.to_string(),
-            q.metrics.hardware_two_qubit_depth.to_string(),
+            q.hardware_two_qubit_count.to_string(),
+            q.hardware_two_qubit_depth.to_string(),
         ]);
     }
     // Dense QAOA on Montreal (20 qubits, degree 4/8/12), averaged over instances.
@@ -400,16 +399,12 @@ pub fn run_table3() -> Table {
         for instance in 0..instances {
             let problem = QaoaProblem::random_regular(20, degree, 77 + instance as u64);
             let circuit = problem.circuit(&[QaoaProblem::optimal_p1_angles_regular3()], false);
-            let p = paulihedral
-                .compile(&circuit, &device)
-                .expect("20-qubit QAOA fits on Montreal");
-            let q = TwoQanCompiler::new(TwoQanConfig::default())
-                .compile(&circuit, &device)
-                .expect("20-qubit QAOA fits on Montreal");
-            p_gates += p.metrics.hardware_two_qubit_count as f64;
-            p_depth += p.metrics.hardware_two_qubit_depth as f64;
-            q_gates += q.metrics.hardware_two_qubit_count as f64;
-            q_depth += q.metrics.hardware_two_qubit_depth as f64;
+            let (_, p) = CompilerKind::Paulihedral.compile(&circuit, &device);
+            let (_, q) = CompilerKind::TwoQan.compile(&circuit, &device);
+            p_gates += p.hardware_two_qubit_count as f64;
+            p_depth += p.hardware_two_qubit_depth as f64;
+            q_gates += q.hardware_two_qubit_count as f64;
+            q_depth += q.hardware_two_qubit_depth as f64;
         }
         let k = instances as f64;
         table.push_row(vec![

@@ -1,9 +1,10 @@
 //! Golden-snapshot tests for the figure-binary outputs.
 //!
-//! The figure binaries (`fig09_montreal`, `fig10_qaoa_fidelity`) are fully
-//! deterministic, so a small, fast subset of their rows is recomputed on
-//! every test run and compared byte-for-byte against the checked-in golden
-//! files under `tests/golden/`.  Any compiler or simulator change that
+//! The figure binaries (`fig09_montreal`, `fig10_qaoa_fidelity`,
+//! `table03_paulihedral`) are fully deterministic, so a small, fast subset
+//! of their rows — all of Table III — is recomputed on every test run and
+//! compared byte-for-byte against the checked-in golden files under
+//! `tests/golden/`.  Any compiler or simulator change that
 //! shifts the figures now fails here instead of silently drifting the
 //! regenerated CSVs — update the golden files (and review the diff) when
 //! the change is intentional.
@@ -17,7 +18,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use twoqan_bench::compilers::{CompilerKind, MetricsRow};
-use twoqan_bench::figures::run_qaoa_fidelity;
+use twoqan_bench::figures::{run_qaoa_fidelity, run_table3};
 use twoqan_bench::report::results_dir;
 use twoqan_bench::workloads::{Workload, WorkloadKind};
 use twoqan_device::Device;
@@ -94,7 +95,7 @@ fn fig10_subset() -> Vec<String> {
 /// with `cargo test -p twoqan-bench --test golden_snapshots -- --ignored`
 /// when a change intentionally shifts the figures, then review the diff.
 #[test]
-#[ignore = "regenerates tests/golden/*.csv; run explicitly and review the diff"]
+#[ignore = "regenerates tests/golden/*; run explicitly and review the diff"]
 fn regenerate_golden_files() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let write = |name: &str, header: String, rows: Vec<String>| {
@@ -110,6 +111,7 @@ fn regenerate_golden_files() {
         twoqan_bench::figures::FidelityRow::csv_header().to_string(),
         fig10_subset(),
     );
+    fs::write(dir.join("table03.txt"), run_table3().render()).unwrap();
 }
 
 #[test]
@@ -134,6 +136,19 @@ fn fig10_rows_match_the_golden_snapshot() {
         golden[1..].to_vec(),
         recomputed,
         "fig10 rows drifted from tests/golden/fig10_subset.csv — \
+         regenerate the golden file (and review the diff) if intentional"
+    );
+}
+
+#[test]
+fn table03_matches_the_golden_snapshot() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/table03.txt");
+    let golden =
+        fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    assert_eq!(
+        run_table3().render(),
+        golden,
+        "Table III drifted from tests/golden/table03.txt — \
          regenerate the golden file (and review the diff) if intentional"
     );
 }

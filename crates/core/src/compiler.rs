@@ -3,18 +3,18 @@
 use crate::budget::CompileBudget;
 use crate::error::CompileError;
 use crate::fault::FaultInjector;
-use crate::mapping::{CostModel, InitialMappingStrategy, MappingConfig, QubitMap};
+use crate::mapping::{CostModel, InitialMappingStrategy, MappingConfig};
 use crate::passes::{AlapSchedulePass, DecomposePass, PermutationRoutingPass, QapMappingPass};
 use crate::pipeline::{
     CompilationContext, CompiledOutput, Compiler, DegradationRung, PassManager, PassRecord,
     PipelineReport,
 };
-use crate::routing::{RoutedCircuit, RoutingConfig};
+use crate::routing::RoutingConfig;
 use crate::scheduling::SchedulingStrategy;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use twoqan_circuit::{Circuit, Gate, GateKind, HardwareMetrics, Moment, ScheduledCircuit};
-use twoqan_device::{Device, TwoQubitBasis};
+use twoqan_circuit::Circuit;
+use twoqan_device::Device;
 use twoqan_graphs::{AnnealingConfig, TabuConfig};
 
 /// Configuration of the 2QAN compiler.
@@ -33,8 +33,10 @@ pub struct TwoQanConfig {
     /// the fewest SWAPs (then fewest hardware gates) is kept.  The paper runs
     /// the randomised mapping pass 5 times and keeps the best result.
     pub mapping_trials: usize,
-    /// Routing configuration (SWAP dressing on/off).
-    pub routing: RoutingConfig,
+    /// Merge inserted SWAPs with circuit gates on the same qubit pair into
+    /// dressed SWAPs (SWAP unitary unifying, §III-C); disable only for
+    /// ablation studies.
+    pub enable_dressing: bool,
     /// Scheduling strategy (hybrid vs. order-respecting, for ablations).
     pub scheduling: SchedulingStrategy,
     /// Base random seed (trial `k` uses `seed + k`).
@@ -43,11 +45,10 @@ pub struct TwoQanConfig {
     /// (§III-C); disable only for ablation studies.
     pub unify_input: bool,
     /// The distance cost model — the single switch that drives both the
-    /// QAP mapping distance matrix and the router's SWAP selection
-    /// (it overrides `routing.cost`).  [`CostModel::CalibrationAware`]
-    /// steers placement and routing onto the device target's low-error
-    /// qubits/edges; on a uniform target it reproduces the hop-count
-    /// compilation bit for bit.
+    /// QAP mapping distance matrix and the router's SWAP selection.
+    /// [`CostModel::CalibrationAware`] steers placement and routing onto
+    /// the device target's low-error qubits/edges; on a uniform target it
+    /// reproduces the hop-count compilation bit for bit.
     pub cost_model: CostModel,
     /// Wall-clock deadline / cancellation budget for the compilation.  The
     /// default is unlimited (bit-identical to a compiler without budget
@@ -71,7 +72,7 @@ impl Default for TwoQanConfig {
             tabu: TabuConfig::default(),
             annealing: AnnealingConfig::default(),
             mapping_trials: 3,
-            routing: RoutingConfig::default(),
+            enable_dressing: true,
             scheduling: SchedulingStrategy::Hybrid,
             seed: 2021,
             unify_input: true,
@@ -104,131 +105,16 @@ impl TwoQanConfig {
         }
     }
 
-    /// The routing-pass configuration implied by this compiler config
-    /// (`routing` with the compiler-level cost model applied).
+    /// The routing-pass configuration implied by this compiler config.
     pub fn routing_config(&self) -> RoutingConfig {
         RoutingConfig {
+            enable_dressing: self.enable_dressing,
             cost: self.cost_model,
-            ..self.routing
         }
     }
 }
 
-/// The output of a 2QAN compilation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompilationResult {
-    /// The initial qubit placement `φ_0`.
-    pub initial_map: QubitMap,
-    /// The routing structure (maps, per-map gates, SWAP actions).
-    pub routed: RoutedCircuit,
-    /// The scheduled hardware circuit over physical qubits, still carrying
-    /// application-level unitaries (decomposition is metric-level unless an
-    /// exact circuit is requested).
-    pub hardware_circuit: ScheduledCircuit,
-    /// Gate counts and depths for the device's native basis.
-    pub metrics: HardwareMetrics,
-    /// The native basis the metrics were computed for.
-    pub basis: TwoQubitBasis,
-}
-
-impl CompilationResult {
-    /// Number of inserted SWAPs (plain + dressed).
-    pub fn swap_count(&self) -> usize {
-        self.metrics.swap_count
-    }
-
-    /// Number of SWAPs merged with circuit gates ("2QAN dressed").
-    pub fn dressed_swap_count(&self) -> usize {
-        self.metrics.dressed_swap_count
-    }
-
-    /// Returns `true` if every two-qubit gate of the compiled circuit acts on
-    /// a pair of qubits that are adjacent on `device`.
-    pub fn hardware_compatible(&self, device: &Device) -> bool {
-        self.hardware_circuit
-            .iter_gates()
-            .filter(|g| g.is_two_qubit())
-            .all(|g| device.are_adjacent(g.qubit0(), g.qubit1()))
-    }
-
-    /// Builds the schedule of one additional layer/Trotter step from this
-    /// compiled first step, as the paper does for multi-layer QAOA: even
-    /// layers reuse the compiled circuit with the gate order reversed, odd
-    /// layers reuse it as-is.  The two-qubit interaction coefficients are
-    /// multiplied by `gamma_scale` and single-qubit rotation angles by
-    /// `beta_scale`, so per-layer QAOA parameters can be substituted without
-    /// recompiling.
-    pub fn layer_schedule(
-        &self,
-        gamma_scale: f64,
-        beta_scale: f64,
-        reversed: bool,
-    ) -> ScheduledCircuit {
-        let moments: Vec<Moment> = self.hardware_circuit.moments().to_vec();
-        let iter: Box<dyn Iterator<Item = &Moment>> = if reversed {
-            Box::new(moments.iter().rev())
-        } else {
-            Box::new(moments.iter())
-        };
-        let mut out = ScheduledCircuit::new(self.hardware_circuit.num_qubits());
-        for moment in iter {
-            let mut m = Moment::new();
-            for gate in moment.gates() {
-                let scaled = scale_gate(gate, gamma_scale, beta_scale);
-                let pushed = m.try_push(scaled);
-                debug_assert!(pushed, "scaling preserves qubit disjointness");
-            }
-            out.push_moment(m);
-        }
-        out
-    }
-
-    /// Collects the artifact of a finished 2QAN pipeline run.
-    fn from_context(ctx: CompilationContext<'_>) -> Self {
-        Self {
-            initial_map: ctx
-                .initial_layout
-                .expect("the mapping pass sets the initial layout"),
-            routed: ctx
-                .routed
-                .expect("the routing pass sets the routed circuit"),
-            hardware_circuit: ctx.schedule.expect("the scheduling pass sets the schedule"),
-            metrics: ctx.metrics.expect("the decompose pass sets the metrics"),
-            basis: ctx.basis,
-        }
-    }
-}
-
-/// Scales the interaction coefficients / rotation angles of a gate (used for
-/// per-layer QAOA parameter substitution).
-fn scale_gate(gate: &Gate, gamma_scale: f64, beta_scale: f64) -> Gate {
-    match gate.kind {
-        GateKind::Canonical { xx, yy, zz } => Gate::two(
-            GateKind::Canonical {
-                xx: xx * gamma_scale,
-                yy: yy * gamma_scale,
-                zz: zz * gamma_scale,
-            },
-            gate.qubit0(),
-            gate.qubit1(),
-        ),
-        GateKind::DressedSwap { xx, yy, zz } => Gate::two(
-            GateKind::DressedSwap {
-                xx: xx * gamma_scale,
-                yy: yy * gamma_scale,
-                zz: zz * gamma_scale,
-            },
-            gate.qubit0(),
-            gate.qubit1(),
-        ),
-        GateKind::Rx(t) => Gate::single(GateKind::Rx(t * beta_scale), gate.qubit0()),
-        GateKind::Ry(t) => Gate::single(GateKind::Ry(t * beta_scale), gate.qubit0()),
-        GateKind::Rz(t) => Gate::single(GateKind::Rz(t * beta_scale), gate.qubit0()),
-        _ => *gate,
-    }
-}
-
-/// The 2QAN compiler.
+/// The 2QAN compiler.  It compiles through [`Compiler::compile`].
 #[derive(Debug, Clone, Default)]
 pub struct TwoQanCompiler {
     config: TwoQanConfig,
@@ -277,32 +163,42 @@ impl TwoQanCompiler {
         pipeline
     }
 
-    /// Compiles one Trotter step / QAOA layer onto a device.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
-    /// the device, and propagates routing failures (which do not occur on
-    /// connected devices).
-    pub fn compile(
+    /// The bottom rung of the degradation ladder: identity placement,
+    /// hop-count routing and scheduling — no iterative search anywhere, so
+    /// it terminates regardless of how little budget remains.  Runs under
+    /// the compile's fallback fault stream (if an injector is attached) so
+    /// chaos runs exercise the fallback path too.
+    fn trivial_fallback(
         &self,
-        circuit: &Circuit,
+        prepared: &Circuit,
         device: &Device,
-    ) -> Result<CompilationResult, CompileError> {
-        self.compile_with_report(circuit, device)
-            .map(|(result, _)| result)
+        faults: Option<Arc<FaultInjector>>,
+    ) -> Result<CompiledOutput, CompileError> {
+        let pipeline = self.pipeline(InitialMappingStrategy::Trivial, CostModel::HopCount);
+        let mut ctx = CompilationContext::for_device(prepared.clone(), device, self.config.seed);
+        ctx.faults = faults;
+        let report = pipeline.run(&mut ctx)?;
+        Ok(ctx.into_output(Compiler::name(self), report))
+    }
+}
+
+impl Compiler for TwoQanCompiler {
+    fn name(&self) -> &'static str {
+        match self.config.cost_model {
+            CostModel::HopCount => "2QAN",
+            CostModel::CalibrationAware => "2QAN-noise",
+        }
     }
 
-    /// Compiles like [`TwoQanCompiler::compile`] and also returns the
-    /// per-pass [`PipelineReport`].
+    /// Compiles one Trotter step / QAOA layer onto a device.
     ///
     /// The planned portfolio is one pipeline run per (mapping trial, cost
     /// model) candidate, each trial with its own seed; candidate `k` is
     /// trial `k / models` under cost model `k % models`.  The candidates run
     /// concurrently through [`twoqan_pool::run_indexed`] — on the installed
     /// [`twoqan_pool::CompilePool`], or on a transient one with a worker per
-    /// core that the solvers' nested restarts share — and their results are
-    /// folded in index order: the result with the fewest SWAPs
+    /// core that the solvers' nested restarts share — and their outputs are
+    /// folded in index order: the output with the fewest SWAPs
     /// (then fewest hardware gates, then lowest depth) is kept, or for the
     /// calibration-aware portfolio the one with the highest ESP, compared
     /// as the sum of the logs of its gate, idle and readout factors
@@ -323,7 +219,7 @@ impl TwoQanCompiler {
     /// mapping pass, the solvers poll it per sweep).  If not even one run
     /// completed (deadline already expired on entry, or every run failed),
     /// a trivial-placement + routing fallback that always terminates
-    /// produces the result.  The report records the rung that ran
+    /// produces the output.  The report records the rung that ran
     /// ([`DegradationRung::Full`] only when every planned candidate
     /// completed), the configured deadline and the budget actually
     /// consumed.
@@ -333,11 +229,13 @@ impl TwoQanCompiler {
     /// the stream after the last candidate, so a chaos compile injects the
     /// same faults for any worker count.  A candidate that panics re-raises
     /// its panic once every candidate has finished, the lowest index first.
-    pub fn compile_with_report(
-        &self,
-        circuit: &Circuit,
-        device: &Device,
-    ) -> Result<(CompilationResult, PipelineReport), CompileError> {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CompileError::TooManyQubits`] if the circuit does not fit on
+    /// the device, and propagates routing failures (which do not occur on
+    /// connected devices).
+    fn compile(&self, circuit: &Circuit, device: &Device) -> Result<CompiledOutput, CompileError> {
         let armed = self.config.budget.arm();
         let trials = self.config.mapping_trials.max(1);
         // Unify once, up front: the pre-pass draws no randomness, so every
@@ -412,7 +310,7 @@ impl TwoQanCompiler {
                 Some(catch_unwind(AssertUnwindSafe(|| {
                     let trial_report = pipeline.run(&mut ctx)?;
                     let timeline = ctx.timeline.take();
-                    let candidate = CompilationResult::from_context(ctx);
+                    let candidate = ctx.into_output(Compiler::name(self), trial_report);
                     let esp = if error_aware {
                         let timeline =
                             timeline.expect("the decompose pass sets the timeline for device runs");
@@ -425,18 +323,18 @@ impl TwoQanCompiler {
                     } else {
                         0.0
                     };
-                    Ok((candidate, esp, trial_report))
+                    Ok((candidate, esp))
                 })))
             })
         };
-        let legacy_rank = |r: &CompilationResult| {
+        let legacy_rank = |r: &CompiledOutput| {
             (
                 r.metrics.swap_count,
                 r.metrics.hardware_two_qubit_count,
                 r.metrics.hardware_two_qubit_depth,
             )
         };
-        let mut best: Option<(CompilationResult, f64)> = None;
+        let mut best: Option<(CompiledOutput, f64)> = None;
         let mut report = PipelineReport::default();
         let mut completed = 0usize;
         let mut first_error: Option<CompileError> = None;
@@ -445,7 +343,7 @@ impl TwoQanCompiler {
             // aborting the compilation: other runs (or the fallback) may
             // still succeed.  The first error is kept for the case where
             // nothing does.
-            let (candidate, esp, trial_report) = match run {
+            let (candidate, esp) = match run {
                 Ok(Ok(outcome)) => outcome,
                 Ok(Err(e)) => {
                     first_error.get_or_insert(e);
@@ -469,25 +367,29 @@ impl TwoQanCompiler {
                     }
                 }
             };
-            report.absorb_trial(&trial_report, better);
+            report.absorb_trial(&candidate.report, better);
             if better {
                 best = Some((candidate, esp));
             }
         }
-        let mut best = best.map(|(candidate, _)| candidate);
         let mut rung = if completed == planned {
             DegradationRung::Full
         } else {
             DegradationRung::SinglePipeline
         };
-        if best.is_none() {
-            // Bottom rung: trivial placement + routing, no iterative search.
-            rung = DegradationRung::TrivialFallback;
-            match self.trivial_fallback(&prepared, device, stream(planned), &mut report) {
-                Ok(result) => best = Some(result),
-                Err(fallback_err) => return Err(first_error.unwrap_or(fallback_err)),
+        let mut output = match best {
+            Some((candidate, _)) => candidate,
+            None => {
+                // Bottom rung: trivial placement + routing, no iterative
+                // search.
+                rung = DegradationRung::TrivialFallback;
+                let fallback = self
+                    .trivial_fallback(&prepared, device, stream(planned))
+                    .map_err(|fallback_err| first_error.unwrap_or(fallback_err))?;
+                report.absorb_trial(&fallback.report, true);
+                fallback
             }
-        }
+        };
         if let Some(record) = unify_record {
             report.total_ms += record.wall_ms;
             report.passes.insert(0, record);
@@ -495,59 +397,15 @@ impl TwoQanCompiler {
         report.rung = rung;
         report.deadline_ms = self.config.budget.deadline.map(|d| d.as_secs_f64() * 1e3);
         report.budget_consumed_ms = armed.consumed().as_secs_f64() * 1e3;
-        Ok((
-            best.expect("portfolio or fallback produced a result"),
-            report,
-        ))
-    }
-
-    /// The bottom rung of the degradation ladder: identity placement,
-    /// hop-count routing and scheduling — no iterative search anywhere, so
-    /// it terminates regardless of how little budget remains.  Runs under
-    /// the compile's fallback fault stream (if an injector is attached) so
-    /// chaos runs exercise the fallback path too.
-    fn trivial_fallback(
-        &self,
-        prepared: &Circuit,
-        device: &Device,
-        faults: Option<Arc<FaultInjector>>,
-        report: &mut PipelineReport,
-    ) -> Result<CompilationResult, CompileError> {
-        let pipeline = self.pipeline(InitialMappingStrategy::Trivial, CostModel::HopCount);
-        let mut ctx = CompilationContext::for_device(prepared.clone(), device, self.config.seed);
-        ctx.faults = faults;
-        let fallback_report = pipeline.run(&mut ctx)?;
-        report.absorb_trial(&fallback_report, true);
-        Ok(CompilationResult::from_context(ctx))
-    }
-}
-
-impl Compiler for TwoQanCompiler {
-    fn name(&self) -> &'static str {
-        match self.config.cost_model {
-            CostModel::HopCount => "2QAN",
-            CostModel::CalibrationAware => "2QAN-noise",
-        }
-    }
-
-    fn compile(&self, circuit: &Circuit, device: &Device) -> Result<CompiledOutput, CompileError> {
-        let (result, report) = self.compile_with_report(circuit, device)?;
-        Ok(CompiledOutput {
-            compiler: Compiler::name(self),
-            initial_placement: result.initial_map.assignment().to_vec(),
-            final_placement: Some(result.routed.final_map().assignment().to_vec()),
-            hardware_circuit: result.hardware_circuit,
-            metrics: result.metrics,
-            basis: result.basis,
-            report,
-        })
+        output.report = report;
+        Ok(output)
     }
 
     fn cache_fingerprint(&self) -> u64 {
         // Every config knob that can change the artifact is covered (seed,
-        // trials, strategies, cost model, deadline).  The cancellation token
-        // is normalized out: its live flag is request state, and a cancelled
-        // compile is degraded and never cached.
+        // trials, strategies, cost model, dressing, deadline).  The
+        // cancellation token is normalized out: its live flag is request
+        // state, and a cancelled compile is degraded and never cached.
         let mut config = self.config.clone();
         config.budget.cancel = None;
         crate::hash::fnv1a_64(&format!("{}|{config:?}", Compiler::name(self)))
@@ -583,6 +441,9 @@ fn ln_esp((gate, idle, readout): (f64, f64, f64)) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::bit_identical;
+    use twoqan_circuit::Gate;
+    use twoqan_device::TwoQubitBasis;
     use twoqan_ham::{nnn_heisenberg, nnn_ising, nnn_xy, trotter_step, QaoaProblem};
 
     #[test]
@@ -598,7 +459,7 @@ mod tests {
         assert!((high - low - 10.0 * std::f64::consts::LN_10).abs() < 1e-9);
     }
 
-    fn compile(circuit: &Circuit, device: &Device) -> CompilationResult {
+    fn compile(circuit: &Circuit, device: &Device) -> CompiledOutput {
         TwoQanCompiler::new(TwoQanConfig {
             mapping_trials: 2,
             ..TwoQanConfig::default()
@@ -625,7 +486,7 @@ mod tests {
                 assert_eq!(
                     result.metrics.application_two_qubit_count,
                     circuit.unify_same_pair_gates().two_qubit_gate_count() + result.swap_count()
-                        - result.dressed_swap_count()
+                        - result.metrics.dressed_swap_count
                 );
             }
         }
@@ -639,7 +500,7 @@ mod tests {
         let result = compile(&circuit, &device);
         assert!(result.hardware_compatible(&device));
         assert!(result.swap_count() > 0);
-        assert!(result.dressed_swap_count() <= result.swap_count());
+        assert!(result.metrics.dressed_swap_count <= result.swap_count());
         assert_eq!(result.basis, TwoQubitBasis::Cnot);
     }
 
@@ -665,41 +526,21 @@ mod tests {
     }
 
     #[test]
-    fn layer_schedule_scales_parameters_and_reverses() {
-        let problem = QaoaProblem::random_regular(8, 3, 2);
-        let circuit = problem.circuit(&[(0.5, 0.25)], false);
+    fn dressing_changes_the_artifact_and_the_cache_fingerprint() {
+        let circuit = trotter_step(&nnn_heisenberg(10, 9), 1.0);
         let device = Device::montreal();
-        let result = compile(&circuit, &device);
-        let forward = result.layer_schedule(2.0, 3.0, false);
-        assert_eq!(forward.gate_count(), result.hardware_circuit.gate_count());
-        // Interaction coefficients doubled.
-        let original_zz: f64 = result
-            .hardware_circuit
-            .iter_gates()
-            .filter_map(|g| match g.kind {
-                GateKind::Canonical { zz, .. } | GateKind::DressedSwap { zz, .. } => Some(zz),
-                _ => None,
-            })
-            .sum();
-        let scaled_zz: f64 = forward
-            .iter_gates()
-            .filter_map(|g| match g.kind {
-                GateKind::Canonical { zz, .. } | GateKind::DressedSwap { zz, .. } => Some(zz),
-                _ => None,
-            })
-            .sum();
-        assert!((scaled_zz - 2.0 * original_zz).abs() < 1e-9);
-        let reversed = result.layer_schedule(1.0, 1.0, true);
-        assert_eq!(reversed.gate_count(), forward.gate_count());
-        let first_forward = result
-            .hardware_circuit
-            .moments()
-            .first()
-            .unwrap()
-            .gates()
-            .len();
-        let last_reversed = reversed.moments().last().unwrap().gates().len();
-        assert_eq!(first_forward, last_reversed);
+        let dressed = TwoQanCompiler::default();
+        let plain = TwoQanCompiler::new(TwoQanConfig {
+            enable_dressing: false,
+            ..TwoQanConfig::default()
+        });
+        let dressed_swaps = |c: &TwoQanCompiler| {
+            let out = c.compile(&circuit, &device).unwrap();
+            out.metrics.dressed_swap_count
+        };
+        assert!(dressed_swaps(&dressed) > 0);
+        assert_eq!(dressed_swaps(&plain), 0);
+        assert_ne!(dressed.cache_fingerprint(), plain.cache_fingerprint());
     }
 
     #[test]
@@ -747,7 +588,7 @@ mod tests {
         })
         .compile(&circuit, &device)
         .unwrap();
-        assert_eq!(stock, budgeted);
+        assert!(bit_identical(&stock, &budgeted));
     }
 
     #[test]
@@ -755,20 +596,17 @@ mod tests {
         use std::time::Duration;
         let circuit = trotter_step(&nnn_heisenberg(10, 9), 1.0);
         let device = Device::montreal();
-        let (result, report) = TwoQanCompiler::new(TwoQanConfig {
+        let result = TwoQanCompiler::new(TwoQanConfig {
             budget: CompileBudget::with_deadline(Duration::ZERO),
             ..TwoQanConfig::default()
         })
-        .compile_with_report(&circuit, &device)
+        .compile(&circuit, &device)
         .unwrap();
-        assert_eq!(report.rung, DegradationRung::TrivialFallback);
-        assert_eq!(report.deadline_ms, Some(0.0));
+        assert_eq!(result.report.rung, DegradationRung::TrivialFallback);
+        assert_eq!(result.report.deadline_ms, Some(0.0));
         assert!(result.hardware_compatible(&device));
         // The fallback starts from the identity placement.
-        assert_eq!(
-            result.initial_map.assignment(),
-            &(0..10).collect::<Vec<_>>()[..]
-        );
+        assert_eq!(result.initial_placement, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
@@ -778,14 +616,14 @@ mod tests {
         let device = Device::montreal();
         let token = CancelToken::new();
         token.cancel();
-        let (result, report) = TwoQanCompiler::new(TwoQanConfig {
+        let result = TwoQanCompiler::new(TwoQanConfig {
             budget: CompileBudget::unlimited().with_cancel_token(token),
             ..TwoQanConfig::default()
         })
-        .compile_with_report(&circuit, &device)
+        .compile(&circuit, &device)
         .unwrap();
-        assert_eq!(report.rung, DegradationRung::TrivialFallback);
-        assert_eq!(report.deadline_ms, None);
+        assert_eq!(result.report.rung, DegradationRung::TrivialFallback);
+        assert_eq!(result.report.deadline_ms, None);
         assert!(result.hardware_compatible(&device));
     }
 
@@ -825,14 +663,14 @@ mod tests {
         use std::time::Duration;
         let circuit = trotter_step(&nnn_heisenberg(8, 7), 1.0);
         let device = Device::montreal();
-        let (result, report) = TwoQanCompiler::new(TwoQanConfig {
+        let result = TwoQanCompiler::new(TwoQanConfig {
             budget: CompileBudget::with_deadline(Duration::from_secs(600)),
             ..TwoQanConfig::default()
         })
-        .compile_with_report(&circuit, &device)
+        .compile(&circuit, &device)
         .unwrap();
-        assert_eq!(report.rung, DegradationRung::Full);
-        assert!(report.budget_consumed_ms > 0.0);
+        assert_eq!(result.report.rung, DegradationRung::Full);
+        assert!(result.report.budget_consumed_ms > 0.0);
         assert!(result.hardware_compatible(&device));
     }
 
@@ -849,42 +687,16 @@ mod tests {
             error_probability: 0.35,
             ..FaultConfig::default()
         }));
-        let (result, report) = TwoQanCompiler::new(TwoQanConfig {
+        let result = TwoQanCompiler::new(TwoQanConfig {
             mapping_trials: 4,
             ..TwoQanConfig::default()
         })
         .with_fault_injector(Arc::clone(&injector))
-        .compile_with_report(&circuit, &device)
+        .compile(&circuit, &device)
         .unwrap();
         assert!(injector.counts().errors > 0, "no fault ever fired");
-        assert_ne!(report.rung, DegradationRung::Full);
+        assert_ne!(result.report.rung, DegradationRung::Full);
         assert!(result.hardware_compatible(&device));
-    }
-
-    /// The report fields that do not depend on timing: per-pass names and
-    /// winner snapshots, trial count, rung and deadline.
-    type NonTiming = (
-        Vec<(&'static str, usize, usize, isize, isize)>,
-        usize,
-        DegradationRung,
-        Option<f64>,
-    );
-
-    fn non_timing(report: &PipelineReport) -> NonTiming {
-        let passes: Vec<_> = report
-            .passes
-            .iter()
-            .map(|p| {
-                (
-                    p.name,
-                    p.two_qubit_gates_after,
-                    p.depth_after,
-                    p.gate_delta,
-                    p.depth_delta,
-                )
-            })
-            .collect();
-        (passes, report.trials, report.rung, report.deadline_ms)
     }
 
     /// Runs `compile` with an installed `workers`-worker pool, or with none.
@@ -901,19 +713,14 @@ mod tests {
         let compiler = TwoQanCompiler::new(TwoQanConfig::calibration_aware());
         let runs: Vec<_> = [Some(1), Some(2), None]
             .into_iter()
-            .map(|workers| {
-                on_pool(workers, || {
-                    compiler.compile_with_report(&circuit, &device).unwrap()
-                })
-            })
+            .map(|workers| on_pool(workers, || compiler.compile(&circuit, &device).unwrap()))
             .collect();
-        let (reference, reference_report) = &runs[0];
+        let reference = &runs[0];
         // The six-candidate portfolio ran in full.
-        assert_eq!(reference_report.trials, 6);
-        assert_eq!(reference_report.rung, DegradationRung::Full);
-        for (result, report) in &runs[1..] {
-            assert_eq!(result, reference);
-            assert_eq!(non_timing(report), non_timing(reference_report));
+        assert_eq!(reference.report.trials, 6);
+        assert_eq!(reference.report.rung, DegradationRung::Full);
+        for result in &runs[1..] {
+            assert!(bit_identical(result, reference));
         }
     }
 
@@ -932,20 +739,16 @@ mod tests {
             }));
             let compiler = TwoQanCompiler::new(TwoQanConfig::calibration_aware())
                 .with_fault_injector(Arc::clone(&injector));
-            let outcome = on_pool(Some(workers), || {
-                compiler
-                    .compile_with_report(&circuit, &device)
-                    .map(|(result, report)| (result, non_timing(&report)))
-            });
+            let outcome = on_pool(Some(workers), || compiler.compile(&circuit, &device));
             (outcome, injector.counts())
         };
         let (serial, serial_counts) = run(1);
         assert!(serial_counts.errors > 0 && serial_counts.delays > 0);
-        let (_, report) = serial.as_ref().expect("some candidate survives");
-        assert_eq!(report.2, DegradationRung::SinglePipeline);
+        let serial = serial.expect("some candidate survives");
+        assert_eq!(serial.report.rung, DegradationRung::SinglePipeline);
         for _ in 0..3 {
             let (concurrent, counts) = run(2);
-            assert_eq!(concurrent, serial);
+            assert!(bit_identical(&concurrent.unwrap(), &serial));
             assert_eq!(counts, serial_counts);
         }
     }
@@ -975,7 +778,7 @@ mod tests {
         let circuit = trotter_step(&nnn_heisenberg(10, 9), 1.0);
         let device = Device::montreal();
         let cold = TwoQanCompiler::default();
-        let cold_out = Compiler::compile(&cold, &circuit, &device).unwrap();
+        let cold_out = cold.compile(&circuit, &device).unwrap();
         let seed = cold_out.initial_placement.clone();
         let warm = cold
             .warm_clone(&seed)

@@ -20,8 +20,9 @@
 //!    device's native basis ([`decompose`]); because all previous passes are
 //!    basis-agnostic, 2QAN targets CNOT, CZ, SYC and iSWAP devices alike.
 //!
-//! The [`TwoQanCompiler`] type runs the whole pipeline and returns a
-//! [`CompilationResult`] with the hardware circuit and its metrics.
+//! The [`TwoQanCompiler`] type runs the whole pipeline through
+//! [`Compiler::compile`] and returns a [`CompiledOutput`] with the hardware
+//! circuit, its metrics, the placements and the per-pass report.
 //!
 //! # Architecture
 //!
@@ -30,9 +31,9 @@
 //! AlapSchedulePass, DecomposePass]`, see [`passes`]) run by a
 //! [`PassManager`] over a shared [`CompilationContext`] ([`pipeline`]);
 //! every run is instrumented into a [`PipelineReport`] with per-pass
-//! wall-clock and gate/depth deltas.  The [`Compiler`] trait is the uniform
-//! entry point over 2QAN and the `twoqan_baselines` compilers (dispatch
-//! happens through `twoqan_baselines::CompilerRegistry`), and
+//! wall-clock and gate/depth deltas.  The [`Compiler`] trait is the only
+//! compile entry point of 2QAN and the `twoqan_baselines` compilers
+//! (dispatch happens through `twoqan_baselines::CompilerRegistry`), and
 //! [`BatchCompiler`] ([`batch`]) fans whole workload × device × compiler
 //! sweeps out over a shared work-stealing [`pool::CompilePool`] with
 //! deterministic result ordering; the pool is provisioned once per batch
@@ -45,7 +46,7 @@
 //! # Example
 //!
 //! ```
-//! use twoqan::{TwoQanCompiler, TwoQanConfig};
+//! use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
 //! use twoqan_device::Device;
 //! use twoqan_ham::{nnn_ising, trotterize};
 //!
@@ -77,7 +78,7 @@ pub use twoqan_pool as pool;
 
 pub use batch::{compile_isolated, BatchCompiler, BatchJob};
 pub use budget::{CancelToken, CompileBudget, SolverBudget};
-pub use compiler::{CompilationResult, TwoQanCompiler, TwoQanConfig};
+pub use compiler::{TwoQanCompiler, TwoQanConfig};
 pub use error::CompileError;
 pub use fault::{ChaosCompiler, FaultConfig, FaultCounts, FaultInjector};
 pub use mapping::{CostModel, InitialMappingStrategy, MappingConfig, QubitMap};

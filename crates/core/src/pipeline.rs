@@ -8,8 +8,8 @@
 //! manager instruments every pass with wall-clock timing and gate/depth
 //! deltas and records them in a [`PipelineReport`].
 //!
-//! On top of the pass layer, the [`Compiler`] trait is the uniform
-//! entry point consumers dispatch through: `compile(circuit, device)`
+//! On top of the pass layer, the [`Compiler`] trait is the one compile
+//! entry point of every workspace compiler: `compile(circuit, device)`
 //! returns a [`CompiledOutput`] carrying the scheduled hardware circuit,
 //! its metrics, the initial/final placements and the pipeline report.
 //! `twoqan_baselines::CompilerRegistry` collects one boxed [`Compiler`]
@@ -412,8 +412,9 @@ impl std::fmt::Debug for PassManager {
     }
 }
 
-/// The uniform output every workspace compiler produces through the
-/// [`Compiler`] trait.
+/// The one artifact type every workspace compiler returns through the
+/// [`Compiler`] trait, built from a finished pipeline by
+/// [`CompilationContext::into_output`].
 #[derive(Debug, Clone)]
 pub struct CompiledOutput {
     /// The compiler's display name (as in tables and CSV files).
@@ -447,6 +448,33 @@ impl CompiledOutput {
             .filter(|g| g.is_two_qubit())
             .all(|g| device.are_adjacent(g.qubit0(), g.qubit1()))
     }
+}
+
+/// Compares two compiled artifacts for bit-identity on everything the
+/// compiler *decides*: hardware circuit, metrics, basis, placements,
+/// compiler name, trial count, degradation rung, deadline and per-pass
+/// gate/depth accounting.  The wall-clock *timing* instrumentation
+/// (`wall_ms`, `total_ms`, `budget_consumed_ms`) is excluded — it measures
+/// the run, not the artifact, and legitimately differs between a cold
+/// compile and the compile that populated a cache.
+pub fn bit_identical(a: &CompiledOutput, b: &CompiledOutput) -> bool {
+    a.compiler == b.compiler
+        && a.hardware_circuit == b.hardware_circuit
+        && a.metrics == b.metrics
+        && a.basis == b.basis
+        && a.initial_placement == b.initial_placement
+        && a.final_placement == b.final_placement
+        && a.report.trials == b.report.trials
+        && a.report.rung == b.report.rung
+        && a.report.deadline_ms == b.report.deadline_ms
+        && a.report.passes.len() == b.report.passes.len()
+        && a.report.passes.iter().zip(&b.report.passes).all(|(x, y)| {
+            x.name == y.name
+                && x.two_qubit_gates_after == y.two_qubit_gates_after
+                && x.depth_after == y.depth_after
+                && x.gate_delta == y.gate_delta
+                && x.depth_delta == y.depth_delta
+        })
 }
 
 /// The uniform compile entry point over 2QAN and the baseline compilers.
@@ -663,6 +691,28 @@ mod tests {
         ctx.faults = Some(Arc::clone(&injector));
         pm.run(&mut ctx).unwrap();
         assert_eq!(injector.counts().checks, 2);
+    }
+
+    #[test]
+    fn hardware_compatibility_detects_non_adjacent_gates() {
+        let device = Device::montreal();
+        let output = |gate| {
+            let hardware_circuit = ScheduledCircuit::asap_from_gates(device.num_qubits(), &[gate]);
+            CompiledOutput {
+                compiler: "test",
+                metrics: HardwareMetrics::of(
+                    &hardware_circuit,
+                    device.default_basis().cost_model(),
+                ),
+                hardware_circuit,
+                basis: device.default_basis(),
+                initial_placement: Vec::new(),
+                final_placement: None,
+                report: PipelineReport::default(),
+            }
+        };
+        assert!(output(Gate::canonical(0, 1, 0.0, 0.0, 0.4)).hardware_compatible(&device));
+        assert!(!output(Gate::canonical(0, 26, 0.0, 0.0, 0.4)).hardware_compatible(&device));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! hold [`CENSUS_LOCK`] against each other.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use twoqan::{BatchCompiler, BatchJob, DegradationRung, TwoQanCompiler, TwoQanConfig};
+use twoqan::{BatchCompiler, BatchJob, Compiler, DegradationRung, TwoQanCompiler, TwoQanConfig};
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
 use twoqan_ham::{nnn_heisenberg, nnn_ising, trotter_step};
@@ -67,7 +67,7 @@ fn standalone_portfolio_compile_spawns_at_most_one_pool() {
     assert!(CompilePool::current_workers().is_none());
     let compiler = TwoQanCompiler::new(TwoQanConfig::calibration_aware());
     let before = spawned_thread_census();
-    let (_, report) = compiler.compile_with_report(&circuit, &device).unwrap();
+    let report = compiler.compile(&circuit, &device).unwrap().report;
     let spawned = spawned_thread_census() - before;
     assert_eq!(report.trials, 6, "the full portfolio ran");
     assert_eq!(report.rung, DegradationRung::Full);

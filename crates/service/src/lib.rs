@@ -83,6 +83,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use twoqan::hash::ContentHasher;
+pub use twoqan::pipeline::bit_identical;
 use twoqan::pipeline::{CompiledOutput, Compiler, DegradationRung};
 use twoqan::{compile_isolated, CompileError, CompilePool};
 use twoqan_baselines::CompilerRegistry;
@@ -1313,33 +1314,6 @@ fn hash_target(h: &mut ContentHasher, target: &Target) {
         avg.t2_us,
     ]);
     h.write_u8(target.is_uniform() as u8);
-}
-
-/// Compares two compiled artifacts for bit-identity on everything the
-/// compiler *decides*: hardware circuit, metrics, basis, placements,
-/// compiler name, trial count, degradation rung, deadline and per-pass
-/// gate/depth accounting.  The wall-clock *timing* instrumentation
-/// (`wall_ms`, `total_ms`, `budget_consumed_ms`) is excluded — it measures
-/// the run, not the artifact, and legitimately differs between a cold
-/// compile and the compile that populated the cache.
-pub fn bit_identical(a: &CompiledOutput, b: &CompiledOutput) -> bool {
-    a.compiler == b.compiler
-        && a.hardware_circuit == b.hardware_circuit
-        && a.metrics == b.metrics
-        && a.basis == b.basis
-        && a.initial_placement == b.initial_placement
-        && a.final_placement == b.final_placement
-        && a.report.trials == b.report.trials
-        && a.report.rung == b.report.rung
-        && a.report.deadline_ms == b.report.deadline_ms
-        && a.report.passes.len() == b.report.passes.len()
-        && a.report.passes.iter().zip(&b.report.passes).all(|(x, y)| {
-            x.name == y.name
-                && x.two_qubit_gates_after == y.two_qubit_gates_after
-                && x.depth_after == y.depth_after
-                && x.gate_delta == y.gate_delta
-                && x.depth_delta == y.depth_delta
-        })
 }
 
 #[cfg(test)]

@@ -326,7 +326,7 @@ pub fn all_gates_commute(circuit: &Circuit) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twoqan::{TwoQanCompiler, TwoQanConfig};
+    use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
     use twoqan_device::{Device, TwoQubitBasis};
     use twoqan_ham::{nnn_heisenberg, trotter_step};
 
@@ -446,9 +446,9 @@ mod tests {
             .check(
                 &unified,
                 &result.hardware_circuit,
-                result.initial_map.assignment(),
+                &result.initial_placement,
                 EquivalenceMode::TermPermutation,
-                Some(result.routed.final_map().assignment()),
+                result.final_placement.as_deref(),
             )
             .unwrap();
         assert!(
@@ -457,7 +457,7 @@ mod tests {
             report.max_amplitude_error
         );
         assert_eq!(report.swap_count, result.swap_count());
-        assert_eq!(report.dressed_swap_count, result.dressed_swap_count());
+        assert_eq!(report.dressed_swap_count, result.metrics.dressed_swap_count);
     }
 
     #[test]

@@ -155,6 +155,7 @@ pub fn check_order_preserved(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twoqan::Compiler;
     use twoqan_baselines::GenericCompiler;
     use twoqan_circuit::Gate;
     use twoqan_device::TwoQubitBasis;
@@ -172,11 +173,12 @@ mod tests {
         assert_eq!(report.application_gates, unified.two_qubit_gate_count());
         assert_eq!(report.dressed_swaps, 0);
         assert_eq!(report.plain_swaps, result.swap_count());
-        let placement = result
-            .initial_placement
-            .as_deref()
-            .expect("generic baselines record their placement");
-        check_order_preserved(&unified, &result.hardware_circuit, placement).unwrap();
+        check_order_preserved(
+            &unified,
+            &result.hardware_circuit,
+            &result.initial_placement,
+        )
+        .unwrap();
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use twoqan::{TwoQanCompiler, TwoQanConfig};
+//! use twoqan::{Compiler, TwoQanCompiler, TwoQanConfig};
 //! use twoqan_device::{Device, TwoQubitBasis};
 //! use twoqan_ham::{nnn_heisenberg, trotter_step};
 //! use twoqan_verify::{EquivalenceChecker, EquivalenceMode};
@@ -46,9 +46,9 @@
 //!     .check(
 //!         &circuit.unify_same_pair_gates(),
 //!         &result.hardware_circuit,
-//!         result.initial_map.assignment(),
+//!         &result.initial_placement,
 //!         EquivalenceMode::TermPermutation,
-//!         Some(result.routed.final_map().assignment()),
+//!         result.final_placement.as_deref(),
 //!     )
 //!     .unwrap();
 //! assert!(report.max_amplitude_error <= 1e-10);

@@ -19,7 +19,9 @@ fn main() {
         );
         for &n in &sizes {
             let circuit = trotterize(&nnn_heisenberg(n, n as u64), 1, 1.0);
-            let baseline = NoMapCompiler::new().compile(&circuit, basis);
+            let baseline = NoMapCompiler::new()
+                .compile(&circuit, &device)
+                .expect("fits on Sycamore");
             let two_qan = TwoQanCompiler::new(TwoQanConfig::default())
                 .compile(&circuit, &device)
                 .expect("fits on Sycamore");

@@ -38,7 +38,7 @@ fn main() {
     println!("  inserted SWAPs          : {}", result.swap_count());
     println!(
         "  dressed SWAPs (merged)  : {}",
-        result.dressed_swap_count()
+        result.metrics.dressed_swap_count
     );
     println!(
         "  hardware {} gates     : {}",
@@ -55,7 +55,9 @@ fn main() {
 
     // 5. Compare against the connectivity-unconstrained baseline to see the
     //    compilation overhead.
-    let baseline = NoMapCompiler::new().compile_for_device(&circuit, &device);
+    let baseline = NoMapCompiler::new()
+        .compile(&circuit, &device)
+        .expect("NoMap only needs the circuit to fit the device");
     println!("\nNoMap baseline (all-to-all connectivity):");
     println!(
         "  hardware {} gates     : {}",

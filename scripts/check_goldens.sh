@@ -7,7 +7,8 @@
 # * the shipping 2QAN-noise portfolio's quality lines (svcbench, every
 #   workload, seed 1) against SVCBENCH_quality.txt;
 # * the uniform-calibration figures (`fig09_montreal`, `fig10_qaoa_fidelity`
-#   --quick) against the golden CSV rows (`golden_snapshots`).
+#   --quick) against the golden CSV rows, and Table III against its golden
+#   text (`golden_snapshots`).
 #
 # The fresh outputs are left in OUT_DIR: bench_noise_full.json,
 # svcbench_all.txt (the whole svcbench report, result lines included) and
@@ -36,7 +37,7 @@ grep -E '^(inputs digest:|(swaps|twoq_gates|twoq_depth|duration_us|log10_inv_esp
     "$out/svcbench_all.txt" >"$out/svcbench_quality.txt"
 diff SVCBENCH_quality.txt "$out/svcbench_quality.txt"
 
-echo "== fig09/fig10 against the golden CSV rows"
+echo "== fig09/fig10 against the golden CSV rows, Table III against its golden text"
 cargo run --release -p twoqan-bench --bin fig09_montreal -- --quick
 cargo run --release -p twoqan-bench --bin fig10_qaoa_fidelity -- --quick
 cargo test --release -q -p twoqan-bench --test golden_snapshots
