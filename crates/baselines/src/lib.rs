@@ -4,7 +4,11 @@
 //! ('FullPass' / 'LinePlacement'), the IC-QAOA compiler of Alam et al. and
 //! the Paulihedral compiler.  None of those are available as Rust libraries,
 //! so this crate implements comparators from scratch that belong to the same
-//! behavioural classes (see DESIGN.md §2 for the substitution argument):
+//! behavioural classes.  The substitution holds because the paper's
+//! comparison turns on each class's decisions — whether a compiler keeps
+//! the input gate order, whether it merges SWAPs into circuit gates, how it
+//! places and schedules — rather than on one tool's tuning, so a member of
+//! the same class shows the same overhead pattern against 2QAN:
 //!
 //! * [`NoMapCompiler`] — the connectivity-unconstrained baseline ("NoMap")
 //!   that defines compilation *overhead*,

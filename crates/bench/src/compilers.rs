@@ -327,6 +327,6 @@ mod tests {
         assert_eq!(out.compiler, "2QAN");
         assert_eq!(out.initial_placement.len(), 8);
         assert!(out.final_placement.is_some());
-        assert!(out.report.pass_ms("qap-mapping").is_some());
+        assert!(out.report.pass_names().contains(&"qap-mapping"));
     }
 }

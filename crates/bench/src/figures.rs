@@ -517,7 +517,8 @@ mod tests {
             1,
         ));
         let table = overhead_reduction_table("test", &rows, CompilerKind::QiskitLike);
-        assert_eq!(table.num_rows(), 2);
+        // Title, header and rule, then one line per workload.
+        assert_eq!(table.render().lines().count(), 3 + 2);
     }
 
     #[test]

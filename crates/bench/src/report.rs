@@ -33,11 +33,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders the table as fixed-width text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -137,7 +132,7 @@ mod tests {
         let text = t.render();
         assert!(text.contains("## demo"));
         assert!(text.contains("200000"));
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.rows.len(), 2);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[3].len(), lines[4].len());
     }

@@ -177,13 +177,7 @@ mod tests {
         let a = Workload::generate(WorkloadKind::QaoaRegular(3), 10, 0);
         let b = Workload::generate(WorkloadKind::QaoaRegular(3), 10, 1);
         let a2 = Workload::generate(WorkloadKind::QaoaRegular(3), 10, 0);
-        assert_eq!(
-            a.circuit.two_qubit_signature(),
-            a2.circuit.two_qubit_signature()
-        );
-        assert_ne!(
-            a.circuit.two_qubit_signature(),
-            b.circuit.two_qubit_signature()
-        );
+        assert_eq!(a.circuit, a2.circuit);
+        assert_ne!(a.circuit, b.circuit);
     }
 }

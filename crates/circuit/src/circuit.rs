@@ -76,11 +76,6 @@ impl Circuit {
         self.gate_count() - self.two_qubit_gate_count()
     }
 
-    /// Number of gates satisfying a predicate on their kind.
-    pub fn count_kind(&self, pred: impl Fn(&GateKind) -> bool) -> usize {
-        self.gates.iter().filter(|g| pred(&g.kind)).count()
-    }
-
     /// Appends a gate.
     ///
     /// # Panics
@@ -128,15 +123,6 @@ impl Circuit {
     /// gate (the "flow" of the qubit-mapping QAP).
     pub fn interaction_pairs(&self) -> Vec<(Qubit, Qubit)> {
         self.two_qubit_gates().map(|g| g.qubit_pair()).collect()
-    }
-
-    /// The interaction multiplicity per unordered qubit pair.
-    pub fn interaction_counts(&self) -> BTreeMap<(Qubit, Qubit), usize> {
-        let mut out = BTreeMap::new();
-        for g in self.two_qubit_gates() {
-            *out.entry(g.qubit_pair()).or_insert(0) += 1;
-        }
-        out
     }
 
     /// Returns a copy with every qubit index relabelled through `map`
@@ -198,21 +184,6 @@ impl Circuit {
         }
         out
     }
-
-    /// Returns the multiset of two-qubit interactions `{(pair, class)}` in a
-    /// canonical order — used by tests to check that compilation preserves
-    /// the circuit's application content.
-    pub fn two_qubit_signature(&self) -> Vec<(Qubit, Qubit, String)> {
-        let mut sig: Vec<(Qubit, Qubit, String)> = self
-            .two_qubit_gates()
-            .map(|g| {
-                let (a, b) = g.qubit_pair();
-                (a, b, format!("{:?}", g.kind))
-            })
-            .collect();
-        sig.sort();
-        sig
-    }
 }
 
 impl std::fmt::Display for Circuit {
@@ -255,7 +226,12 @@ mod tests {
         assert_eq!(c.two_qubit_gates().count(), 4);
         assert_eq!(c.single_qubit_gates().count(), 4);
         assert!(!c.is_empty());
-        assert_eq!(c.count_kind(|k| matches!(k, GateKind::Rx(_))), 4);
+        assert_eq!(
+            c.iter()
+                .filter(|g| matches!(g.kind, GateKind::Rx(_)))
+                .count(),
+            4
+        );
     }
 
     #[test]
@@ -265,9 +241,6 @@ mod tests {
         c.push(Gate::canonical(1, 0, 0.0, 0.2, 0.0));
         c.push(Gate::canonical(1, 2, 0.0, 0.0, 0.3));
         assert_eq!(c.interaction_pairs(), vec![(0, 1), (0, 1), (1, 2)]);
-        let counts = c.interaction_counts();
-        assert_eq!(counts[&(0, 1)], 2);
-        assert_eq!(counts[&(1, 2)], 1);
     }
 
     #[test]
@@ -299,8 +272,9 @@ mod tests {
         c.push(Gate::canonical(0, 1, 0.0, 0.0, 0.2));
         let unified = c.unify_same_pair_gates();
         assert_eq!(unified.gate_count(), 3);
-        assert_eq!(unified.count_kind(|k| matches!(k, GateKind::Swap)), 1);
-        assert_eq!(unified.count_kind(|k| matches!(k, GateKind::H)), 1);
+        let count = |pred: fn(&GateKind) -> bool| unified.iter().filter(|g| pred(&g.kind)).count();
+        assert_eq!(count(|k| matches!(k, GateKind::Swap)), 1);
+        assert_eq!(count(|k| matches!(k, GateKind::H)), 1);
     }
 
     #[test]
@@ -321,17 +295,6 @@ mod tests {
         assert_eq!(r.gates()[0], *c.gates().last().unwrap());
         // Reversing twice restores the circuit.
         assert_eq!(r.reversed(), c);
-    }
-
-    #[test]
-    fn signature_is_order_independent() {
-        let mut a = Circuit::new(3);
-        a.push(Gate::canonical(0, 1, 0.0, 0.0, 0.2));
-        a.push(Gate::canonical(1, 2, 0.0, 0.0, 0.4));
-        let mut b = Circuit::new(3);
-        b.push(Gate::canonical(2, 1, 0.0, 0.0, 0.4));
-        b.push(Gate::canonical(1, 0, 0.0, 0.0, 0.2));
-        assert_eq!(a.two_qubit_signature(), b.two_qubit_signature());
     }
 
     #[test]

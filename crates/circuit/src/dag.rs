@@ -2,10 +2,10 @@
 //!
 //! Generic (application-agnostic) compilers must respect the dependencies
 //! implied by the input gate order: two gates that share a qubit may not be
-//! reordered.  This module builds that DAG and provides ASAP and ALAP
-//! schedules derived from it.  The permutation-aware 2QAN scheduler
-//! deliberately does *not* use this structure for circuit gates (only for
-//! SWAP → gate dependencies); the generic baselines do.
+//! reordered.  This module builds that DAG (with its ASAP and ALAP levels)
+//! and the ALAP schedule derived from it.  The permutation-aware 2QAN
+//! scheduler deliberately does *not* use this structure for circuit gates
+//! (only for SWAP → gate dependencies); the generic baselines do.
 
 use crate::circuit::Circuit;
 use crate::moment::{Moment, ScheduledCircuit};
@@ -100,22 +100,6 @@ impl DependencyDag {
         }
         levels
     }
-
-    /// Critical-path depth (number of levels).
-    pub fn depth(&self) -> usize {
-        self.asap_levels()
-            .iter()
-            .copied()
-            .max()
-            .map(|d| d + 1)
-            .unwrap_or(0)
-    }
-}
-
-/// Schedules an ordered circuit into moments respecting its gate-order
-/// dependencies (ASAP).
-pub fn asap_schedule(circuit: &Circuit) -> ScheduledCircuit {
-    schedule_by_levels(circuit, &DependencyDag::from_circuit(circuit).asap_levels())
 }
 
 /// Schedules an ordered circuit into moments respecting its gate-order
@@ -138,16 +122,21 @@ fn schedule_by_levels(circuit: &Circuit, levels: &[usize]) -> ScheduledCircuit {
     ScheduledCircuit::from_moments(circuit.num_qubits(), moments)
 }
 
-/// Convenience: the gate-order-respecting depth of a circuit (ASAP critical
-/// path).
-pub fn ordered_depth(circuit: &Circuit) -> usize {
-    DependencyDag::from_circuit(circuit).depth()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gate::{Gate, GateKind};
+
+    /// The ASAP counterpart of [`alap_schedule`].
+    fn asap_schedule(circuit: &Circuit) -> ScheduledCircuit {
+        schedule_by_levels(circuit, &DependencyDag::from_circuit(circuit).asap_levels())
+    }
+
+    /// Critical-path depth of a circuit (number of ASAP levels).
+    fn ordered_depth(circuit: &Circuit) -> usize {
+        let levels = DependencyDag::from_circuit(circuit).asap_levels();
+        levels.into_iter().max().map_or(0, |d| d + 1)
+    }
 
     fn chain_circuit() -> Circuit {
         let mut c = Circuit::new(4);
@@ -175,8 +164,7 @@ mod tests {
     #[test]
     fn asap_and_alap_depths_agree() {
         let c = chain_circuit();
-        let dag = DependencyDag::from_circuit(&c);
-        assert_eq!(dag.depth(), 3);
+        assert_eq!(ordered_depth(&c), 3);
         let asap = asap_schedule(&c);
         let alap = alap_schedule(&c);
         assert_eq!(asap.depth(), 3);
@@ -200,7 +188,7 @@ mod tests {
         let asap = dag.asap_levels();
         let alap = dag.alap_levels();
         assert_eq!(asap[4], 0);
-        assert_eq!(alap[4], dag.depth() - 1);
+        assert_eq!(alap[4], ordered_depth(&c) - 1);
         // ALAP levels never precede ASAP levels.
         for (a, l) in asap.iter().zip(alap.iter()) {
             assert!(l >= a);

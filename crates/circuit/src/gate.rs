@@ -86,23 +86,6 @@ impl GateKind {
         self.arity() == 2
     }
 
-    /// Returns `true` if this gate moves qubits (a plain SWAP or a dressed
-    /// SWAP): after the gate, the logical states of its two qubits are
-    /// exchanged.
-    pub fn is_swap_like(&self) -> bool {
-        matches!(self, GateKind::Swap | GateKind::DressedSwap { .. })
-    }
-
-    /// Returns `true` for the application-level unitaries that the 2QAN
-    /// passes are free to permute (canonical gates and dressed SWAPs carry
-    /// a circuit gate; plain SWAPs and hardware gates do not).
-    pub fn is_application_unitary(&self) -> bool {
-        matches!(
-            self,
-            GateKind::Canonical { .. } | GateKind::DressedSwap { .. }
-        )
-    }
-
     /// The 2×2 matrix of a single-qubit kind.
     ///
     /// # Panics
@@ -185,74 +168,6 @@ impl GateKind {
             GateKind::Syc => "syc",
             GateKind::Canonical { .. } => "can",
             GateKind::DressedSwap { .. } => "dressed_swap",
-        }
-    }
-}
-
-/// The structural class of a single-qubit unitary, used by simulator
-/// backends to pick a specialized kernel.  Classification is by gate *kind*
-/// (exact structural zeros), never by numeric tolerance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SingleQubitClass {
-    /// Diagonal in the computational basis (pure phases): `Rz`, `Z`.
-    Diagonal,
-    /// Anti-diagonal (a bit flip with phases): `X`, `Y`.
-    AntiDiagonal,
-    /// Anything else (a dense 2×2 matrix is required).
-    General,
-}
-
-/// The structural class of a two-qubit unitary, used by simulator backends
-/// to pick a specialized kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TwoQubitClass {
-    /// Diagonal in the computational basis (pure phases): `CZ` and the
-    /// Ising exponentials `Can(0, 0, c) = exp(ic·ZZ)` that make up QAOA
-    /// cost layers.
-    Diagonal,
-    /// A SWAP composed with a diagonal: plain SWAPs, iSWAP, and the
-    /// dressed SWAPs `SWAP · Can(0, 0, c)` produced by the
-    /// unitary-unifying router.
-    SwapDiagonal,
-    /// Anything else (a dense 4×4 matrix is required).
-    General,
-}
-
-impl GateKind {
-    /// The kernel class of a single-qubit kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a two-qubit kind.
-    pub fn single_qubit_class(&self) -> SingleQubitClass {
-        assert_eq!(
-            self.arity(),
-            1,
-            "{} is not a single-qubit gate",
-            self.name()
-        );
-        match self {
-            GateKind::Rz(_) | GateKind::Z => SingleQubitClass::Diagonal,
-            GateKind::X | GateKind::Y => SingleQubitClass::AntiDiagonal,
-            _ => SingleQubitClass::General,
-        }
-    }
-
-    /// The kernel class of a two-qubit kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on a single-qubit kind.
-    pub fn two_qubit_class(&self) -> TwoQubitClass {
-        assert_eq!(self.arity(), 2, "{} is not a two-qubit gate", self.name());
-        match *self {
-            GateKind::Cz => TwoQubitClass::Diagonal,
-            GateKind::Canonical { xx, yy, .. } if xx == 0.0 && yy == 0.0 => TwoQubitClass::Diagonal,
-            GateKind::Swap | GateKind::ISwap => TwoQubitClass::SwapDiagonal,
-            GateKind::DressedSwap { xx, yy, .. } if xx == 0.0 && yy == 0.0 => {
-                TwoQubitClass::SwapDiagonal
-            }
-            _ => TwoQubitClass::General,
         }
     }
 }
@@ -401,26 +316,6 @@ mod tests {
     fn arity_and_classification() {
         assert_eq!(GateKind::Rz(0.3).arity(), 1);
         assert_eq!(GateKind::Cnot.arity(), 2);
-        assert!(GateKind::Swap.is_swap_like());
-        assert!(GateKind::DressedSwap {
-            xx: 0.0,
-            yy: 0.0,
-            zz: 0.1
-        }
-        .is_swap_like());
-        assert!(!GateKind::Canonical {
-            xx: 0.0,
-            yy: 0.0,
-            zz: 0.1
-        }
-        .is_swap_like());
-        assert!(GateKind::Canonical {
-            xx: 0.1,
-            yy: 0.0,
-            zz: 0.0
-        }
-        .is_application_unitary());
-        assert!(!GateKind::Cnot.is_application_unitary());
     }
 
     #[test]
@@ -503,76 +398,61 @@ mod tests {
         );
     }
 
+    /// The simulator dispatches on exact structural zeros, never on a
+    /// tolerance: the phase-only and bit-flip kinds, and the QAOA forms
+    /// `Can(0, 0, c)` and `SWAP · Can(0, 0, c)`, must build their matrices
+    /// with exact zeros so that they get the specialised kernels.
     #[test]
     fn kernel_classes_match_matrix_forms() {
         use twoqan_math::Complex;
-        // Single-qubit: the class must agree with the exact matrix form.
-        for kind in [
-            GateKind::Rx(0.3),
-            GateKind::Ry(-0.4),
-            GateKind::Rz(1.0),
-            GateKind::H,
-            GateKind::X,
-            GateKind::Y,
-            GateKind::Z,
-            GateKind::U3(0.2, 0.3, 0.4),
-        ] {
-            let m = kind.single_qubit_matrix();
-            match kind.single_qubit_class() {
-                SingleQubitClass::Diagonal => assert!(m.as_diagonal().is_some(), "{kind:?}"),
-                SingleQubitClass::AntiDiagonal => {
-                    assert!(m.as_anti_diagonal().is_some(), "{kind:?}")
-                }
-                SingleQubitClass::General => {}
-            }
+        for kind in [GateKind::Rz(0.4), GateKind::Z] {
+            assert!(
+                kind.single_qubit_matrix().as_diagonal().is_some(),
+                "{kind:?}"
+            );
         }
-        assert_eq!(
-            GateKind::Rz(0.4).single_qubit_class(),
-            SingleQubitClass::Diagonal
-        );
-        assert_eq!(
-            GateKind::X.single_qubit_class(),
-            SingleQubitClass::AntiDiagonal
-        );
-        assert_eq!(GateKind::H.single_qubit_class(), SingleQubitClass::General);
-        // Two-qubit: ditto, and the QAOA forms get the specialized classes.
+        for kind in [GateKind::X, GateKind::Y] {
+            let m = kind.single_qubit_matrix();
+            assert!(m.as_anti_diagonal().is_some(), "{kind:?}");
+        }
+        let h = GateKind::H.single_qubit_matrix();
+        assert!(h.as_diagonal().is_none() && h.as_anti_diagonal().is_none());
         let rzz = GateKind::Canonical {
             xx: 0.0,
             yy: 0.0,
             zz: 0.7,
         };
-        assert_eq!(rzz.two_qubit_class(), TwoQubitClass::Diagonal);
         let d = rzz.two_qubit_matrix().as_diagonal().unwrap();
         assert!(d[0].approx_eq(Complex::cis(0.7), 1e-12));
-        assert_eq!(GateKind::Cz.two_qubit_class(), TwoQubitClass::Diagonal);
-        assert_eq!(
-            GateKind::Swap.two_qubit_class(),
-            TwoQubitClass::SwapDiagonal
-        );
-        assert_eq!(
-            GateKind::ISwap.two_qubit_class(),
-            TwoQubitClass::SwapDiagonal
-        );
+        assert!(GateKind::Cz.two_qubit_matrix().as_diagonal().is_some());
         let dressed = GateKind::DressedSwap {
             xx: 0.0,
             yy: 0.0,
             zz: 0.4,
         };
-        assert_eq!(dressed.two_qubit_class(), TwoQubitClass::SwapDiagonal);
-        assert!(dressed.two_qubit_matrix().as_swap_diagonal().is_some());
-        assert_eq!(GateKind::Cnot.two_qubit_class(), TwoQubitClass::General);
+        for kind in [GateKind::Swap, GateKind::ISwap, dressed] {
+            assert!(
+                kind.two_qubit_matrix().as_swap_diagonal().is_some(),
+                "{kind:?}"
+            );
+        }
         let heis = GateKind::Canonical {
             xx: 0.3,
             yy: 0.2,
             zz: 0.1,
         };
-        assert_eq!(heis.two_qubit_class(), TwoQubitClass::General);
         let dressed_heis = GateKind::DressedSwap {
             xx: 0.3,
             yy: 0.2,
             zz: 0.1,
         };
-        assert_eq!(dressed_heis.two_qubit_class(), TwoQubitClass::General);
+        for kind in [GateKind::Cnot, heis, dressed_heis] {
+            let m = kind.two_qubit_matrix();
+            assert!(
+                m.as_diagonal().is_none() && m.as_swap_diagonal().is_none(),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod timeline;
 
 pub use circuit::Circuit;
 pub use dag::DependencyDag;
-pub use gate::{Gate, GateKind, SingleQubitClass, TwoQubitClass};
+pub use gate::{Gate, GateKind};
 pub use matrix_cache::MatrixCache;
 pub use metrics::HardwareMetrics;
 pub use moment::{Moment, ScheduledCircuit};

@@ -54,11 +54,6 @@ impl MatrixCache {
         self.twos.push((*kind, m));
         m
     }
-
-    /// Number of distinct kinds cached so far (singles + twos).
-    pub fn distinct_kinds(&self) -> usize {
-        self.singles.len() + self.twos.len()
-    }
 }
 
 #[cfg(test)]
@@ -79,16 +74,16 @@ mod tests {
             zz: 0.4,
         });
         assert_eq!(a, b);
-        assert_eq!(cache.distinct_kinds(), 1);
+        assert_eq!(cache.singles.len() + cache.twos.len(), 1);
         cache.two(&GateKind::Canonical {
             xx: 0.0,
             yy: 0.0,
             zz: 0.5,
         });
-        assert_eq!(cache.distinct_kinds(), 2);
+        assert_eq!(cache.singles.len() + cache.twos.len(), 2);
         cache.single(&GateKind::Rx(0.3));
         cache.single(&GateKind::Rx(0.3));
-        assert_eq!(cache.distinct_kinds(), 3);
+        assert_eq!(cache.singles.len() + cache.twos.len(), 3);
         assert_eq!(
             cache.single(&GateKind::Rx(0.3)),
             GateKind::Rx(0.3).single_qubit_matrix()

@@ -5,8 +5,8 @@
 //! decomposition, the two-qubit-gate depth, and the depth of all gates, plus
 //! the *overhead* of each quantity relative to the connectivity-unconstrained
 //! ("NoMap") baseline.  [`HardwareMetrics`] computes the first group from a
-//! scheduled circuit and a native-basis cost model; [`Overhead`] and
-//! [`OverheadReduction`] compute the comparisons.
+//! scheduled circuit and a native-basis cost model; the benchmark harness
+//! forms the overheads and their ratios from two such records.
 
 use crate::gate::GateKind;
 use crate::moment::ScheduledCircuit;
@@ -108,94 +108,6 @@ impl HardwareMetrics {
             duration_ns: 0.0,
         }
     }
-
-    /// Like [`HardwareMetrics::of`], with [`duration_ns`] filled in from a
-    /// duration-aware [`Timeline`] of the schedule under the given per-gate
-    /// duration oracle (nanoseconds).
-    ///
-    /// [`duration_ns`]: HardwareMetrics::duration_ns
-    /// [`Timeline`]: crate::timeline::Timeline
-    pub fn with_durations(
-        schedule: &ScheduledCircuit,
-        basis: TwoQubitBasisCost,
-        duration_ns: impl Fn(&crate::gate::Gate) -> f64,
-    ) -> Self {
-        let mut metrics = Self::of(schedule, basis);
-        metrics.duration_ns = crate::timeline::Timeline::schedule(schedule, duration_ns).total_ns();
-        metrics
-    }
-
-    /// Overhead of this compilation relative to a connectivity-unconstrained
-    /// baseline compilation of the same problem ("NoMap" in the paper).
-    pub fn overhead_vs(&self, baseline: &HardwareMetrics) -> Overhead {
-        Overhead {
-            swap_overhead: self.swap_count as f64,
-            two_qubit_gate_overhead: self.hardware_two_qubit_count as f64
-                - baseline.hardware_two_qubit_count as f64,
-            two_qubit_depth_overhead: self.hardware_two_qubit_depth as f64
-                - baseline.hardware_two_qubit_depth as f64,
-            total_depth_overhead: self.total_depth_estimate as f64
-                - baseline.total_depth_estimate as f64,
-        }
-    }
-}
-
-/// Compilation overhead relative to the NoMap baseline (all quantities are
-/// "extra amounts"; smaller is better, zero means no overhead at all).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Overhead {
-    /// Number of inserted SWAPs.
-    pub swap_overhead: f64,
-    /// Extra native two-qubit gates compared to the baseline.
-    pub two_qubit_gate_overhead: f64,
-    /// Extra native two-qubit depth compared to the baseline.
-    pub two_qubit_depth_overhead: f64,
-    /// Extra total depth compared to the baseline.
-    pub total_depth_overhead: f64,
-}
-
-/// Ratio of two overheads (how many times larger a baseline compiler's
-/// overhead is than 2QAN's) — the quantity reported in Tables I, II, IV, V.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverheadReduction {
-    /// Ratio of SWAP overheads.
-    pub swaps: f64,
-    /// Ratio of two-qubit gate-count overheads.
-    pub two_qubit_gates: f64,
-    /// Ratio of two-qubit depth overheads.
-    pub two_qubit_depth: f64,
-}
-
-impl OverheadReduction {
-    /// Computes `other / reference` ratios, guarding against division by
-    /// (near-)zero reference overheads: if the reference overhead is zero the
-    /// ratio is reported as `f64::INFINITY` when the other overhead is
-    /// positive and `1.0` when both vanish (the paper prints "–" for these
-    /// negligible-overhead cases).
-    pub fn of(other: &Overhead, reference: &Overhead) -> Self {
-        fn ratio(a: f64, b: f64) -> f64 {
-            if b.abs() < 1e-9 {
-                if a.abs() < 1e-9 {
-                    1.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                a / b
-            }
-        }
-        Self {
-            swaps: ratio(other.swap_overhead, reference.swap_overhead),
-            two_qubit_gates: ratio(
-                other.two_qubit_gate_overhead,
-                reference.two_qubit_gate_overhead,
-            ),
-            two_qubit_depth: ratio(
-                other.two_qubit_depth_overhead,
-                reference.two_qubit_depth_overhead,
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -263,9 +175,7 @@ mod tests {
         let mp = HardwareMetrics::of(&schedule(&plain, 2), TwoQubitBasisCost::Syc);
         let md = HardwareMetrics::of(&schedule(&dressed, 2), TwoQubitBasisCost::Syc);
         assert_eq!(mp.hardware_two_qubit_count, md.hardware_two_qubit_count);
-        let overhead = md.overhead_vs(&mp);
-        assert_eq!(overhead.two_qubit_gate_overhead, 0.0);
-        assert_eq!(overhead.swap_overhead, 1.0);
+        assert_eq!((mp.swap_count, md.swap_count), (0, 1));
     }
 
     #[test]
@@ -280,63 +190,6 @@ mod tests {
         assert_eq!(m.hardware_two_qubit_depth, 2);
         // Moment 1 (rx): 1 layer; moment 2 (ZZ): 2·2+1 = 5 layers.
         assert_eq!(m.total_depth_estimate, 6);
-    }
-
-    #[test]
-    fn overhead_reduction_ratios() {
-        let ours = Overhead {
-            swap_overhead: 2.0,
-            two_qubit_gate_overhead: 1.0,
-            two_qubit_depth_overhead: 2.0,
-            total_depth_overhead: 3.0,
-        };
-        let theirs = Overhead {
-            swap_overhead: 6.0,
-            two_qubit_gate_overhead: 10.0,
-            two_qubit_depth_overhead: 4.0,
-            total_depth_overhead: 9.0,
-        };
-        let r = OverheadReduction::of(&theirs, &ours);
-        assert!((r.swaps - 3.0).abs() < 1e-12);
-        assert!((r.two_qubit_gates - 10.0).abs() < 1e-12);
-        assert!((r.two_qubit_depth - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_reference_overhead_reports_infinity_or_one() {
-        let zero = Overhead {
-            swap_overhead: 0.0,
-            two_qubit_gate_overhead: 0.0,
-            two_qubit_depth_overhead: 0.0,
-            total_depth_overhead: 0.0,
-        };
-        let some = Overhead {
-            swap_overhead: 5.0,
-            two_qubit_gate_overhead: 0.0,
-            two_qubit_depth_overhead: 3.0,
-            total_depth_overhead: 1.0,
-        };
-        let r = OverheadReduction::of(&some, &zero);
-        assert!(r.swaps.is_infinite());
-        assert_eq!(r.two_qubit_gates, 1.0);
-        assert!(r.two_qubit_depth.is_infinite());
-    }
-
-    #[test]
-    fn duration_aware_metrics_report_the_timeline_makespan() {
-        let gates = vec![
-            Gate::canonical(0, 1, 0.0, 0.0, 0.3),
-            Gate::canonical(1, 2, 0.0, 0.0, 0.3),
-        ];
-        let s = schedule(&gates, 3);
-        let plain = HardwareMetrics::of(&s, TwoQubitBasisCost::Cnot);
-        assert_eq!(plain.duration_ns, 0.0);
-        let timed = HardwareMetrics::with_durations(&s, TwoQubitBasisCost::Cnot, |_| 420.0);
-        assert_eq!(timed.duration_ns, 840.0);
-        // Only the duration differs from the cycle-only metrics.
-        let mut expected = plain;
-        expected.duration_ns = 840.0;
-        assert_eq!(timed, expected);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Moments (parallel cycles) and scheduled circuits.
 
-use crate::circuit::Circuit;
 use crate::gate::Gate;
 use crate::Qubit;
 use std::collections::BTreeSet;
@@ -33,11 +32,6 @@ impl Moment {
         true
     }
 
-    /// Returns `true` if `qubit` is already used by a gate in this moment.
-    pub fn is_busy(&self, qubit: Qubit) -> bool {
-        self.busy.contains(&qubit)
-    }
-
     /// The gates in this moment.
     pub fn gates(&self) -> &[Gate] {
         &self.gates
@@ -51,11 +45,6 @@ impl Moment {
     /// Returns `true` if the moment contains no gates.
     pub fn is_empty(&self) -> bool {
         self.gates.is_empty()
-    }
-
-    /// Returns `true` if the moment contains at least one two-qubit gate.
-    pub fn has_two_qubit_gate(&self) -> bool {
-        self.gates.iter().any(|g| g.is_two_qubit())
     }
 }
 
@@ -93,13 +82,6 @@ impl ScheduledCircuit {
         &self.moments
     }
 
-    /// Appends a moment (empty moments are dropped).
-    pub fn push_moment(&mut self, moment: Moment) {
-        if !moment.is_empty() {
-            self.moments.push(moment);
-        }
-    }
-
     /// Total number of gates.
     pub fn gate_count(&self) -> usize {
         self.moments.iter().map(|m| m.len()).sum()
@@ -115,24 +97,9 @@ impl ScheduledCircuit {
         self.moments.iter().filter(|m| !m.is_empty()).count()
     }
 
-    /// Two-qubit depth: the number of moments containing at least one
-    /// two-qubit gate (the paper's "depth of two-qubit gates" metric at the
-    /// application level).
-    pub fn two_qubit_depth(&self) -> usize {
-        self.moments
-            .iter()
-            .filter(|m| m.has_two_qubit_gate())
-            .count()
-    }
-
     /// Iterates over all gates in execution order.
     pub fn iter_gates(&self) -> impl Iterator<Item = &Gate> {
         self.moments.iter().flat_map(|m| m.gates().iter())
-    }
-
-    /// Flattens the schedule back into an ordered [`Circuit`].
-    pub fn to_circuit(&self) -> Circuit {
-        Circuit::from_gates(self.num_qubits, self.iter_gates().copied().collect())
     }
 
     /// Greedily packs an ordered gate list into moments while respecting the
@@ -184,6 +151,13 @@ impl ScheduledCircuit {
 mod tests {
     use super::*;
     use crate::gate::GateKind;
+    use crate::metrics::HardwareMetrics;
+    use twoqan_math::cost::TwoQubitBasisCost;
+
+    /// The number of moments holding a two-qubit gate.
+    fn two_qubit_depth(s: &ScheduledCircuit) -> usize {
+        HardwareMetrics::of(s, TwoQubitBasisCost::Cnot).application_two_qubit_depth
+    }
 
     #[test]
     fn moment_rejects_conflicting_gates() {
@@ -194,9 +168,8 @@ mod tests {
         assert!(m.try_push(Gate::single(GateKind::H, 4)));
         assert!(!m.try_push(Gate::single(GateKind::H, 4)));
         assert_eq!(m.len(), 3);
-        assert!(m.is_busy(0));
-        assert!(!m.is_busy(5));
-        assert!(m.has_two_qubit_gate());
+        assert!(m.busy.contains(&0));
+        assert!(!m.busy.contains(&5));
     }
 
     #[test]
@@ -213,7 +186,7 @@ mod tests {
         let s = ScheduledCircuit::asap_from_gates(4, &gates);
         assert!(s.is_valid());
         assert_eq!(s.depth(), 3);
-        assert_eq!(s.two_qubit_depth(), 3);
+        assert_eq!(two_qubit_depth(&s), 3);
         assert_eq!(s.gate_count(), 3);
     }
 
@@ -238,32 +211,7 @@ mod tests {
         ];
         let s = ScheduledCircuit::asap_from_gates(2, &gates);
         assert_eq!(s.depth(), 3);
-        assert_eq!(s.two_qubit_depth(), 1);
-    }
-
-    #[test]
-    fn round_trip_to_circuit() {
-        let gates = vec![
-            Gate::canonical(0, 1, 0.0, 0.0, 0.1),
-            Gate::canonical(1, 2, 0.2, 0.0, 0.0),
-            Gate::single(GateKind::H, 0),
-        ];
-        let s = ScheduledCircuit::asap_from_gates(3, &gates);
-        let c = s.to_circuit();
-        assert_eq!(c.gate_count(), 3);
-        assert_eq!(c.two_qubit_gate_count(), 2);
-    }
-
-    #[test]
-    fn push_moment_drops_empty_moments() {
-        let mut s = ScheduledCircuit::new(2);
-        s.push_moment(Moment::new());
-        assert_eq!(s.depth(), 0);
-        let mut m = Moment::new();
-        m.try_push(Gate::single(GateKind::H, 0));
-        s.push_moment(m);
-        assert_eq!(s.depth(), 1);
-        assert!(s.is_valid());
+        assert_eq!(two_qubit_depth(&s), 1);
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl Timeline {
         self.total_ns
     }
 
-    /// Nanoseconds qubit `q` spends executing gates.
-    pub fn busy_ns(&self, q: usize) -> f64 {
-        self.qubit_busy_ns[q]
-    }
-
     /// Returns `true` if at least one gate acts on qubit `q`.
     pub fn is_used(&self, q: usize) -> bool {
         self.qubit_release_ns[q] > 0.0 || self.qubit_busy_ns[q] > 0.0
@@ -191,7 +186,7 @@ mod tests {
         assert_eq!(start_of(1, 2), 400.0);
         assert_eq!(t.total_ns(), 500.0);
         // Qubit 3 executes 100ns of gates, then idles until the makespan.
-        assert_eq!(t.busy_ns(3), 100.0);
+        assert_eq!(t.qubit_busy_ns[3], 100.0);
         assert_eq!(t.idle_ns(3), 400.0);
     }
 

@@ -40,12 +40,6 @@ impl CompileBudget {
         }
     }
 
-    /// Attaches a cooperative cancellation token.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Whether this budget can ever expire.
     pub fn is_limited(&self) -> bool {
         self.deadline.is_some() || self.cancel.is_some()
@@ -91,7 +85,10 @@ mod tests {
     #[test]
     fn cancellation_flows_through_arming() {
         let token = CancelToken::new();
-        let b = CompileBudget::unlimited().with_cancel_token(token.clone());
+        let b = CompileBudget {
+            cancel: Some(token.clone()),
+            ..CompileBudget::unlimited()
+        };
         let armed = b.arm();
         assert!(!armed.expired());
         token.cancel();
@@ -101,9 +98,18 @@ mod tests {
     #[test]
     fn equality_compares_token_identity() {
         let token = CancelToken::new();
-        let a = CompileBudget::unlimited().with_cancel_token(token.clone());
-        let b = CompileBudget::unlimited().with_cancel_token(token.clone());
-        let c = CompileBudget::unlimited().with_cancel_token(CancelToken::new());
+        let a = CompileBudget {
+            cancel: Some(token.clone()),
+            ..CompileBudget::unlimited()
+        };
+        let b = CompileBudget {
+            cancel: Some(token.clone()),
+            ..CompileBudget::unlimited()
+        };
+        let c = CompileBudget {
+            cancel: Some(CancelToken::new()),
+            ..CompileBudget::unlimited()
+        };
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_ne!(a, CompileBudget::unlimited());

@@ -617,7 +617,10 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let result = TwoQanCompiler::new(TwoQanConfig {
-            budget: CompileBudget::unlimited().with_cancel_token(token),
+            budget: CompileBudget {
+                cancel: Some(token),
+                ..CompileBudget::unlimited()
+            },
             ..TwoQanConfig::default()
         })
         .compile(&circuit, &device)
@@ -637,7 +640,7 @@ mod tests {
         };
         let token = CancelToken::new();
         let mut config = with_deadline(60);
-        config.budget = config.budget.with_cancel_token(token.clone());
+        config.budget.cancel = Some(token.clone());
         let tokened = TwoQanCompiler::new(config);
         let before = tokened.cache_fingerprint();
         token.cancel();

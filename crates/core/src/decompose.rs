@@ -23,26 +23,10 @@ use twoqan_math::synthesis::{self, SynthGate};
 /// Computes the hardware gate counts and depths of a scheduled circuit for a
 /// native basis (a thin convenience wrapper over
 /// [`twoqan_circuit::HardwareMetrics`]).  Without a device target the
-/// duration is unknown and reported as 0; use
-/// [`hardware_metrics_with_target`] to get a real nanosecond duration.
+/// duration is unknown and reported as 0; the makespan of
+/// [`timeline_with_target`] gives a real nanosecond duration.
 pub fn hardware_metrics(schedule: &ScheduledCircuit, basis: TwoQubitBasis) -> HardwareMetrics {
     HardwareMetrics::of(schedule, basis.cost_model())
-}
-
-/// Computes hardware metrics with the circuit duration taken from the
-/// target's calibrated per-edge/per-qubit gate durations (instead of the
-/// hard-coded device-average basis assumptions the noise model used to
-/// assume): `duration_ns` is the makespan of the duration-aware
-/// [`Timeline`] of the schedule.
-pub fn hardware_metrics_with_target(
-    schedule: &ScheduledCircuit,
-    basis: TwoQubitBasis,
-    target: &Target,
-) -> HardwareMetrics {
-    let cost_model = basis.cost_model();
-    HardwareMetrics::with_durations(schedule, cost_model, |g| {
-        target.gate_duration_ns(g, cost_model)
-    })
 }
 
 /// The duration-aware [`Timeline`] of a schedule under a device target: per
@@ -54,30 +38,6 @@ pub fn timeline_with_target(
 ) -> Timeline {
     let cost_model = basis.cost_model();
     Timeline::schedule(schedule, |g| target.gate_duration_ns(g, cost_model))
-}
-
-/// The estimated success probability (ESP) of a schedule under a target's
-/// per-channel noise figures, on the duration-aware timeline built from the
-/// target's calibrated durations (measuring every qubit the timeline
-/// touches).  The shared accounting lives in [`Target::esp_factors`] — the
-/// same formula `twoqan_sim::TargetNoiseModel` reports for the benchmarks.
-///
-/// The product underflows to 0.0 below about 1e-308, so the
-/// calibration-aware portfolio ranks its candidates by the sum of the
-/// factors' logs instead.
-pub fn estimated_success_probability(
-    schedule: &ScheduledCircuit,
-    basis: TwoQubitBasis,
-    target: &Target,
-) -> f64 {
-    let timeline = timeline_with_target(schedule, basis, target);
-    let (gate, idle, readout) = target.esp_factors(
-        schedule,
-        &timeline,
-        basis.cost_model(),
-        &timeline.used_qubits(),
-    );
-    gate * idle * readout
 }
 
 /// Decomposes a scheduled circuit into an explicit CNOT + single-qubit-gate
@@ -168,6 +128,10 @@ mod tests {
     use twoqan_circuit::Gate;
     use twoqan_math::cost::TwoQubitBasisCost;
 
+    fn count_kind(c: &Circuit, pred: impl Fn(&GateKind) -> bool) -> usize {
+        c.iter().filter(|g| pred(&g.kind)).count()
+    }
+
     fn schedule_of(gates: Vec<Gate>, n: usize) -> ScheduledCircuit {
         ScheduledCircuit::asap_from_gates(n, &gates)
     }
@@ -186,8 +150,8 @@ mod tests {
     fn zz_gates_decompose_into_two_cnots() {
         let s = schedule_of(vec![Gate::canonical(2, 5, 0.0, 0.0, 0.37)], 6);
         let c = decompose_to_cnot_exact(&s).unwrap();
-        assert_eq!(c.count_kind(|k| matches!(k, GateKind::Cnot)), 2);
-        assert_eq!(c.count_kind(|k| matches!(k, GateKind::Rz(_))), 1);
+        assert_eq!(count_kind(&c, |k| matches!(k, GateKind::Cnot)), 2);
+        assert_eq!(count_kind(&c, |k| matches!(k, GateKind::Rz(_))), 1);
     }
 
     #[test]
@@ -205,7 +169,7 @@ mod tests {
             4,
         );
         let c = decompose_to_cnot_exact(&s).unwrap();
-        assert_eq!(c.count_kind(|k| matches!(k, GateKind::Cnot)), 3);
+        assert_eq!(count_kind(&c, |k| matches!(k, GateKind::Cnot)), 3);
     }
 
     #[test]
@@ -221,16 +185,16 @@ mod tests {
         );
         let c = decompose_to_cnot_exact(&s).unwrap();
         // CZ → 1 CNOT + 2 H; SWAP → 3 CNOTs; CNOT passes through.
-        assert_eq!(c.count_kind(|k| matches!(k, GateKind::Cnot)), 5);
-        assert_eq!(c.count_kind(|k| matches!(k, GateKind::H)), 2);
-        assert_eq!(c.count_kind(|k| matches!(k, GateKind::Rx(_))), 1);
+        assert_eq!(count_kind(&c, |k| matches!(k, GateKind::Cnot)), 5);
+        assert_eq!(count_kind(&c, |k| matches!(k, GateKind::H)), 2);
+        assert_eq!(count_kind(&c, |k| matches!(k, GateKind::Rx(_))), 1);
     }
 
     #[test]
     fn general_canonical_gates_use_canonical_circuit() {
         let s = schedule_of(vec![Gate::canonical(0, 1, 0.3, 0.2, 0.1)], 2);
         let c = decompose_to_cnot_exact(&s).unwrap();
-        assert_eq!(c.count_kind(|k| matches!(k, GateKind::Cnot)), 6);
+        assert_eq!(count_kind(&c, |k| matches!(k, GateKind::Cnot)), 6);
     }
 
     #[test]
@@ -306,8 +270,7 @@ mod tests {
             let expected = kind.two_qubit_matrix();
             assert!(
                 product.approx_eq_up_to_phase(&expected, 1e-10),
-                "{kind:?}: decomposed product deviates from the gate unitary by {:.3e}",
-                product.frobenius_distance(&expected)
+                "{kind:?}: decomposed product {product:?} deviates from the gate unitary {expected:?}"
             );
         }
     }
@@ -362,8 +325,7 @@ mod tests {
         }
         assert!(
             product.approx_eq_up_to_phase(&expected, 1e-10),
-            "sequential product deviates by {:.3e}",
-            product.frobenius_distance(&expected)
+            "sequential product {product:?} deviates from {expected:?}"
         );
     }
 }

@@ -68,16 +68,6 @@ pub struct MappingConfig {
     pub warm_start: Option<Vec<usize>>,
 }
 
-impl MappingConfig {
-    /// A configuration using `strategy` with default solver parameters.
-    pub fn with_strategy(strategy: InitialMappingStrategy) -> Self {
-        Self {
-            strategy,
-            ..Self::default()
-        }
-    }
-}
-
 /// A bidirectional mapping between circuit (logical) qubits and hardware
 /// (physical) qubits.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,13 +146,6 @@ impl QubitMap {
         if let Some(l) = lb {
             self.logical_to_physical[l] = a;
         }
-    }
-
-    /// Returns a copy with a physical SWAP applied.
-    pub fn with_physical_swap(&self, a: usize, b: usize) -> Self {
-        let mut m = self.clone();
-        m.apply_physical_swap(a, b);
-        m
     }
 
     /// Hardware distance between the physical images of two logical qubits.
@@ -309,7 +292,10 @@ mod tests {
         place(
             circuit,
             device,
-            &MappingConfig::with_strategy(strategy),
+            &MappingConfig {
+                strategy,
+                ..MappingConfig::default()
+            },
             rng,
         )
     }
@@ -337,14 +323,6 @@ mod tests {
         // Swapping two empty physical qubits is a no-op on logical positions.
         map.apply_physical_swap(3, 4);
         assert_eq!(map.physical(0), 1);
-    }
-
-    #[test]
-    fn with_physical_swap_is_pure() {
-        let map = QubitMap::identity(3, 4);
-        let swapped = map.with_physical_swap(0, 3);
-        assert_eq!(map.physical(0), 0);
-        assert_eq!(swapped.physical(0), 3);
     }
 
     #[test]
@@ -606,7 +584,10 @@ mod tests {
             let map = initial_mapping(
                 &circuit,
                 &device,
-                &MappingConfig::with_strategy(strategy),
+                &MappingConfig {
+                    strategy,
+                    ..MappingConfig::default()
+                },
                 &budget,
                 &mut rng,
             )

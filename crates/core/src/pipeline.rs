@@ -293,14 +293,6 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// The wall-clock milliseconds attributed to the named pass, if it ran.
-    pub fn pass_ms(&self, name: &str) -> Option<f64> {
-        self.passes
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.wall_ms)
-    }
-
     /// The pass names in execution order.
     pub fn pass_names(&self) -> Vec<&'static str> {
         self.passes.iter().map(|p| p.name).collect()
@@ -648,7 +640,7 @@ mod tests {
         merged_keep.absorb_trial(&a, true);
         merged_keep.absorb_trial(&b, false);
         assert_eq!(merged_keep.passes[0].two_qubit_gates_after, 10);
-        assert_eq!(merged_keep.pass_ms("p"), Some(5.0));
+        assert_eq!(merged_keep.passes[0].wall_ms, 5.0);
     }
 
     #[test]

@@ -251,6 +251,13 @@ fn place_two_qubit(gate: &Gate, map: &QubitMap) -> Gate {
 mod tests {
     use super::*;
     use crate::budget::SolverBudget;
+    use twoqan_circuit::HardwareMetrics;
+    use twoqan_math::cost::TwoQubitBasisCost;
+
+    /// The number of cycles holding a two-qubit gate.
+    fn two_qubit_depth(s: &ScheduledCircuit) -> usize {
+        HardwareMetrics::of(s, TwoQubitBasisCost::Cnot).application_two_qubit_depth
+    }
     use crate::mapping::{initial_mapping, CostModel, MappingConfig};
     use crate::routing::{route, RoutingConfig};
     use rand::rngs::StdRng;
@@ -340,11 +347,10 @@ mod tests {
             let ordered = schedule(&routed, &device, SchedulingStrategy::OrderRespecting);
             check_schedule(&hybrid, &routed, &circuit, &device);
             check_schedule(&ordered, &routed, &circuit, &device);
+            let (hybrid, ordered) = (two_qubit_depth(&hybrid), two_qubit_depth(&ordered));
             assert!(
-                hybrid.two_qubit_depth() <= ordered.two_qubit_depth() + 1,
-                "hybrid depth {} should not exceed ordered depth {} (seed {seed})",
-                hybrid.two_qubit_depth(),
-                ordered.two_qubit_depth()
+                hybrid <= ordered + 1,
+                "hybrid depth {hybrid} should not exceed ordered depth {ordered} (seed {seed})"
             );
         }
     }
@@ -371,7 +377,7 @@ mod tests {
         let s = schedule(&routed, &device, SchedulingStrategy::Hybrid);
         check_schedule(&s, &routed, &circuit, &device);
         // A 5-gate chain needs at least 2 and at most 3 cycles.
-        assert!(s.two_qubit_depth() >= 2 && s.two_qubit_depth() <= 3);
+        assert!((2..=3).contains(&two_qubit_depth(&s)));
     }
 
     /// Routes `circuit` with a cheap single-restart Tabu placement: the

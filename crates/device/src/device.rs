@@ -219,18 +219,6 @@ impl Device {
         Ok(d)
     }
 
-    /// Returns a copy with different calibration data (the target is reset
-    /// to the uniform replication of the new averages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calibration is out of range (see
-    /// [`Device::try_with_calibration`]).
-    pub fn with_calibration(&self, calibration: Calibration) -> Self {
-        self.try_with_calibration(calibration)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Returns a copy with an explicit per-qubit/per-edge [`Target`],
     /// validating that its size matches the topology and that every figure
     /// is in its physical range (see [`Target::validate`]).
@@ -384,7 +372,9 @@ mod tests {
 
     #[test]
     fn with_calibration_overrides_noise_figures() {
-        let noiseless = Device::montreal().with_calibration(Calibration::noiseless());
+        let noiseless = Device::montreal()
+            .try_with_calibration(Calibration::noiseless())
+            .unwrap();
         assert_eq!(noiseless.calibration().two_qubit_error, 0.0);
         assert_eq!(noiseless.num_qubits(), 27);
     }
@@ -404,7 +394,7 @@ mod tests {
         assert_eq!(clone.distances(), device.distances());
         assert_eq!(
             *device.distances(),
-            twoqan_graphs::DistanceMatrix::floyd_warshall(device.topology())
+            twoqan_graphs::DistanceMatrix::bfs(device.topology())
         );
     }
 

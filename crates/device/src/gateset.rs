@@ -1,6 +1,5 @@
 //! Native two-qubit gate bases and device gate sets.
 
-use twoqan_circuit::GateKind;
 use twoqan_math::cost::TwoQubitBasisCost;
 
 /// The native two-qubit gate of a device (all devices additionally support
@@ -33,16 +32,6 @@ impl TwoQubitBasis {
             TwoQubitBasis::Cz => TwoQubitBasisCost::Cz,
             TwoQubitBasis::Syc => TwoQubitBasisCost::Syc,
             TwoQubitBasis::ISwap => TwoQubitBasisCost::ISwap,
-        }
-    }
-
-    /// The circuit-IR gate kind of one native gate.
-    pub fn gate_kind(self) -> GateKind {
-        match self {
-            TwoQubitBasis::Cnot => GateKind::Cnot,
-            TwoQubitBasis::Cz => GateKind::Cz,
-            TwoQubitBasis::Syc => GateKind::Syc,
-            TwoQubitBasis::ISwap => GateKind::ISwap,
         }
     }
 
@@ -93,14 +82,6 @@ mod tests {
         assert_eq!(TwoQubitBasis::Syc.cost_model(), TwoQubitBasisCost::Syc);
         assert_eq!(TwoQubitBasis::ISwap.cost_model(), TwoQubitBasisCost::ISwap);
         assert_eq!(TwoQubitBasis::Cz.cost_model(), TwoQubitBasisCost::Cz);
-    }
-
-    #[test]
-    fn gate_kinds_match_bases() {
-        assert_eq!(TwoQubitBasis::Cnot.gate_kind(), GateKind::Cnot);
-        assert_eq!(TwoQubitBasis::Syc.gate_kind(), GateKind::Syc);
-        assert_eq!(TwoQubitBasis::ISwap.gate_kind(), GateKind::ISwap);
-        assert_eq!(TwoQubitBasis::Cz.gate_kind(), GateKind::Cz);
     }
 
     #[test]

@@ -98,9 +98,8 @@ type EdgeKey = (usize, usize);
 
 /// A batch of absolute calibration updates applied atomically by
 /// [`Target::perturb`] — the uniform "one calibration cycle drifted these
-/// values" currency shared by the per-field drift helpers
-/// ([`Target::with_two_qubit_error_on`], [`Target::with_readout_error_on`])
-/// and the [`DriftStream`](crate::DriftStream) full-snapshot walks.
+/// values" currency of single-value updates and of the
+/// [`DriftStream`](crate::DriftStream) full-snapshot walks.
 ///
 /// Edges may be given in either orientation; values are *absolute*
 /// replacements, not multiplicative factors, so a delta can be logged,
@@ -123,22 +122,6 @@ pub struct DriftDelta {
 }
 
 impl DriftDelta {
-    /// A delta drifting a single edge's two-qubit error.
-    pub fn for_two_qubit_error(a: usize, b: usize, error: f64) -> Self {
-        Self {
-            two_qubit_error: vec![((a, b), error)],
-            ..Self::default()
-        }
-    }
-
-    /// A delta drifting a single qubit's read-out error.
-    pub fn for_readout_error(q: usize, error: f64) -> Self {
-        Self {
-            readout_error: vec![(q, error)],
-            ..Self::default()
-        }
-    }
-
     /// Returns `true` if the delta carries no updates at all.
     pub fn is_empty(&self) -> bool {
         self.two_qubit_error.is_empty()
@@ -294,37 +277,6 @@ impl Target {
             average: *calibration,
             uniform: false,
         }
-    }
-
-    /// Returns a copy of this target with the two-qubit error of edge
-    /// `(a, b)` replaced by `error` — one "drifted" calibration entry, the
-    /// building block for calibration-drift scenarios and for proving that
-    /// content-addressed compile caches key on the full snapshot (one
-    /// changed value must change the key).  The derived routing weights are
-    /// recomputed and the target is no longer considered uniform.
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::UnknownEdge`] when `(a, b)` is not a calibrated edge;
-    /// the new value is range-checked through [`Target::validate`] rules.
-    pub fn with_two_qubit_error_on(
-        &self,
-        a: usize,
-        b: usize,
-        error: f64,
-    ) -> Result<Self, DeviceError> {
-        self.perturb(&DriftDelta::for_two_qubit_error(a, b, error))
-    }
-
-    /// Returns a copy of this target with the read-out error of qubit `q`
-    /// replaced by `error` (see [`Target::with_two_qubit_error_on`]).
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::UnknownQubit`] for an out-of-range qubit; the value is
-    /// range-checked.
-    pub fn with_readout_error_on(&self, q: usize, error: f64) -> Result<Self, DeviceError> {
-        self.perturb(&DriftDelta::for_readout_error(q, error))
     }
 
     /// Resolves a qubit index for a per-qubit perturbation.
@@ -739,7 +691,10 @@ mod tests {
         let t = Target::heterogeneous(&grid(), &cal, 5);
         let (a, b) = t.edges()[1];
         let drifted = t
-            .with_two_qubit_error_on(a, b, t.two_qubit_error(a, b) * 1.5)
+            .perturb(&DriftDelta {
+                two_qubit_error: vec![((a, b), t.two_qubit_error(a, b) * 1.5)],
+                ..DriftDelta::default()
+            })
             .unwrap();
         assert_ne!(t, drifted);
         assert_eq!(drifted.validate(), Ok(()));
@@ -747,15 +702,31 @@ mod tests {
         assert!(!drifted.is_uniform());
         // Unknown edges/qubits and out-of-range values are rejected.
         assert!(matches!(
-            t.with_two_qubit_error_on(0, 5, 0.01),
+            t.perturb(&DriftDelta {
+                two_qubit_error: vec![((0, 5), 0.01)],
+                ..DriftDelta::default()
+            }),
             Err(crate::error::DeviceError::UnknownEdge { .. })
         ));
-        assert!(t.with_two_qubit_error_on(a, b, 1.5).is_err());
+        assert!(t
+            .perturb(&DriftDelta {
+                two_qubit_error: vec![((a, b), 1.5)],
+                ..DriftDelta::default()
+            })
+            .is_err());
         assert!(matches!(
-            t.with_readout_error_on(9, 0.1),
+            t.perturb(&DriftDelta {
+                readout_error: vec![(9, 0.1)],
+                ..DriftDelta::default()
+            }),
             Err(crate::error::DeviceError::UnknownQubit { .. })
         ));
-        let r = t.with_readout_error_on(2, 0.33).unwrap();
+        let r = t
+            .perturb(&DriftDelta {
+                readout_error: vec![(2, 0.33)],
+                ..DriftDelta::default()
+            })
+            .unwrap();
         assert_eq!(r.readout_error(2), 0.33);
         assert_eq!(r.validate(), Ok(()));
     }
@@ -801,7 +772,10 @@ mod tests {
         let (a, b) = t.edges()[0];
         // Unknown hardware.
         assert!(matches!(
-            t.perturb(&crate::target::DriftDelta::for_two_qubit_error(0, 5, 0.01)),
+            t.perturb(&DriftDelta {
+                two_qubit_error: vec![((0, 5), 0.01)],
+                ..DriftDelta::default()
+            }),
             Err(crate::error::DeviceError::UnknownEdge { a: 0, b: 5 })
         ));
         assert!(matches!(

@@ -199,7 +199,7 @@ mod tests {
     use crate::tests::serially;
 
     fn line_on_grid(n: usize, rows: usize, cols: usize) -> QapProblem {
-        let hw = DistanceMatrix::floyd_warshall(&Graph::grid(rows, cols));
+        let hw = DistanceMatrix::bfs(&Graph::grid(rows, cols));
         let interactions: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
         QapProblem::from_interactions(n, &interactions, &hw)
     }
@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn single_facility_is_trivial() {
-        let hw = DistanceMatrix::floyd_warshall(&Graph::path(2));
+        let hw = DistanceMatrix::bfs(&Graph::path(2));
         let p = QapProblem::from_interactions(1, &[], &hw);
         let r = anneal_cold(&p, &AnnealingConfig::default(), 1);
         assert_eq!(r.cost, 0.0);

@@ -8,8 +8,8 @@
 //!
 //! Device graphs are unweighted, so a breadth-first search per vertex
 //! ([`DistanceMatrix::bfs`], O(V·(V+E))) produces the identical matrix much
-//! faster than Floyd–Warshall's O(V³); the latter is kept for generality and
-//! as a cross-check.
+//! faster than Floyd–Warshall's O(V³); the unit tests keep Floyd–Warshall as
+//! the reference the BFS is checked against.
 
 use crate::graph::Graph;
 
@@ -24,40 +24,12 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Computes all-pairs shortest paths for `graph` with Floyd–Warshall.
-    pub fn floyd_warshall(graph: &Graph) -> Self {
-        let n = graph.num_vertices();
-        let mut data = vec![UNREACHABLE; n * n];
-        for v in 0..n {
-            data[v * n + v] = 0;
-        }
-        for (a, b) in graph.edges() {
-            data[a * n + b] = 1;
-            data[b * n + a] = 1;
-        }
-        for k in 0..n {
-            for i in 0..n {
-                let dik = data[i * n + k];
-                if dik == UNREACHABLE {
-                    continue;
-                }
-                for j in 0..n {
-                    let through = dik + data[k * n + j];
-                    if through < data[i * n + j] {
-                        data[i * n + j] = through;
-                    }
-                }
-            }
-        }
-        Self { n, data }
-    }
-
     /// Computes all-pairs shortest paths with one breadth-first search per
     /// vertex.
     ///
     /// For the unweighted coupling graphs the compiler targets this yields
-    /// exactly the same matrix as [`floyd_warshall`](Self::floyd_warshall)
-    /// in O(V·(V+E)) instead of O(V³).
+    /// exactly the same matrix as Floyd–Warshall in O(V·(V+E)) instead of
+    /// O(V³).
     pub fn bfs(graph: &Graph) -> Self {
         let n = graph.num_vertices();
         let adjacency: Vec<Vec<usize>> = (0..n).map(|v| graph.neighbors(v).collect()).collect();
@@ -104,50 +76,57 @@ impl DistanceMatrix {
     pub fn adjacent(&self, a: usize, b: usize) -> bool {
         self.distance(a, b) == 1
     }
-
-    /// The largest finite distance in the matrix (graph diameter), or `None`
-    /// if the graph is disconnected or has fewer than two vertices.
-    pub fn diameter(&self) -> Option<u32> {
-        let mut best = 0;
-        for i in 0..self.n {
-            for j in 0..self.n {
-                let d = self.distance(i, j);
-                if d >= UNREACHABLE {
-                    return None;
-                }
-                best = best.max(d);
-            }
-        }
-        if self.n < 2 {
-            None
-        } else {
-            Some(best)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// All-pairs shortest paths by Floyd–Warshall: the reference oracle for
+    /// [`DistanceMatrix::bfs`].
+    fn floyd_warshall(graph: &Graph) -> DistanceMatrix {
+        let n = graph.num_vertices();
+        let mut data = vec![UNREACHABLE; n * n];
+        for v in 0..n {
+            data[v * n + v] = 0;
+        }
+        for (a, b) in graph.edges() {
+            data[a * n + b] = 1;
+            data[b * n + a] = 1;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                let dik = data[i * n + k];
+                if dik == UNREACHABLE {
+                    continue;
+                }
+                for j in 0..n {
+                    let through = dik + data[k * n + j];
+                    if through < data[i * n + j] {
+                        data[i * n + j] = through;
+                    }
+                }
+            }
+        }
+        DistanceMatrix { n, data }
+    }
+
     #[test]
     fn path_graph_distances() {
-        let d = DistanceMatrix::floyd_warshall(&Graph::path(5));
+        let d = DistanceMatrix::bfs(&Graph::path(5));
         assert_eq!(d.distance(0, 4), 4);
         assert_eq!(d.distance(1, 3), 2);
         assert_eq!(d.distance(2, 2), 0);
         assert!(d.adjacent(0, 1));
         assert!(!d.adjacent(0, 2));
-        assert_eq!(d.diameter(), Some(4));
     }
 
     #[test]
     fn grid_graph_distances_are_manhattan() {
-        let d = DistanceMatrix::floyd_warshall(&Graph::grid(3, 4));
+        let d = DistanceMatrix::bfs(&Graph::grid(3, 4));
         // Vertex (r, c) = r*4 + c; distance between (0,0) and (2,3) is 5.
         assert_eq!(d.distance(0, 11), 5);
         assert_eq!(d.distance(5, 6), 1);
-        assert_eq!(d.diameter(), Some(5));
     }
 
     #[test]
@@ -155,15 +134,14 @@ mod tests {
         let mut g = Graph::new(4);
         g.add_edge(0, 1);
         g.add_edge(2, 3);
-        let d = DistanceMatrix::floyd_warshall(&g);
+        let d = DistanceMatrix::bfs(&g);
         assert_eq!(d.distance(0, 1), 1);
         assert_eq!(d.distance(0, 2), UNREACHABLE);
-        assert_eq!(d.diameter(), None);
     }
 
     #[test]
     fn cycle_distances_wrap_around() {
-        let d = DistanceMatrix::floyd_warshall(&Graph::cycle(6));
+        let d = DistanceMatrix::bfs(&Graph::cycle(6));
         assert_eq!(d.distance(0, 3), 3);
         assert_eq!(d.distance(0, 5), 1);
         assert_eq!(d.distance(1, 4), 3);
@@ -182,15 +160,14 @@ mod tests {
             Graph::new(1),
             disconnected,
         ] {
-            assert_eq!(DistanceMatrix::bfs(&g), DistanceMatrix::floyd_warshall(&g));
+            assert_eq!(DistanceMatrix::bfs(&g), floyd_warshall(&g));
         }
     }
 
     #[test]
     fn trivial_graphs() {
-        let d = DistanceMatrix::floyd_warshall(&Graph::new(1));
+        let d = DistanceMatrix::bfs(&Graph::new(1));
         assert_eq!(d.num_vertices(), 1);
-        assert_eq!(d.diameter(), None);
         assert_eq!(d.distance(0, 0), 0);
     }
 }

@@ -165,11 +165,6 @@ impl Graph {
         }
         count == self.num_vertices
     }
-
-    /// Maximum vertex degree (0 for an empty graph).
-    pub fn max_degree(&self) -> usize {
-        self.adjacency.iter().map(|a| a.len()).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +199,7 @@ mod tests {
     fn degrees_and_neighbors() {
         let g = Graph::cycle(4);
         assert_eq!(g.degree(0), 2);
-        assert_eq!(g.max_degree(), 2);
+        assert_eq!((0..4).map(|v| g.degree(v)).max(), Some(2));
         let n: Vec<usize> = g.neighbors(0).collect();
         assert_eq!(n, vec![1, 3]);
     }

@@ -180,12 +180,6 @@ impl QapProblem {
         self.n
     }
 
-    /// Number of locations (hardware qubits).
-    #[inline]
-    pub fn num_locations(&self) -> usize {
-        self.m
-    }
-
     /// Flow between two facilities.
     #[inline]
     pub fn flow(&self, i: usize, j: usize) -> f64 {
@@ -311,11 +305,6 @@ impl QapProblem {
         locations
     }
 
-    /// The identity ("trivial") assignment mapping facility `i` to location `i`.
-    pub fn trivial_assignment(&self) -> Vec<usize> {
-        (0..self.n).collect()
-    }
-
     /// Verifies that an assignment is injective and within range.
     pub fn is_valid_assignment(&self, assignment: &[usize]) -> bool {
         if assignment.len() != self.n {
@@ -341,7 +330,7 @@ mod tests {
 
     fn small_problem() -> QapProblem {
         // 3 facilities on a 4-location path graph.
-        let hw = DistanceMatrix::floyd_warshall(&Graph::path(4));
+        let hw = DistanceMatrix::bfs(&Graph::path(4));
         QapProblem::from_interactions(3, &[(0, 1), (1, 2), (0, 1)], &hw)
     }
 
@@ -351,7 +340,7 @@ mod tests {
         let flow: Vec<f64> = (0..n * n)
             .map(|_| f64::from(rng.gen_range(0..5u32)))
             .collect();
-        let hw = DistanceMatrix::floyd_warshall(&Graph::grid(2, n.div_ceil(2)));
+        let hw = DistanceMatrix::bfs(&Graph::grid(2, n.div_ceil(2)));
         let m = hw.num_vertices();
         let mut distance = vec![0.0; m * m];
         for i in 0..m {
@@ -370,7 +359,7 @@ mod tests {
         assert_eq!(p.flow(1, 2), 1.0);
         assert_eq!(p.flow(0, 2), 0.0);
         assert_eq!(p.num_facilities(), 3);
-        assert_eq!(p.num_locations(), 4);
+        assert_eq!(p.m, 4);
         assert_eq!(p.flow_row(0), &[0.0, 2.0, 0.0]);
         assert_eq!(p.distance_row(0), &[0.0, 1.0, 2.0, 3.0]);
     }
@@ -490,7 +479,7 @@ mod tests {
 
     #[test]
     fn padding_facilities_are_inactive() {
-        let hw = DistanceMatrix::floyd_warshall(&Graph::path(5));
+        let hw = DistanceMatrix::bfs(&Graph::path(5));
         let p = QapProblem::from_interactions(5, &[(0, 1), (1, 2)], &hw);
         assert!(p.is_active(0));
         assert!(p.is_active(1));
@@ -498,7 +487,7 @@ mod tests {
         assert!(!p.is_active(3));
         assert!(!p.is_active(4));
         // Swapping two inactive facilities never changes the cost.
-        let a = p.trivial_assignment();
+        let a: Vec<usize> = (0..p.num_facilities()).collect();
         assert_eq!(p.swap_delta(&a, 3, 4), 0.0);
     }
 
@@ -510,7 +499,7 @@ mod tests {
             let a = p.random_assignment(&mut rng);
             assert!(p.is_valid_assignment(&a));
         }
-        assert!(p.is_valid_assignment(&p.trivial_assignment()));
+        assert!(p.is_valid_assignment(&[0, 1, 2]));
         assert!(!p.is_valid_assignment(&[0, 0, 1]));
         assert!(!p.is_valid_assignment(&[0, 1]));
         assert!(!p.is_valid_assignment(&[0, 1, 9]));
@@ -519,7 +508,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least as many locations")]
     fn rejects_too_few_locations() {
-        let hw = DistanceMatrix::floyd_warshall(&Graph::path(2));
+        let hw = DistanceMatrix::bfs(&Graph::path(2));
         let _ = QapProblem::from_interactions(3, &[(0, 1)], &hw);
     }
 }

@@ -147,19 +147,6 @@ fn try_pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Graph
     Some(g)
 }
 
-/// Generates the `count` random d-regular instances used for one benchmark
-/// point (the paper samples 10 instances per problem size).
-pub fn random_regular_instances<R: Rng + ?Sized>(
-    n: usize,
-    d: usize,
-    count: usize,
-    rng: &mut R,
-) -> Vec<Graph> {
-    (0..count)
-        .map(|_| random_regular_graph(n, d, rng))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,7 +176,9 @@ mod tests {
     #[test]
     fn instances_are_independent_samples() {
         let mut rng = StdRng::seed_from_u64(42);
-        let instances = random_regular_instances(10, 3, 10, &mut rng);
+        let instances: Vec<Graph> = (0..10)
+            .map(|_| random_regular_graph(10, 3, &mut rng))
+            .collect();
         assert_eq!(instances.len(), 10);
         // At least two of the ten instances should differ (overwhelmingly likely).
         assert!(instances.iter().any(|g| g != &instances[0]));

@@ -620,7 +620,7 @@ mod tests {
     /// line along adjacent hardware qubits (cost = number of gates, counted
     /// twice by the symmetric objective).
     fn line_on_grid(n: usize, rows: usize, cols: usize) -> QapProblem {
-        let hw = DistanceMatrix::floyd_warshall(&Graph::grid(rows, cols));
+        let hw = DistanceMatrix::bfs(&Graph::grid(rows, cols));
         let interactions: Vec<(usize, usize)> = (1..n).map(|i| (i - 1, i)).collect();
         QapProblem::from_interactions(n, &interactions, &hw)
     }
@@ -668,7 +668,7 @@ mod tests {
 
     #[test]
     fn handles_single_facility() {
-        let hw = DistanceMatrix::floyd_warshall(&Graph::path(3));
+        let hw = DistanceMatrix::bfs(&Graph::path(3));
         let p = QapProblem::from_interactions(1, &[], &hw);
         let mut rng = StdRng::seed_from_u64(0);
         let r = tabu_search(

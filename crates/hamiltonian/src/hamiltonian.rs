@@ -1,6 +1,5 @@
 //! The [`Hamiltonian`] type: a 2-local qubit Hamiltonian.
 
-use twoqan_graphs::Graph;
 use twoqan_math::pauli::Pauli;
 
 /// A two-qubit term `xx·X_uX_v + yy·Y_uY_v + zz·Z_uZ_v` acting on the qubit
@@ -61,8 +60,8 @@ pub struct SingleQubitTerm {
 /// h.add_zz(0, 1, 0.5);
 /// h.add_zz(1, 2, 0.25);
 /// h.add_x_field(0, 1.0);
-/// assert_eq!(h.num_interaction_pairs(), 2);
-/// assert_eq!(h.interaction_graph().num_edges(), 2);
+/// assert_eq!(h.interaction_pairs(), vec![(0, 1), (1, 2)]);
+/// assert_eq!(h.num_pauli_terms(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Hamiltonian {
@@ -116,16 +115,6 @@ impl Hamiltonian {
         }
     }
 
-    /// Adds an `X_uX_v` coupling.
-    pub fn add_xx(&mut self, u: usize, v: usize, coefficient: f64) {
-        self.add_two_qubit_term(u, v, coefficient, 0.0, 0.0);
-    }
-
-    /// Adds a `Y_uY_v` coupling.
-    pub fn add_yy(&mut self, u: usize, v: usize, coefficient: f64) {
-        self.add_two_qubit_term(u, v, 0.0, coefficient, 0.0);
-    }
-
     /// Adds a `Z_uZ_v` coupling.
     pub fn add_zz(&mut self, u: usize, v: usize, coefficient: f64) {
         self.add_two_qubit_term(u, v, 0.0, 0.0, coefficient);
@@ -156,11 +145,6 @@ impl Hamiltonian {
         self.add_field(qubit, Pauli::X, coefficient);
     }
 
-    /// Adds a longitudinal-field `Z_k` term.
-    pub fn add_z_field(&mut self, qubit: usize, coefficient: f64) {
-        self.add_field(qubit, Pauli::Z, coefficient);
-    }
-
     /// The two-qubit terms.
     pub fn two_qubit_terms(&self) -> &[TwoQubitTerm] {
         &self.two_qubit_terms
@@ -169,12 +153,6 @@ impl Hamiltonian {
     /// The single-qubit terms.
     pub fn single_qubit_terms(&self) -> &[SingleQubitTerm] {
         &self.single_qubit_terms
-    }
-
-    /// Number of interacting qubit pairs (the paper's "number of two-qubit
-    /// operators" per Trotter step after same-pair unification).
-    pub fn num_interaction_pairs(&self) -> usize {
-        self.two_qubit_terms.len()
     }
 
     /// Total number of individual (non-zero) Pauli terms, two-qubit and
@@ -187,38 +165,12 @@ impl Hamiltonian {
             + self.single_qubit_terms.len()
     }
 
-    /// The interaction graph `G(V, E)` of Eq. 3.
-    pub fn interaction_graph(&self) -> Graph {
-        let edges: Vec<(usize, usize)> = self
-            .two_qubit_terms
-            .iter()
-            .map(TwoQubitTerm::pair)
-            .collect();
-        Graph::from_edges(self.num_qubits, &edges)
-    }
-
     /// The interaction pairs, one per two-qubit term.
     pub fn interaction_pairs(&self) -> Vec<(usize, usize)> {
         self.two_qubit_terms
             .iter()
             .map(TwoQubitTerm::pair)
             .collect()
-    }
-
-    /// The largest coefficient magnitude Λ appearing in the Hamiltonian
-    /// (used in Trotter error bounds, §II-A).
-    pub fn max_coefficient(&self) -> f64 {
-        let two = self
-            .two_qubit_terms
-            .iter()
-            .flat_map(|t| [t.xx.abs(), t.yy.abs(), t.zz.abs()])
-            .fold(0.0f64, f64::max);
-        let one = self
-            .single_qubit_terms
-            .iter()
-            .map(|t| t.coefficient.abs())
-            .fold(0.0f64, f64::max);
-        two.max(one)
     }
 }
 
@@ -229,11 +181,11 @@ mod tests {
     #[test]
     fn accumulates_same_pair_couplings() {
         let mut h = Hamiltonian::new(4);
-        h.add_xx(0, 1, 0.3);
-        h.add_yy(1, 0, 0.4);
+        h.add_two_qubit_term(0, 1, 0.3, 0.0, 0.0);
+        h.add_two_qubit_term(1, 0, 0.0, 0.4, 0.0);
         h.add_zz(0, 1, 0.5);
         h.add_zz(2, 3, 0.1);
-        assert_eq!(h.num_interaction_pairs(), 2);
+        assert_eq!(h.two_qubit_terms().len(), 2);
         assert_eq!(h.num_pauli_terms(), 4);
         let t = &h.two_qubit_terms()[0];
         assert_eq!(t.pair(), (0, 1));
@@ -249,10 +201,6 @@ mod tests {
         h.add_zz(0, 1, 1.0);
         h.add_zz(1, 2, 1.0);
         h.add_zz(0, 2, 1.0);
-        let g = h.interaction_graph();
-        assert_eq!(g.num_vertices(), 5);
-        assert_eq!(g.num_edges(), 3);
-        assert!(g.has_edge(0, 2));
         assert_eq!(h.interaction_pairs(), vec![(0, 1), (1, 2), (0, 2)]);
     }
 
@@ -260,19 +208,10 @@ mod tests {
     fn single_qubit_fields() {
         let mut h = Hamiltonian::new(3);
         h.add_x_field(0, 0.7);
-        h.add_z_field(2, -0.2);
+        h.add_field(2, Pauli::Z, -0.2);
         assert_eq!(h.single_qubit_terms().len(), 2);
         assert_eq!(h.single_qubit_terms()[0].pauli, Pauli::X);
         assert_eq!(h.num_pauli_terms(), 2);
-        assert!((h.max_coefficient() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_coefficient_covers_two_qubit_terms() {
-        let mut h = Hamiltonian::new(2);
-        h.add_two_qubit_term(0, 1, 0.1, -2.5, 0.3);
-        h.add_x_field(0, 1.0);
-        assert!((h.max_coefficient() - 2.5).abs() < 1e-12);
     }
 
     #[test]

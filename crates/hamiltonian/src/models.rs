@@ -213,13 +213,13 @@ mod tests {
     fn nnn_models_have_2n_minus_3_pairs() {
         for n in [6usize, 8, 12, 20, 50] {
             assert_eq!(
-                nnn_ising(n, 1).num_interaction_pairs(),
+                nnn_ising(n, 1).two_qubit_terms().len(),
                 2 * n - 3,
                 "Ising n={n}"
             );
-            assert_eq!(nnn_xy(n, 1).num_interaction_pairs(), 2 * n - 3, "XY n={n}");
+            assert_eq!(nnn_xy(n, 1).two_qubit_terms().len(), 2 * n - 3, "XY n={n}");
             assert_eq!(
-                nnn_heisenberg(n, 1).num_interaction_pairs(),
+                nnn_heisenberg(n, 1).two_qubit_terms().len(),
                 2 * n - 3,
                 "Heisenberg n={n}"
             );
@@ -268,10 +268,10 @@ mod tests {
 
     #[test]
     fn interaction_graph_includes_next_nearest_neighbours() {
-        let g = nnn_ising(6, 0).interaction_graph();
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(0, 2));
-        assert!(!g.has_edge(0, 3));
+        let pairs = nnn_ising(6, 0).interaction_pairs();
+        assert!(pairs.contains(&(0, 1)));
+        assert!(pairs.contains(&(0, 2)));
+        assert!(!pairs.contains(&(0, 3)));
     }
 
     #[test]
@@ -314,7 +314,7 @@ mod tests {
     #[test]
     fn zz_on_edges_builds_pure_cost_hamiltonians() {
         let h = zz_on_edges(4, &[(0, 1), (1, 2), (2, 3)], || 0.7);
-        assert_eq!(h.num_interaction_pairs(), 3);
+        assert_eq!(h.two_qubit_terms().len(), 3);
         for t in h.two_qubit_terms() {
             assert_eq!((t.xx, t.yy), (0.0, 0.0));
             assert_eq!(t.zz, 0.7);
@@ -326,7 +326,7 @@ mod tests {
     fn heisenberg_lattice_builds_expected_terms() {
         let h = heisenberg_lattice(LatticeDimensions::TwoD(5, 6), 11);
         assert_eq!(h.num_qubits(), 30);
-        assert_eq!(h.num_interaction_pairs(), 49);
+        assert_eq!(h.two_qubit_terms().len(), 49);
         assert_eq!(h.num_pauli_terms(), 3 * 49);
     }
 }

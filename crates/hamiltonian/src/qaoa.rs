@@ -8,7 +8,6 @@
 //! parameters per layer.  Application performance is measured by the
 //! normalised cost `⟨C⟩ / C_min` (1 = perfect, 0 = random guessing).
 
-use crate::hamiltonian::Hamiltonian;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use twoqan_circuit::{Circuit, Gate, GateKind};
@@ -31,24 +30,10 @@ impl QaoaProblem {
     ///
     /// # Panics
     ///
-    /// Panics if no simple `d`-regular graph on `n` vertices exists (see
-    /// [`QaoaProblem::try_random_regular`] for the non-panicking variant).
+    /// Panics if no simple `d`-regular graph on `n` vertices exists.
     pub fn random_regular(n: usize, d: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         Self::new(random_regular_graph(n, d, &mut rng))
-    }
-
-    /// Like [`QaoaProblem::random_regular`], but returns a typed error when
-    /// the `(n, d)` pair admits no simple `d`-regular graph (odd `n·d`, or
-    /// `d ≥ n`) instead of panicking — the entry point for fuzzers that
-    /// draw arbitrary problem sizes.
-    pub fn try_random_regular(
-        n: usize,
-        d: usize,
-        seed: u64,
-    ) -> Result<Self, twoqan_graphs::RandomRegularError> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        twoqan_graphs::try_random_regular_graph(n, d, &mut rng).map(Self::new)
     }
 
     /// Number of qubits (graph vertices).
@@ -65,15 +50,6 @@ impl QaoaProblem {
     /// The problem graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
-    }
-
-    /// The problem (cost) Hamiltonian `C = Σ_{(u,v)∈E} Z_uZ_v`.
-    pub fn cost_hamiltonian(&self) -> Hamiltonian {
-        let mut h = Hamiltonian::new(self.num_qubits());
-        for (u, v) in self.graph.edges() {
-            h.add_zz(u, v, 1.0);
-        }
-        h
     }
 
     /// One QAOA layer `Π exp(iγ Z_uZ_v) · Π exp(iβ X_k)` as a circuit of
@@ -118,26 +94,6 @@ impl QaoaProblem {
     /// ReCirq).
     pub fn optimal_p1_angles_regular3() -> (f64, f64) {
         (0.6157, std::f64::consts::FRAC_PI_8)
-    }
-
-    /// The cut size of an assignment (number of edges whose endpoints get
-    /// different values).
-    pub fn cut_value(&self, assignment: &[bool]) -> usize {
-        assert_eq!(
-            assignment.len(),
-            self.num_qubits(),
-            "assignment length mismatch"
-        );
-        self.graph
-            .edges()
-            .iter()
-            .filter(|&&(u, v)| assignment[u] != assignment[v])
-            .count()
-    }
-
-    /// The cost value `Σ (−1)^{z_u ⊕ z_v} = |E| − 2·cut` of an assignment.
-    pub fn cost_value(&self, assignment: &[bool]) -> f64 {
-        self.num_edges() as f64 - 2.0 * self.cut_value(assignment) as f64
     }
 
     /// The maximum cut, found by exhaustive search.
@@ -190,17 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn cost_hamiltonian_has_one_zz_per_edge() {
-        let p = square();
-        let h = p.cost_hamiltonian();
-        assert_eq!(h.num_interaction_pairs(), 4);
-        for t in h.two_qubit_terms() {
-            assert_eq!(t.zz, 1.0);
-            assert_eq!(t.xx, 0.0);
-        }
-    }
-
-    #[test]
     fn layer_circuit_structure() {
         let p = square();
         let layer = p.layer_circuit(0.5, 0.3);
@@ -212,18 +157,6 @@ mod tests {
         assert_eq!(full.single_qubit_gate_count(), 12);
         let bare = p.circuit(&[(0.5, 0.3)], false);
         assert_eq!(bare.single_qubit_gate_count(), 4);
-    }
-
-    #[test]
-    fn cut_and_cost_values() {
-        let p = square();
-        // Alternating assignment cuts all 4 edges of the 4-cycle.
-        let alternating = [true, false, true, false];
-        assert_eq!(p.cut_value(&alternating), 4);
-        assert_eq!(p.cost_value(&alternating), -4.0);
-        let all_same = [false; 4];
-        assert_eq!(p.cut_value(&all_same), 0);
-        assert_eq!(p.cost_value(&all_same), 4.0);
     }
 
     #[test]
@@ -253,20 +186,5 @@ mod tests {
         let (g, b) = QaoaProblem::optimal_p1_angles_regular3();
         assert!(g > 0.0 && g < std::f64::consts::PI);
         assert!(b > 0.0 && b < std::f64::consts::FRAC_PI_2);
-    }
-
-    #[test]
-    #[should_panic(expected = "assignment length")]
-    fn cut_value_checks_length() {
-        let _ = square().cut_value(&[true, false]);
-    }
-
-    #[test]
-    fn try_random_regular_reports_impossible_shapes_as_errors() {
-        let p = QaoaProblem::try_random_regular(10, 3, 1).unwrap();
-        assert_eq!(p.num_qubits(), 10);
-        assert_eq!(p.num_edges(), 15);
-        assert!(QaoaProblem::try_random_regular(5, 3, 1).is_err(), "odd n*d");
-        assert!(QaoaProblem::try_random_regular(4, 4, 1).is_err(), "d >= n");
     }
 }

@@ -43,35 +43,6 @@ pub fn trotter_step(hamiltonian: &Hamiltonian, dt: f64) -> Circuit {
     circuit
 }
 
-/// Builds the circuit of a single Trotter step with one gate per individual
-/// Pauli term (no same-pair unification) — the "unoptimised" input a generic
-/// gate-level compiler would receive.
-pub fn trotter_step_unmerged(hamiltonian: &Hamiltonian, dt: f64) -> Circuit {
-    let mut circuit = Circuit::new(hamiltonian.num_qubits());
-    for term in hamiltonian.two_qubit_terms() {
-        if term.xx != 0.0 {
-            circuit.push(Gate::canonical(term.u, term.v, term.xx * dt, 0.0, 0.0));
-        }
-        if term.yy != 0.0 {
-            circuit.push(Gate::canonical(term.u, term.v, 0.0, term.yy * dt, 0.0));
-        }
-        if term.zz != 0.0 {
-            circuit.push(Gate::canonical(term.u, term.v, 0.0, 0.0, term.zz * dt));
-        }
-    }
-    for term in hamiltonian.single_qubit_terms() {
-        let angle = -2.0 * term.coefficient * dt;
-        let kind = match term.pauli {
-            Pauli::X => GateKind::Rx(angle),
-            Pauli::Y => GateKind::Ry(angle),
-            Pauli::Z => GateKind::Rz(angle),
-            Pauli::I => unreachable!("identity terms are rejected at construction"),
-        };
-        circuit.push(Gate::single(kind, term.qubit));
-    }
-    circuit
-}
-
 /// Builds the full product-formula circuit `(Π_j exp(i h_j H_j t/r))^r` with
 /// `r = steps` Trotter steps of total evolution time `t`.
 ///
@@ -101,7 +72,7 @@ pub fn trotterize(hamiltonian: &Hamiltonian, steps: usize, t: f64) -> Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::models::{nnn_heisenberg, nnn_ising, nnn_xy};
+    use crate::models::{nnn_ising, nnn_xy};
     use twoqan_math::gates;
 
     #[test]
@@ -113,19 +84,6 @@ mod tests {
         let xy = trotter_step(&nnn_xy(n, 1), 1.0);
         assert_eq!(xy.two_qubit_gate_count(), 2 * n - 3);
         assert_eq!(xy.single_qubit_gate_count(), 0);
-    }
-
-    #[test]
-    fn unmerged_step_has_one_gate_per_pauli_term() {
-        let n = 6;
-        let h = nnn_heisenberg(n, 2);
-        let merged = trotter_step(&h, 1.0);
-        let unmerged = trotter_step_unmerged(&h, 1.0);
-        assert_eq!(merged.two_qubit_gate_count(), 2 * n - 3);
-        assert_eq!(unmerged.two_qubit_gate_count(), 3 * (2 * n - 3));
-        // Unifying the unmerged circuit recovers the merged one (same pairs).
-        let unified = unmerged.unify_same_pair_gates();
-        assert_eq!(unified.two_qubit_signature(), merged.two_qubit_signature());
     }
 
     #[test]
@@ -148,8 +106,15 @@ mod tests {
         h.add_x_field(0, 0.9);
         let c = trotter_step(&h, 0.7);
         let gate = c.gates()[0];
-        let expected =
-            twoqan_math::pauli::exp_single_qubit_pauli(0.9 * 0.7, twoqan_math::pauli::Pauli::X);
+        // exp(iθX) = cos θ·I + i sin θ·X, since X² = I.
+        let theta: f64 = 0.9 * 0.7;
+        let expected = twoqan_math::Matrix2::identity()
+            .scale(twoqan_math::complex::c64(theta.cos(), 0.0))
+            .add(
+                &Pauli::X
+                    .matrix()
+                    .scale(twoqan_math::complex::c64(0.0, theta.sin())),
+            );
         assert!(gate.kind.single_qubit_matrix().approx_eq(&expected, 1e-12));
     }
 

@@ -131,12 +131,6 @@ impl Complex {
     pub fn approx_eq(self, other: Self, tol: f64) -> bool {
         (self.re - other.re).abs() < tol && (self.im - other.im).abs() < tol
     }
-
-    /// Returns `true` if the value is (numerically) zero.
-    #[inline]
-    pub fn is_zero(self, tol: f64) -> bool {
-        self.abs() < tol
-    }
 }
 
 impl From<f64> for Complex {
@@ -296,8 +290,6 @@ mod tests {
         assert_eq!(z.conj(), c64(3.0, 4.0));
         assert!((z.norm_sqr() - 25.0).abs() < 1e-12);
         assert!((z.abs() - 5.0).abs() < 1e-12);
-        assert!(!z.is_zero(1e-9));
-        assert!(Complex::zero().is_zero(1e-9));
     }
 
     #[test]

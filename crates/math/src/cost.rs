@@ -93,29 +93,6 @@ impl TwoQubitBasisCost {
         }
     }
 
-    /// Number of native gates needed for a plain routing SWAP.
-    pub fn swap_cost(self) -> usize {
-        self.gate_count(&WeylCoordinates::swap())
-    }
-
-    /// An estimate of the number of single-qubit gates interleaved with the
-    /// native two-qubit gates when decomposing a unitary of the given class.
-    ///
-    /// The estimate assumes one single-qubit-layer (up to two rotations per
-    /// qubit) before the first and after every native gate, which matches
-    /// the structure of the standard analytic decompositions.  It is used
-    /// only for the "depth of all gates" metric, never for the two-qubit
-    /// metrics the paper focuses on.
-    pub fn single_qubit_gate_estimate(self, coords: &WeylCoordinates) -> usize {
-        let k = self.gate_count(coords);
-        if k == 0 {
-            // A purely local two-qubit unitary is at most one rotation per qubit.
-            2
-        } else {
-            2 * (k + 1)
-        }
-    }
-
     /// Human-readable name of the native gate (as used in the paper's plots).
     pub fn gate_name(self) -> &'static str {
         match self {
@@ -188,7 +165,11 @@ mod tests {
         // Fig. 5: SWAP = 3 CNOTs and SWAP·exp(iθZZ) = 3 CNOTs.
         let dressed = WeylCoordinates::from_dressed_swap(0.0, 0.0, 0.3);
         for basis in TwoQubitBasisCost::ALL {
-            assert_eq!(basis.swap_cost(), 3, "basis {basis}");
+            assert_eq!(
+                basis.gate_count(&WeylCoordinates::swap()),
+                3,
+                "basis {basis}"
+            );
             assert_eq!(basis.gate_count(&dressed), 3, "basis {basis}");
         }
     }
@@ -225,18 +206,6 @@ mod tests {
     fn iswap_costs_two_in_cnot_basis() {
         let iswap = WeylCoordinates::iswap();
         assert_eq!(TwoQubitBasisCost::Cnot.gate_count(&iswap), 2);
-    }
-
-    #[test]
-    fn single_qubit_estimates_scale_with_gate_count() {
-        let zz = WeylCoordinates::from_interaction(0.0, 0.0, 0.3);
-        let est2 = TwoQubitBasisCost::Cnot.single_qubit_gate_estimate(&zz);
-        let est3 = TwoQubitBasisCost::Cnot.single_qubit_gate_estimate(&WeylCoordinates::swap());
-        assert!(est3 > est2);
-        assert_eq!(
-            TwoQubitBasisCost::Cnot.single_qubit_gate_estimate(&WeylCoordinates::identity()),
-            2
-        );
     }
 
     #[test]

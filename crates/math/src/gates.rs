@@ -57,14 +57,6 @@ pub fn s_dagger() -> Matrix2 {
     s_gate().dagger()
 }
 
-/// T gate = diag(1, e^{iπ/4}).
-pub fn t_gate() -> Matrix2 {
-    Matrix2::new([
-        [Complex::one(), Complex::zero()],
-        [Complex::zero(), Complex::cis(PI / 4.0)],
-    ])
-}
-
 /// Rotation about X: `Rx(θ) = exp(-i θ X / 2)`.
 pub fn rx(theta: f64) -> Matrix2 {
     let c = (theta / 2.0).cos();
@@ -130,16 +122,6 @@ pub fn cz() -> Matrix4 {
     ])
 }
 
-/// Controlled-phase gate `diag(1, 1, 1, e^{iφ})`.
-pub fn cphase(phi: f64) -> Matrix4 {
-    Matrix4::diagonal([
-        Complex::one(),
-        Complex::one(),
-        Complex::one(),
-        Complex::cis(phi),
-    ])
-}
-
 /// SWAP gate.
 pub fn swap() -> Matrix4 {
     Matrix4::from_real([
@@ -157,18 +139,6 @@ pub fn iswap() -> Matrix4 {
     m.data[3][3] = Complex::one();
     m.data[1][2] = Complex::i();
     m.data[2][1] = Complex::i();
-    m
-}
-
-/// √iSWAP gate.
-pub fn sqrt_iswap() -> Matrix4 {
-    let mut m = Matrix4::zero();
-    m.data[0][0] = Complex::one();
-    m.data[3][3] = Complex::one();
-    m.data[1][1] = c64(FRAC_1_SQRT_2, 0.0);
-    m.data[2][2] = c64(FRAC_1_SQRT_2, 0.0);
-    m.data[1][2] = c64(0.0, FRAC_1_SQRT_2);
-    m.data[2][1] = c64(0.0, FRAC_1_SQRT_2);
     m
 }
 
@@ -221,12 +191,6 @@ pub fn canonical(a: f64, b: f64, c: f64) -> Matrix4 {
     m
 }
 
-/// `exp(i θ ZZ)`, the two-qubit unitary implementing one Ising / QAOA cost
-/// term (a special case of [`canonical`]).
-pub fn zz_interaction(theta: f64) -> Matrix4 {
-    canonical(0.0, 0.0, theta)
-}
-
 /// A "dressed SWAP": the product `SWAP · Can(a, b, c)` produced by the
 /// unitary-unifying pass when a routing SWAP is merged with a circuit gate
 /// acting on the same qubit pair.
@@ -248,6 +212,16 @@ pub fn embed_single(u: &Matrix2, which: usize) -> Matrix4 {
 mod tests {
     use super::*;
 
+    /// Controlled-phase gate `diag(1, 1, 1, e^{iφ})`.
+    fn cphase(phi: f64) -> Matrix4 {
+        Matrix4::diagonal([
+            Complex::one(),
+            Complex::one(),
+            Complex::one(),
+            Complex::cis(phi),
+        ])
+    }
+
     fn assert_unitary(m: &Matrix4) {
         assert!(m.is_unitary(1e-10), "matrix is not unitary: {m:?}");
     }
@@ -258,15 +232,12 @@ mod tests {
             cnot(),
             cnot_reversed(),
             cz(),
-            cphase(0.7),
             swap(),
             iswap(),
-            sqrt_iswap(),
             syc(),
             fsim(0.4, 1.1),
             canonical(0.3, -0.2, 0.9),
             dressed_swap(0.1, 0.2, 0.3),
-            zz_interaction(1.3),
         ] {
             assert_unitary(&m);
         }
@@ -281,7 +252,6 @@ mod tests {
             hadamard(),
             s_gate(),
             s_dagger(),
-            t_gate(),
             rx(0.3),
             ry(-1.2),
             rz(2.5),
@@ -323,7 +293,7 @@ mod tests {
         ]);
         assert!(u3(0.0, 0.0, lam).approx_eq(&expected, 1e-12));
         // U3(π/2, 0, π) = H up to phase.
-        assert!(u3(PI / 2.0, 0.0, PI).approx_eq_up_to_phase(&hadamard(), 1e-9));
+        assert!(u3(PI / 2.0, 0.0, PI).approx_eq(&hadamard(), 1e-12));
     }
 
     #[test]
@@ -361,7 +331,7 @@ mod tests {
             Complex::cis(-theta),
             Complex::cis(theta),
         ]);
-        assert!(zz_interaction(theta).approx_eq(&expected, 1e-12));
+        assert!(canonical(0.0, 0.0, theta).approx_eq(&expected, 1e-12));
     }
 
     #[test]
@@ -375,7 +345,7 @@ mod tests {
         // CPhase(φ) = e^{-iφ/4} · (Rz(φ/2)⊗Rz(φ/2)) · exp(i φ/4 ZZ).
         let phi = 0.83;
         let local = embed_single(&rz(phi / 2.0), 0).mul(&embed_single(&rz(phi / 2.0), 1));
-        let reconstructed = local.mul(&zz_interaction(phi / 4.0));
+        let reconstructed = local.mul(&canonical(0.0, 0.0, phi / 4.0));
         assert!(reconstructed.approx_eq_up_to_phase(&cphase(phi), 1e-9));
     }
 
@@ -389,15 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_iswap_squares_to_iswap() {
-        let s = sqrt_iswap();
-        assert!(s.mul(&s).approx_eq(&iswap(), 1e-10));
-    }
-
-    #[test]
     fn dressed_swap_is_swap_times_canonical() {
         let d = dressed_swap(0.0, 0.0, 0.5);
-        assert!(d.approx_eq(&swap().mul(&zz_interaction(0.5)), 1e-12));
+        assert!(d.approx_eq(&swap().mul(&canonical(0.0, 0.0, 0.5)), 1e-12));
         // The dressed SWAP of the identity canonical gate is just a SWAP.
         assert!(dressed_swap(0.0, 0.0, 0.0).approx_eq(&swap(), 1e-12));
     }

@@ -11,10 +11,10 @@
 //!
 //! * [`Complex`] — a minimal `f64` complex number type,
 //! * [`Matrix2`] / [`Matrix4`] — dense 2×2 and 4×4 complex matrices,
-//! * [`pauli`] — Pauli operators and exponentials of two-local Pauli terms,
+//! * [`pauli`] — single-qubit Pauli operators and their matrices,
 //! * [`gates`] — the standard gate matrices used throughout the workspace,
-//! * [`weyl`] — Makhlin invariants, Weyl (canonical) coordinates and the
-//!   local-equivalence classification of two-qubit unitaries,
+//! * [`weyl`] — Weyl (canonical) coordinates and the local-equivalence
+//!   classification of two-qubit unitaries,
 //! * [`cost`] — per-basis two-qubit gate-cost models used by the gate
 //!   decomposition pass and the benchmark harness,
 //! * [`synthesis`] — explicit CNOT/CZ-basis synthesis of canonical gates
@@ -59,12 +59,6 @@ pub fn approx_eq(a: f64, b: f64) -> bool {
     (a - b).abs() < EPSILON
 }
 
-/// Returns `true` if two floating point numbers are within [`LOOSE_EPSILON`].
-#[inline]
-pub fn loose_eq(a: f64, b: f64) -> bool {
-    (a - b).abs() < LOOSE_EPSILON
-}
-
 /// Reduces an angle to the half-open interval `[0, period)`.
 #[inline]
 pub fn wrap_angle(theta: f64, period: f64) -> f64 {
@@ -97,6 +91,5 @@ mod tests {
     fn approx_eq_tolerates_tiny_differences() {
         assert!(approx_eq(1.0, 1.0 + 1e-12));
         assert!(!approx_eq(1.0, 1.0 + 1e-6));
-        assert!(loose_eq(1.0, 1.0 + 1e-8));
     }
 }

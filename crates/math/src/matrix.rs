@@ -67,14 +67,6 @@ impl Matrix2 {
         out
     }
 
-    /// Matrix-vector product.
-    pub fn mul_vec(&self, v: [Complex; 2]) -> [Complex; 2] {
-        [
-            self.data[0][0] * v[0] + self.data[0][1] * v[1],
-            self.data[1][0] * v[0] + self.data[1][1] * v[1],
-        ]
-    }
-
     /// Entry-wise sum.
     pub fn add(&self, rhs: &Self) -> Self {
         let mut out = *self;
@@ -160,15 +152,6 @@ impl Matrix2 {
             }
         }
         true
-    }
-
-    /// Returns `true` if `self ≈ e^{iφ} other` for some global phase φ.
-    pub fn approx_eq_up_to_phase(&self, other: &Self, tol: f64) -> bool {
-        phase_match(
-            self.data.iter().flatten().copied(),
-            other.data.iter().flatten().copied(),
-            tol,
-        )
     }
 
     /// If the matrix is diagonal (both off-diagonal entries exactly zero),
@@ -277,17 +260,6 @@ impl Matrix4 {
         out
     }
 
-    /// Matrix-vector product.
-    pub fn mul_vec(&self, v: [Complex; 4]) -> [Complex; 4] {
-        let mut out = [Complex::zero(); 4];
-        for (o, row) in out.iter_mut().zip(&self.data) {
-            for (&e, &x) in row.iter().zip(&v) {
-                *o += e * x;
-            }
-        }
-        out
-    }
-
     /// Entry-wise sum.
     pub fn add(&self, rhs: &Self) -> Self {
         let mut out = *self;
@@ -390,17 +362,6 @@ impl Matrix4 {
             other.data.iter().flatten().copied(),
             tol,
         )
-    }
-
-    /// Frobenius norm of the difference `‖self − other‖_F`.
-    pub fn frobenius_distance(&self, other: &Self) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..4 {
-            for j in 0..4 {
-                acc += (self.data[i][j] - other.data[i][j]).norm_sqr();
-            }
-        }
-        acc.sqrt()
     }
 
     /// If the matrix is diagonal (every off-diagonal entry exactly zero),
@@ -619,13 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_distance_zero_iff_equal() {
-        let a = gates::iswap();
-        assert!(a.frobenius_distance(&a) < 1e-12);
-        assert!(a.frobenius_distance(&gates::swap()) > 0.5);
-    }
-
-    #[test]
     fn diagonal_and_anti_diagonal_forms_are_detected() {
         let d = gates::rz(0.7).as_diagonal().expect("Rz is diagonal");
         assert!(d[0].approx_eq(Complex::cis(-0.35), 1e-12));
@@ -649,13 +603,12 @@ mod tests {
     #[test]
     fn two_qubit_diagonal_and_swap_diagonal_forms_are_detected() {
         let theta = 0.61;
-        let d = gates::zz_interaction(theta)
+        let d = gates::canonical(0.0, 0.0, theta)
             .as_diagonal()
             .expect("exp(iθZZ) is diagonal");
         assert!(d[0].approx_eq(Complex::cis(theta), 1e-12));
         assert!(d[1].approx_eq(Complex::cis(-theta), 1e-12));
         assert!(gates::cz().as_diagonal().is_some());
-        assert!(gates::cphase(0.4).as_diagonal().is_some());
         assert!(gates::cnot().as_diagonal().is_none());
         assert!(gates::swap().as_diagonal().is_none());
 
@@ -677,21 +630,5 @@ mod tests {
         let c = gates::canonical(0.3, 0.2, 0.1);
         assert!(c.as_diagonal().is_none());
         assert!(c.as_swap_diagonal().is_none());
-    }
-
-    #[test]
-    fn mul_vec_applies_matrix() {
-        let x = gates::pauli_x();
-        let v = x.mul_vec([Complex::one(), Complex::zero()]);
-        assert!(v[0].approx_eq(Complex::zero(), 1e-12));
-        assert!(v[1].approx_eq(Complex::one(), 1e-12));
-        let sw = gates::swap();
-        let v4 = sw.mul_vec([
-            Complex::zero(),
-            Complex::one(),
-            Complex::zero(),
-            Complex::zero(),
-        ]);
-        assert!(v4[2].approx_eq(Complex::one(), 1e-12));
     }
 }

@@ -1,13 +1,12 @@
-//! Pauli operators, Pauli strings and exponentials of two-local Pauli terms.
+//! Single-qubit Pauli operators and their dense matrices.
 //!
 //! 2-local qubit Hamiltonians (Eq. 3 of the paper) are sums of one- and
-//! two-qubit Pauli terms.  This module provides the single-qubit Pauli
-//! algebra (products with phases, commutation), dense matrices, and
-//! [`PauliString`]s over `n` qubits used by the Hamiltonian crate to describe
-//! benchmark models and by the tests to check commutation-related claims.
+//! two-qubit Pauli terms; the Hamiltonian crate names each term's operators
+//! with [`Pauli`], and the trajectory simulator draws its Pauli errors from
+//! their matrices.
 
 use crate::complex::{c64, Complex};
-use crate::matrix::{Matrix2, Matrix4};
+use crate::matrix::Matrix2;
 
 /// A single-qubit Pauli operator (including the identity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,298 +43,44 @@ impl Pauli {
             ]),
         }
     }
-
-    /// Product of two Paulis: returns `(phase, pauli)` such that
-    /// `self · other = phase · pauli`.
-    pub fn product(self, other: Pauli) -> (Complex, Pauli) {
-        use Pauli::*;
-        match (self, other) {
-            (I, p) | (p, I) => (Complex::one(), p),
-            (X, X) | (Y, Y) | (Z, Z) => (Complex::one(), I),
-            (X, Y) => (Complex::i(), Z),
-            (Y, X) => (-Complex::i(), Z),
-            (Y, Z) => (Complex::i(), X),
-            (Z, Y) => (-Complex::i(), X),
-            (Z, X) => (Complex::i(), Y),
-            (X, Z) => (-Complex::i(), Y),
-        }
-    }
-
-    /// Returns `true` if the two Paulis commute (identity commutes with all).
-    pub fn commutes_with(self, other: Pauli) -> bool {
-        self == Pauli::I || other == Pauli::I || self == other
-    }
-
-    /// One-character label (`I`, `X`, `Y`, `Z`).
-    pub fn label(self) -> char {
-        match self {
-            Pauli::I => 'I',
-            Pauli::X => 'X',
-            Pauli::Y => 'Y',
-            Pauli::Z => 'Z',
-        }
-    }
-}
-
-impl std::fmt::Display for Pauli {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.label())
-    }
-}
-
-/// A Pauli string: a tensor product of single-qubit Paulis over `n` qubits.
-///
-/// Used to describe Hamiltonian terms such as `X₁X₂` or `Z₀Z₃`.
-///
-/// # Example
-///
-/// ```
-/// use twoqan_math::pauli::{Pauli, PauliString};
-///
-/// let xx = PauliString::two_qubit(4, 1, 2, Pauli::X, Pauli::X);
-/// let yy = PauliString::two_qubit(4, 2, 3, Pauli::Y, Pauli::Y);
-/// assert!(!xx.commutes_with(&yy)); // anti-commuting terms (shared qubit 2)
-/// assert_eq!(xx.weight(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct PauliString {
-    paulis: Vec<Pauli>,
-}
-
-impl PauliString {
-    /// The identity string on `n` qubits.
-    pub fn identity(n: usize) -> Self {
-        Self {
-            paulis: vec![Pauli::I; n],
-        }
-    }
-
-    /// Builds a string from an explicit per-qubit list.
-    pub fn new(paulis: Vec<Pauli>) -> Self {
-        Self { paulis }
-    }
-
-    /// A string with a single non-identity Pauli `p` on `qubit`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubit >= n`.
-    pub fn single_qubit(n: usize, qubit: usize, p: Pauli) -> Self {
-        assert!(qubit < n, "qubit index {qubit} out of range for {n} qubits");
-        let mut s = Self::identity(n);
-        s.paulis[qubit] = p;
-        s
-    }
-
-    /// A string with non-identity Paulis on two distinct qubits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range or the indices coincide.
-    pub fn two_qubit(n: usize, a: usize, b: usize, pa: Pauli, pb: Pauli) -> Self {
-        assert!(a < n && b < n, "qubit index out of range for {n} qubits");
-        assert_ne!(a, b, "two-qubit Pauli term requires distinct qubits");
-        let mut s = Self::identity(n);
-        s.paulis[a] = pa;
-        s.paulis[b] = pb;
-        s
-    }
-
-    /// Number of qubits the string is defined over.
-    pub fn num_qubits(&self) -> usize {
-        self.paulis.len()
-    }
-
-    /// The Pauli acting on `qubit`.
-    pub fn pauli_at(&self, qubit: usize) -> Pauli {
-        self.paulis[qubit]
-    }
-
-    /// Indices of qubits on which the string acts non-trivially.
-    pub fn support(&self) -> Vec<usize> {
-        self.paulis
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p != Pauli::I)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Number of non-identity factors (the *weight* of the string).
-    pub fn weight(&self) -> usize {
-        self.paulis.iter().filter(|p| **p != Pauli::I).count()
-    }
-
-    /// Returns `true` if the string acts on at most 2 qubits (is 2-local).
-    pub fn is_two_local(&self) -> bool {
-        self.weight() <= 2
-    }
-
-    /// Returns `true` if the two strings commute as operators.
-    ///
-    /// Two Pauli strings commute iff they anti-commute on an even number of
-    /// qubit positions.
-    pub fn commutes_with(&self, other: &Self) -> bool {
-        assert_eq!(
-            self.num_qubits(),
-            other.num_qubits(),
-            "Pauli strings must act on the same number of qubits"
-        );
-        let anti = self
-            .paulis
-            .iter()
-            .zip(other.paulis.iter())
-            .filter(|(a, b)| !a.commutes_with(**b))
-            .count();
-        anti % 2 == 0
-    }
-
-    /// Returns `true` if the supports of the two strings overlap.
-    pub fn overlaps(&self, other: &Self) -> bool {
-        self.paulis
-            .iter()
-            .zip(other.paulis.iter())
-            .any(|(a, b)| *a != Pauli::I && *b != Pauli::I)
-    }
-
-    /// Dense matrix of a *two-qubit* string restricted to its support pair
-    /// `(a, b)` with `a` mapped to the most-significant qubit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the string has weight greater than two.
-    pub fn two_qubit_matrix(&self, a: usize, b: usize) -> Matrix4 {
-        assert!(self.weight() <= 2, "expected a 2-local Pauli string");
-        self.paulis[a].matrix().kron(&self.paulis[b].matrix())
-    }
-
-    /// Compact text label such as `"X1X2"` (identity factors omitted);
-    /// `"I"` for the identity string.
-    pub fn label(&self) -> String {
-        let mut out = String::new();
-        for (i, p) in self.paulis.iter().enumerate() {
-            if *p != Pauli::I {
-                out.push(p.label());
-                out.push_str(&i.to_string());
-            }
-        }
-        if out.is_empty() {
-            out.push('I');
-        }
-        out
-    }
-}
-
-impl std::fmt::Display for PauliString {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.label())
-    }
-}
-
-/// The exponential `exp(i θ P⊗Q)` of a two-qubit Pauli product, as a dense
-/// 4×4 matrix (`P` on the most-significant qubit).
-///
-/// Because `(P⊗Q)² = I`, the exponential is `cos(θ)·I + i·sin(θ)·P⊗Q`.
-pub fn exp_two_qubit_pauli(theta: f64, p: Pauli, q: Pauli) -> Matrix4 {
-    let pq = p.matrix().kron(&q.matrix());
-    Matrix4::identity()
-        .scale(c64(theta.cos(), 0.0))
-        .add(&pq.scale(c64(0.0, theta.sin())))
-}
-
-/// The exponential `exp(i θ P)` of a single-qubit Pauli, as a dense 2×2
-/// matrix.
-pub fn exp_single_qubit_pauli(theta: f64, p: Pauli) -> Matrix2 {
-    let m = p.matrix();
-    Matrix2::identity()
-        .scale(c64(theta.cos(), 0.0))
-        .add(&m.scale(c64(0.0, theta.sin())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gates;
+    use crate::matrix::Matrix4;
 
-    #[test]
-    fn pauli_products_follow_algebra() {
-        // XY = iZ, YX = -iZ, and the cyclic relations.
-        assert_eq!(Pauli::X.product(Pauli::Y), (Complex::i(), Pauli::Z));
-        assert_eq!(Pauli::Y.product(Pauli::X), (-Complex::i(), Pauli::Z));
-        assert_eq!(Pauli::Y.product(Pauli::Z), (Complex::i(), Pauli::X));
-        assert_eq!(Pauli::Z.product(Pauli::X), (Complex::i(), Pauli::Y));
-        assert_eq!(Pauli::X.product(Pauli::X), (Complex::one(), Pauli::I));
-        assert_eq!(Pauli::I.product(Pauli::Z), (Complex::one(), Pauli::Z));
+    /// The exponential `exp(i θ P⊗Q)` of a two-qubit Pauli product, as a dense
+    /// 4×4 matrix (`P` on the most-significant qubit).
+    ///
+    /// Because `(P⊗Q)² = I`, the exponential is `cos(θ)·I + i·sin(θ)·P⊗Q`.
+    fn exp_two_qubit_pauli(theta: f64, p: Pauli, q: Pauli) -> Matrix4 {
+        let pq = p.matrix().kron(&q.matrix());
+        Matrix4::identity()
+            .scale(c64(theta.cos(), 0.0))
+            .add(&pq.scale(c64(0.0, theta.sin())))
+    }
+
+    /// The exponential `exp(i θ P)` of a single-qubit Pauli, as a dense 2×2
+    /// matrix.
+    fn exp_single_qubit_pauli(theta: f64, p: Pauli) -> Matrix2 {
+        let m = p.matrix();
+        Matrix2::identity()
+            .scale(c64(theta.cos(), 0.0))
+            .add(&m.scale(c64(0.0, theta.sin())))
     }
 
     #[test]
     fn pauli_matrices_square_to_identity() {
         for p in Pauli::ALL {
             let m = p.matrix();
-            assert!(m.mul(&m).approx_eq(&Matrix2::identity(), 1e-12), "{p}² ≠ I");
+            assert!(
+                m.mul(&m).approx_eq(&Matrix2::identity(), 1e-12),
+                "{p:?}² ≠ I"
+            );
             assert!(m.is_unitary(1e-12));
         }
-    }
-
-    #[test]
-    fn product_matches_matrix_product() {
-        for a in Pauli::ALL {
-            for b in Pauli::ALL {
-                let (phase, p) = a.product(b);
-                let lhs = a.matrix().mul(&b.matrix());
-                let rhs = p.matrix().scale(phase);
-                assert!(lhs.approx_eq(&rhs, 1e-12), "{a}·{b} mismatch");
-            }
-        }
-    }
-
-    #[test]
-    fn commutation_of_single_paulis() {
-        assert!(Pauli::X.commutes_with(Pauli::X));
-        assert!(Pauli::I.commutes_with(Pauli::Y));
-        assert!(!Pauli::X.commutes_with(Pauli::Z));
-    }
-
-    #[test]
-    fn pauli_string_commutation_examples_from_paper() {
-        // exp(i t X1X2) and exp(i t Y2Y3) do not commute (shared qubit 2,
-        // X vs Y anti-commute on exactly one position).
-        let x1x2 = PauliString::two_qubit(4, 1, 2, Pauli::X, Pauli::X);
-        let y2y3 = PauliString::two_qubit(4, 2, 3, Pauli::Y, Pauli::Y);
-        assert!(!x1x2.commutes_with(&y2y3));
-
-        // Two ZZ terms always commute (QAOA cost Hamiltonian).
-        let z01 = PauliString::two_qubit(4, 0, 1, Pauli::Z, Pauli::Z);
-        let z12 = PauliString::two_qubit(4, 1, 2, Pauli::Z, Pauli::Z);
-        assert!(z01.commutes_with(&z12));
-
-        // XX and YY on the *same* pair commute.
-        let xx = PauliString::two_qubit(4, 0, 1, Pauli::X, Pauli::X);
-        let yy = PauliString::two_qubit(4, 0, 1, Pauli::Y, Pauli::Y);
-        assert!(xx.commutes_with(&yy));
-        assert!(xx.overlaps(&yy));
-        assert!(!z01.overlaps(&PauliString::two_qubit(4, 2, 3, Pauli::Z, Pauli::Z)));
-    }
-
-    #[test]
-    fn string_constructors_and_accessors() {
-        let s = PauliString::two_qubit(5, 1, 3, Pauli::X, Pauli::Z);
-        assert_eq!(s.num_qubits(), 5);
-        assert_eq!(s.weight(), 2);
-        assert!(s.is_two_local());
-        assert_eq!(s.support(), vec![1, 3]);
-        assert_eq!(s.pauli_at(1), Pauli::X);
-        assert_eq!(s.pauli_at(0), Pauli::I);
-        assert_eq!(s.label(), "X1Z3");
-        assert_eq!(PauliString::identity(3).label(), "I");
-        let single = PauliString::single_qubit(3, 2, Pauli::Y);
-        assert_eq!(single.weight(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct")]
-    fn two_qubit_term_rejects_equal_indices() {
-        let _ = PauliString::two_qubit(4, 2, 2, Pauli::X, Pauli::X);
     }
 
     #[test]

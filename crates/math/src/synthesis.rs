@@ -70,19 +70,6 @@ impl SynthGate {
     }
 }
 
-/// Multiplies out a synthesis fragment (time-ordered: the first element of
-/// the slice is applied first) into its 4×4 unitary.
-pub fn circuit_matrix(circuit: &[SynthGate]) -> Matrix4 {
-    circuit
-        .iter()
-        .fold(Matrix4::identity(), |acc, g| g.matrix().mul(&acc))
-}
-
-/// Number of CNOTs in a synthesis fragment.
-pub fn cnot_count(circuit: &[SynthGate]) -> usize {
-    circuit.iter().filter(|g| g.is_two_qubit()).count()
-}
-
 /// Exact 2-CNOT circuit for `exp(iθ ZZ)`.
 pub fn zz_circuit(theta: f64) -> Vec<SynthGate> {
     vec![
@@ -185,12 +172,25 @@ mod tests {
     use super::*;
     use crate::gates;
 
+    /// Multiplies out a synthesis fragment (time-ordered: the first element
+    /// of the slice is applied first) into its 4×4 unitary.
+    fn circuit_matrix(circuit: &[SynthGate]) -> Matrix4 {
+        circuit
+            .iter()
+            .fold(Matrix4::identity(), |acc, g| g.matrix().mul(&acc))
+    }
+
+    /// Number of CNOTs in a synthesis fragment.
+    fn cnot_count(circuit: &[SynthGate]) -> usize {
+        circuit.iter().filter(|g| g.is_two_qubit()).count()
+    }
+
     #[test]
     fn zz_circuit_is_exact() {
         for theta in [0.0, 0.3, -1.1, std::f64::consts::PI / 3.0] {
             let m = circuit_matrix(&zz_circuit(theta));
             assert!(
-                m.approx_eq(&gates::zz_interaction(theta), 1e-10),
+                m.approx_eq(&gates::canonical(0.0, 0.0, theta), 1e-10),
                 "ZZ circuit mismatch for θ={theta}"
             );
         }
@@ -208,7 +208,7 @@ mod tests {
     fn dressed_swap_circuit_matches_fig5() {
         for theta in [0.2, 0.9, -0.5] {
             let m = circuit_matrix(&dressed_zz_swap_circuit(theta));
-            let expected = gates::swap().mul(&gates::zz_interaction(theta));
+            let expected = gates::swap().mul(&gates::canonical(0.0, 0.0, theta));
             assert!(
                 m.approx_eq(&expected, 1e-10),
                 "dressed SWAP circuit mismatch for θ={theta}"

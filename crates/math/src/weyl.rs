@@ -10,8 +10,6 @@
 //!
 //! This module provides:
 //!
-//! * [`MakhlinInvariants`] — the local invariants `(G₁, G₂)` of a two-qubit
-//!   unitary, used to test local equivalence,
 //! * [`WeylCoordinates`] — canonical coordinates folded into the chamber
 //!   `π/4 ≥ c₁ ≥ c₂ ≥ c₃ ≥ 0`, computed either analytically from interaction
 //!   parameters or numerically from an arbitrary 4×4 unitary,
@@ -41,47 +39,6 @@ pub fn magic_basis() -> Matrix4 {
     m.data[3][0] = c64(s, 0.0);
     m.data[3][3] = c64(0.0, -s);
     m
-}
-
-/// Makhlin local invariants `(G₁ ∈ ℂ, G₂ ∈ ℝ)` of a two-qubit unitary.
-///
-/// Two two-qubit unitaries are equivalent under single-qubit (local)
-/// operations iff their invariants coincide.  Reference values:
-/// identity → `(1, 3)`, CNOT/CZ → `(0, 1)`, SWAP → `(−1, −3)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MakhlinInvariants {
-    /// The complex invariant `G₁ = tr²(m) / (16 · det U)`.
-    pub g1: Complex,
-    /// The real invariant `G₂ = (tr²(m) − tr(m²)) / (4 · det U)`.
-    pub g2: f64,
-}
-
-impl MakhlinInvariants {
-    /// Computes the invariants of a two-qubit unitary.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `u` is not unitary.
-    pub fn of(u: &Matrix4) -> Self {
-        debug_assert!(
-            u.is_unitary(1e-6),
-            "Makhlin invariants require a unitary matrix"
-        );
-        let m = magic_basis();
-        let um = m.dagger().mul(u).mul(&m);
-        let gamma = um.transpose().mul(&um);
-        let tr = gamma.trace();
-        let tr2 = gamma.mul(&gamma).trace();
-        let det = u.det();
-        let g1 = tr * tr / (det * 16.0);
-        let g2c = (tr * tr - tr2) / (det * 4.0);
-        Self { g1, g2: g2c.re }
-    }
-
-    /// Returns `true` if two invariant pairs agree within `tol`.
-    pub fn approx_eq(&self, other: &Self, tol: f64) -> bool {
-        self.g1.approx_eq(other.g1, tol) && (self.g2 - other.g2).abs() < tol
-    }
 }
 
 /// Canonical (Weyl-chamber) coordinates of a two-qubit unitary, folded into
@@ -220,37 +177,10 @@ impl WeylCoordinates {
         self.c1 < LOOSE_EPSILON
     }
 
-    /// Returns `true` if the gate is locally equivalent to CNOT/CZ.
-    pub fn is_cnot_class(&self) -> bool {
-        (self.c1 - FRAC_PI_4).abs() < LOOSE_EPSILON
-            && self.c2 < LOOSE_EPSILON
-            && self.c3 < LOOSE_EPSILON
-    }
-
-    /// Returns `true` if the gate is locally equivalent to iSWAP.
-    pub fn is_iswap_class(&self) -> bool {
-        (self.c1 - FRAC_PI_4).abs() < LOOSE_EPSILON
-            && (self.c2 - FRAC_PI_4).abs() < LOOSE_EPSILON
-            && self.c3 < LOOSE_EPSILON
-    }
-
-    /// Returns `true` if the gate is locally equivalent to SWAP.
-    pub fn is_swap_class(&self) -> bool {
-        (self.c1 - FRAC_PI_4).abs() < LOOSE_EPSILON
-            && (self.c2 - FRAC_PI_4).abs() < LOOSE_EPSILON
-            && (self.c3 - FRAC_PI_4).abs() < LOOSE_EPSILON
-    }
-
     /// Returns `true` if the smallest coordinate vanishes, i.e. the gate lies
     /// in the two-basis-gate ("c₃ = 0") plane of the chamber.
     pub fn has_zero_c3(&self) -> bool {
         self.c3 < LOOSE_EPSILON
-    }
-
-    /// A rough "entangling strength" measure, `c₁ + c₂ + c₃` (0 for local
-    /// gates, `3π/4` for the SWAP class after folding).
-    pub fn interaction_strength(&self) -> f64 {
-        self.c1 + self.c2 + self.c3
     }
 }
 
@@ -358,42 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn makhlin_invariants_of_reference_gates() {
-        let id = MakhlinInvariants::of(&Matrix4::identity());
-        assert!(id.g1.approx_eq(Complex::one(), 1e-9));
-        assert!((id.g2 - 3.0).abs() < 1e-9);
-
-        let cnot = MakhlinInvariants::of(&gates::cnot());
-        assert!(cnot.g1.approx_eq(Complex::zero(), 1e-9));
-        assert!((cnot.g2 - 1.0).abs() < 1e-9);
-
-        let swap = MakhlinInvariants::of(&gates::swap());
-        assert!(swap.g1.approx_eq(c64(-1.0, 0.0), 1e-9));
-        assert!((swap.g2 + 3.0).abs() < 1e-9);
-
-        // CZ is locally equivalent to CNOT.
-        let cz = MakhlinInvariants::of(&gates::cz());
-        assert!(cz.approx_eq(&cnot, 1e-9));
-    }
-
-    #[test]
-    fn makhlin_invariants_are_local_invariants() {
-        let u = gates::canonical(0.31, 0.17, 0.05);
-        let base = MakhlinInvariants::of(&u);
-        let dressed = conjugate_by_locals(
-            &u,
-            [
-                &gates::rx(0.4),
-                &gates::ry(1.3),
-                &gates::rz(-0.7),
-                &gates::hadamard(),
-            ],
-        );
-        let inv = MakhlinInvariants::of(&dressed);
-        assert!(base.approx_eq(&inv, 1e-8));
-    }
-
-    #[test]
     fn weyl_coordinates_of_reference_gates() {
         assert!(
             WeylCoordinates::of(&Matrix4::identity()).approx_eq(&WeylCoordinates::identity(), 1e-6)
@@ -432,7 +326,7 @@ mod tests {
                 &gates::rz(0.8),
                 &gates::rx(0.33),
                 &gates::ry(-1.9),
-                &gates::t_gate(),
+                &gates::s_gate(),
             ],
         );
         let coords = WeylCoordinates::of(&dressed);
@@ -491,15 +385,11 @@ mod tests {
     #[test]
     fn classification_predicates() {
         assert!(WeylCoordinates::identity().is_identity_class());
-        assert!(WeylCoordinates::cnot().is_cnot_class());
-        assert!(WeylCoordinates::iswap().is_iswap_class());
-        assert!(WeylCoordinates::swap().is_swap_class());
+        assert!(!WeylCoordinates::cnot().is_identity_class());
         assert!(WeylCoordinates::cnot().has_zero_c3());
         assert!(!WeylCoordinates::swap().has_zero_c3());
         let xy = WeylCoordinates::from_interaction(0.3, 0.2, 0.0);
         assert!(xy.has_zero_c3());
-        assert!(!xy.is_cnot_class());
-        assert!((WeylCoordinates::swap().interaction_strength() - 3.0 * FRAC_PI_4).abs() < 1e-9);
     }
 
     #[test]

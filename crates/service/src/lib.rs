@@ -93,7 +93,9 @@ use twoqan_device::{Device, Target, TwoQubitBasis};
 /// Configuration of a [`CompileService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Total cached outputs across all shards (divided evenly per shard).
+    /// The most cached outputs the service holds, across all shards.  Each
+    /// shard holds at most `capacity / shards` (the shard count is clamped
+    /// to the capacity), so the total never exceeds it.
     pub capacity: usize,
     /// Number of independently locked cache shards; more shards means less
     /// lock contention between concurrent requests.
@@ -173,17 +175,6 @@ impl From<CompileError> for ServiceError {
     }
 }
 
-/// One request of a [`CompileService::request_batch`] call.
-#[derive(Clone, Copy)]
-pub struct ServiceRequest<'a> {
-    /// Registered compiler name (e.g. `"2QAN"`).
-    pub compiler: &'a str,
-    /// The workload circuit.
-    pub circuit: &'a Circuit,
-    /// The target device (topology + gate set + calibration snapshot).
-    pub device: &'a Device,
-}
-
 /// The service's answer to one request, with its per-request metrics.
 #[derive(Debug, Clone)]
 pub struct ServiceResponse {
@@ -205,8 +196,8 @@ pub struct ServiceResponse {
     pub cached: bool,
     /// The content-addressed cache key of the request.
     pub key: u128,
-    /// Milliseconds between request arrival and compile start (hashing,
-    /// cache lookup and — in a batch — waiting for a pool worker).
+    /// Milliseconds between request arrival and compile start (hashing and
+    /// cache lookup).
     pub queue_wait_ms: f64,
     /// Milliseconds a coalesced request spent waiting for the leader's
     /// artifact (`0` unless `coalesced`).  Followers spend this time
@@ -310,64 +301,63 @@ impl Stats {
     }
 }
 
+/// A cached artifact and the device snapshot it was compiled against.
 struct Entry {
     output: Arc<CompiledOutput>,
-    /// Monotonic use counter value at the last touch — exact LRU order.
-    last_used: u64,
     /// Hash of the (device, target) snapshot the artifact was compiled
     /// against, for eager [`CompileService::invalidate_device`].
     device_fingerprint: u128,
 }
 
-#[derive(Default)]
-struct Shard {
-    entries: HashMap<u128, Entry>,
+/// An exact-LRU map, used for the cache shards and the placement index:
+/// every touch stamps its entry with a monotonic use counter, and an insert
+/// at capacity evicts the entry with the oldest stamp.  The O(n) eviction
+/// scan is deliberate: inserts only happen on misses, which already paid
+/// for a full compile — thousands of times the scan's cost.
+struct Lru<V> {
+    entries: HashMap<u128, (V, u64)>,
     clock: u64,
 }
 
-impl Shard {
-    fn touch(&mut self, key: u128) -> Option<Arc<CompiledOutput>> {
+impl<V> Default for Lru<V> {
+    fn default() -> Self {
+        Self {
+            entries: HashMap::new(),
+            clock: 0,
+        }
+    }
+}
+
+impl<V> Lru<V> {
+    /// Marks `key` as the most recently used entry and returns its value.
+    fn touch(&mut self, key: u128) -> Option<&V> {
         self.clock += 1;
         let clock = self.clock;
-        self.entries.get_mut(&key).map(|e| {
-            e.last_used = clock;
-            Arc::clone(&e.output)
+        self.entries.get_mut(&key).map(|(value, last_used)| {
+            *last_used = clock;
+            &*value
         })
     }
 
-    /// Inserts (or refreshes) an entry, evicting the least-recently-used
-    /// one first when the shard is at capacity.  The O(n) eviction scan is
-    /// deliberate: inserts only happen on misses, which already paid for a
-    /// full compile — thousands of times the scan's cost.
-    fn insert(
-        &mut self,
-        key: u128,
-        output: Arc<CompiledOutput>,
-        device_fingerprint: u128,
-        capacity: usize,
-    ) -> u64 {
+    /// Inserts (or refreshes) `key` as the most recently used entry, first
+    /// evicting least-recently-used ones while the map holds `capacity`.
+    /// Returns the number of evictions.
+    fn insert(&mut self, key: u128, value: V, capacity: usize) -> u64 {
         let mut evicted = 0;
         if !self.entries.contains_key(&key) {
             while self.entries.len() >= capacity.max(1) {
                 let lru = self
                     .entries
                     .iter()
-                    .min_by_key(|(_, e)| e.last_used)
+                    .min_by_key(|(_, (_, last_used))| *last_used)
                     .map(|(&k, _)| k)
-                    .expect("non-empty shard has an LRU entry");
+                    .expect("a full map has an LRU entry");
                 self.entries.remove(&lru);
                 evicted += 1;
             }
         }
         self.clock += 1;
-        self.entries.insert(
-            key,
-            Entry {
-                output,
-                last_used: self.clock,
-                device_fingerprint,
-            },
-        );
+        self.entries.insert(key, (value, self.clock));
         evicted
     }
 }
@@ -376,48 +366,16 @@ impl Shard {
 /// full-quality compile of a drift-stable key: which calibration snapshot
 /// it was compiled against, where the artifact lives in the cache, and the
 /// initial placement that seeds a warm recompile after the snapshot drifts.
+///
+/// The service keeps these in an [`Lru`] keyed by [`stable_key`].
+/// Placements survive device drift by construction (the key excludes the
+/// calibration snapshot), which is the whole point: when drift invalidates
+/// an artifact, its placement is still here to warm-start the recompile.
 #[derive(Clone)]
 struct PlacementRecord {
     device_fingerprint: u128,
     artifact_key: u128,
     placement: Vec<usize>,
-}
-
-/// The bounded LRU index from [`stable_key`] to [`PlacementRecord`].
-/// Placements survive device drift by construction (the key excludes the
-/// calibration snapshot), which is the whole point: when drift invalidates
-/// an artifact, its placement is still here to warm-start the recompile.
-#[derive(Default)]
-struct PlacementIndex {
-    entries: HashMap<u128, (PlacementRecord, u64)>,
-    clock: u64,
-}
-
-impl PlacementIndex {
-    fn touch(&mut self, key: u128) -> Option<PlacementRecord> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.entries.get_mut(&key).map(|(record, last_used)| {
-            *last_used = clock;
-            record.clone()
-        })
-    }
-
-    fn record(&mut self, key: u128, record: PlacementRecord, capacity: usize) {
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= capacity.max(1) {
-                let lru = self
-                    .entries
-                    .iter()
-                    .min_by_key(|(_, (_, last_used))| *last_used)
-                    .map(|(&k, _)| k)
-                    .expect("non-empty index has an LRU entry");
-                self.entries.remove(&lru);
-            }
-        }
-        self.clock += 1;
-        self.entries.insert(key, (record, self.clock));
-    }
 }
 
 /// One in-flight compile: the slot the key's leader publishes into and its
@@ -543,7 +501,7 @@ impl Drop for FlightLease<'_> {
 /// any number of threads concurrently.
 pub struct CompileService {
     compilers: Vec<Box<dyn Compiler>>,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<Lru<Entry>>>,
     shard_capacity: usize,
     /// In-flight compiles keyed by cache key, sharded like the cache so
     /// leader registration and follower lookup contend per shard only.
@@ -554,7 +512,7 @@ pub struct CompileService {
     max_in_flight: usize,
     /// Drift-stable placement index feeding warm-start recompiles, bounded
     /// by the same capacity as the artifact cache.
-    placements: Mutex<PlacementIndex>,
+    placements: Mutex<Lru<PlacementRecord>>,
     placement_capacity: usize,
     pool: CompilePool,
     stats: Stats,
@@ -575,24 +533,20 @@ impl CompileService {
 
     /// A service over an explicit compiler set (names must be unique).
     pub fn with_compilers(config: ServiceConfig, compilers: Vec<Box<dyn Compiler>>) -> Self {
-        let shards = config.shards.max(1);
+        let capacity = config.capacity.max(1);
+        let shards = config.shards.clamp(1, capacity);
         Self {
             compilers,
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity: config.capacity.max(1).div_ceil(shards),
+            shards: (0..shards).map(|_| Mutex::new(Lru::default())).collect(),
+            shard_capacity: capacity / shards,
             flights: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             in_flight: AtomicUsize::new(0),
             max_in_flight: config.max_in_flight,
-            placements: Mutex::new(PlacementIndex::default()),
-            placement_capacity: config.capacity.max(1),
+            placements: Mutex::new(Lru::default()),
+            placement_capacity: capacity,
             pool: CompilePool::new(twoqan::pool::resolve_workers(config.threads)),
             stats: Stats::default(),
         }
-    }
-
-    /// The registered compiler names, in registration order.
-    pub fn compiler_names(&self) -> Vec<&'static str> {
-        self.compilers.iter().map(|c| c.name()).collect()
     }
 
     /// Number of artifacts currently cached.
@@ -611,13 +565,6 @@ impl CompileService {
     /// A point-in-time copy of the request counters.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// The content-addressed cache key the service would use for this
-    /// request, or `None` for an unregistered compiler name.
-    pub fn key_for(&self, compiler: &str, circuit: &Circuit, device: &Device) -> Option<u128> {
-        self.resolve(compiler)
-            .map(|c| cache_key(c, circuit, device))
     }
 
     /// Serves one request: a cache hit returns the stored artifact, a miss
@@ -728,7 +675,7 @@ impl CompileService {
             });
         };
         let key = cache_key(registered, circuit, device);
-        if let Some(output) = self.shard(key).touch(key) {
+        if let Some(output) = self.cached(key) {
             let hit = self.hit(output, key, false, arrival, queue_depth);
             return Ok(Probe::Hit(hit));
         }
@@ -750,7 +697,8 @@ impl CompileService {
             .placements
             .lock()
             .expect("placement index poisoned")
-            .touch(miss.stable);
+            .touch(miss.stable)
+            .cloned();
         let Some(record) = record else {
             return Ok(Probe::Miss(miss));
         };
@@ -758,7 +706,7 @@ impl CompileService {
         // whose artifact is still cached under its own key.
         if record.device_fingerprint == miss.device_fingerprint {
             let recorded = record.artifact_key;
-            if let Some(output) = self.shard(recorded).touch(recorded) {
+            if let Some(output) = self.cached(recorded) {
                 // A recorded artifact under a different key than the cold
                 // one was produced by a warm compile.
                 let hit = self.hit(output, recorded, recorded != key, arrival, queue_depth);
@@ -771,7 +719,7 @@ impl CompileService {
             // never observe warm-derived artifacts and repeated recompiles
             // of the same drifted snapshot hit this key.
             miss.key = cache_key(warm_compiler.as_ref(), circuit, device);
-            if let Some(output) = self.shard(miss.key).touch(miss.key) {
+            if let Some(output) = self.cached(miss.key) {
                 let hit = self.hit(output, miss.key, true, arrival, queue_depth);
                 return Ok(Probe::Hit(hit));
             }
@@ -886,7 +834,7 @@ impl CompileService {
         self.placements
             .lock()
             .expect("placement index poisoned")
-            .record(
+            .insert(
                 miss.stable,
                 PlacementRecord {
                     device_fingerprint: miss.device_fingerprint,
@@ -937,7 +885,7 @@ impl CompileService {
         // key absent from both maps genuinely needs a fresh compile.  (Lock
         // order is always flight shard → cache shard; nothing acquires them
         // in the opposite order.)
-        if let Some(output) = self.shard(key).touch(key) {
+        if let Some(output) = self.cached(key) {
             return Ok(Admission::Hit(output));
         }
         let admitted = self.in_flight.fetch_add(1, Ordering::AcqRel) + 1;
@@ -1021,70 +969,6 @@ impl CompileService {
             .expect("in-flight shard poisoned")
     }
 
-    /// Serves a batch of requests, fanning the misses out over the service
-    /// pool; responses keep the request order.  Per-response
-    /// `queue_wait_ms` covers hashing, lookup and the wait for a pool
-    /// worker.  Every request is classified before anything compiles, so
-    /// duplicate keys inside the batch — and keys another thread is already
-    /// compiling — coalesce onto a single compile, just like
-    /// [`CompileService::request`].
-    pub fn request_batch(
-        &self,
-        requests: &[ServiceRequest<'_>],
-    ) -> Vec<Result<ServiceResponse, ServiceError>> {
-        let arrival = Instant::now();
-        // Hits and unknown names answer immediately, each distinct missing
-        // key elects one in-batch leader (the pool compiles those), and
-        // everything else follows a flight — an in-batch leader's or
-        // another thread's.
-        let mut responses: Vec<Option<Result<ServiceResponse, ServiceError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        let mut leaders = Vec::new();
-        let mut followers = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            let miss = match self.probe(req.compiler, req.circuit, req.device, false, arrival) {
-                Ok(Probe::Miss(miss)) => miss,
-                Ok(Probe::Hit(response)) => {
-                    responses[i] = Some(Ok(response));
-                    continue;
-                }
-                Err(e) => {
-                    responses[i] = Some(Err(e));
-                    continue;
-                }
-            };
-            match self.admit(miss.key) {
-                Ok(Admission::Hit(output)) => {
-                    let hit = self.hit(output, miss.key, false, arrival, miss.queue_depth);
-                    responses[i] = Some(Ok(hit));
-                }
-                Ok(Admission::Lead(lease)) => {
-                    Stats::bump(&self.stats.misses);
-                    leaders.push((i, miss, lease));
-                }
-                Ok(Admission::Follow(flight)) => followers.push((i, miss, flight)),
-                Err(e) => responses[i] = Some(Err(e)),
-            }
-        }
-        let guard = self.pool.install();
-        let compiled = self
-            .pool
-            .run_indexed(leaders.len(), |j| self.compile(&leaders[j].1));
-        drop(guard);
-        for ((i, miss, lease), compiled) in leaders.into_iter().zip(compiled) {
-            responses[i] = Some(self.lead(lease, &miss, compiled));
-        }
-        // In-batch followers resolve instantly (their leader just
-        // published); followers of another thread's flight park on it.
-        for (i, miss, flight) in followers {
-            responses[i] = Some(self.follow(&flight, &miss));
-        }
-        responses
-            .into_iter()
-            .map(|r| r.expect("every request index is answered"))
-            .collect()
-    }
-
     /// Eagerly drops every cached artifact compiled against this device's
     /// *current* (topology, gate set, calibration snapshot) — the explicit
     /// invalidation hook for calibration-drift events.  Returns the number
@@ -1099,7 +983,7 @@ impl CompileService {
             let before = shard.entries.len();
             shard
                 .entries
-                .retain(|_, e| e.device_fingerprint != fingerprint);
+                .retain(|_, (e, _)| e.device_fingerprint != fingerprint);
             dropped += before - shard.entries.len();
         }
         Stats::bump(&self.stats.invalidations);
@@ -1107,18 +991,19 @@ impl CompileService {
         dropped
     }
 
-    /// Drops every cached artifact.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").entries.clear();
-        }
-    }
-
-    fn shard(&self, key: u128) -> std::sync::MutexGuard<'_, Shard> {
+    fn shard(&self, key: u128) -> MutexGuard<'_, Lru<Entry>> {
         // Shard by the top bits: the low bits pick the slot inside the
         // shard's hash map, so both selections stay independent.
         let index = (key >> 96) as usize % self.shards.len();
         self.shards[index].lock().expect("cache shard poisoned")
+    }
+
+    /// The cached artifact under `key`, marked most recently used: one
+    /// shard lock, one map lookup and one `Arc` clone.
+    fn cached(&self, key: u128) -> Option<Arc<CompiledOutput>> {
+        self.shard(key)
+            .touch(key)
+            .map(|entry| Arc::clone(&entry.output))
     }
 
     /// Caches a successful compile unless a deadline degraded it: only
@@ -1129,12 +1014,13 @@ impl CompileService {
             Stats::bump(&self.stats.uncacheable);
             return false;
         }
-        let evicted = self.shard(miss.key).insert(
-            miss.key,
-            Arc::clone(output),
-            miss.device_fingerprint,
-            self.shard_capacity,
-        );
+        let entry = Entry {
+            output: Arc::clone(output),
+            device_fingerprint: miss.device_fingerprint,
+        };
+        let evicted = self
+            .shard(miss.key)
+            .insert(miss.key, entry, self.shard_capacity);
         Stats::bump(&self.stats.insertions);
         self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
         true
@@ -1386,25 +1272,14 @@ mod tests {
         let a = trotter_step(&nnn_ising(7, 1), 1.0);
         let b = trotter_step(&nnn_ising(8, 2), 1.0);
         let device = Device::montreal();
-        // Warm `a` only.
+        // Warm `a` only, then interleave a hit, an unknown compiler and a
+        // miss: each request answers with its own outcome, in order.
         service.request("2QAN", &a, &device).unwrap();
-        let responses = service.request_batch(&[
-            ServiceRequest {
-                compiler: "2QAN",
-                circuit: &a,
-                device: &device,
-            },
-            ServiceRequest {
-                compiler: "nope",
-                circuit: &a,
-                device: &device,
-            },
-            ServiceRequest {
-                compiler: "2QAN",
-                circuit: &b,
-                device: &device,
-            },
-        ]);
+        let responses = [
+            service.request("2QAN", &a, &device),
+            service.request("nope", &a, &device),
+            service.request("2QAN", &b, &device),
+        ];
         assert!(responses[0].as_ref().unwrap().hit);
         assert!(matches!(
             responses[1],
@@ -1416,6 +1291,11 @@ mod tests {
         assert!(miss.queue_wait_ms >= 0.0);
         // The job's start and compile timings nest inside the request.
         assert!(miss.queue_wait_ms + miss.compile_ms <= miss.wall_ms + 1e-9);
+        let stats = service.stats();
+        assert_eq!(
+            (stats.requests, stats.errors, stats.hits, stats.misses),
+            (4, 1, 1, 2)
+        );
     }
 
     #[test]
@@ -1423,30 +1303,19 @@ mod tests {
         let service = service();
         let circuit = trotter_step(&nnn_ising(7, 4), 1.0);
         let device = Device::montreal();
-        let nope = ServiceRequest {
-            compiler: "nope",
-            circuit: &circuit,
-            device: &device,
-        };
         assert!(matches!(
             service.recompile("nope", &circuit, &device),
             Err(ServiceError::UnknownCompiler { .. })
         ));
         assert!(matches!(
-            service.request_batch(&[nope])[0],
+            service.request("nope", &circuit, &device),
             Err(ServiceError::UnknownCompiler { .. })
         ));
-        // A miss compiled through the batch path is a plain hit, under the
-        // same key, for both single-request entry points.
-        let miss = service
-            .request_batch(&[ServiceRequest {
-                compiler: "2QAN",
-                ..nope
-            }])
-            .pop()
-            .unwrap()
-            .unwrap();
-        assert!(!miss.hit && miss.cached);
+        // A first recompile has no placement to warm-start from, so it
+        // compiles cold, and its artifact is a plain hit, under the same
+        // key, for both entry points.
+        let miss = service.recompile("2QAN", &circuit, &device).unwrap();
+        assert!(!miss.hit && miss.cached && !miss.warm);
         let via_request = service.request("2QAN", &circuit, &device).unwrap();
         let via_recompile = service.recompile("2QAN", &circuit, &device).unwrap();
         assert!(via_request.hit && via_recompile.hit && !via_recompile.warm);
@@ -1479,8 +1348,12 @@ mod tests {
         let service = service();
         let circuit = trotter_step(&nnn_ising(8, 1), 1.0);
         let device = Device::montreal();
-        let key = service.key_for("2QAN", &circuit, &device).unwrap();
+        let compiler = CompilerRegistry::by_name("2QAN").unwrap();
+        let key = cache_key(compiler.as_ref(), &circuit, &device);
         assert_eq!(service.request("2QAN", &circuit, &device).unwrap().key, key);
-        assert!(service.key_for("nope", &circuit, &device).is_none());
+        assert!(matches!(
+            service.request("nope", &circuit, &device),
+            Err(ServiceError::UnknownCompiler { .. })
+        ));
     }
 }

@@ -1,6 +1,6 @@
 //! Concurrency properties of the service's singleflight admission layer.
 //!
-//! Five contracts from the module documentation:
+//! Four contracts from the module documentation:
 //!
 //! 1. an N-thread same-key storm performs **exactly one** compile: one
 //!    leader, one cache insertion, and `coalesced == requests − leaders −
@@ -12,9 +12,7 @@
 //!    is fast-rejected with [`ServiceError::Overloaded`] while same-key
 //!    requests still coalesce (followers are never rejected),
 //! 4. a deadline-degraded leader result is shared with the followers that
-//!    were already waiting but never cached,
-//! 5. duplicate keys inside one `request_batch` call coalesce onto a single
-//!    in-batch compile.
+//!    were already waiting but never cached.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
@@ -28,7 +26,7 @@ use twoqan_baselines::CompilerRegistry;
 use twoqan_circuit::Circuit;
 use twoqan_device::Device;
 use twoqan_ham::{nnn_ising, trotter_step};
-use twoqan_service::{bit_identical, CompileService, ServiceConfig, ServiceError, ServiceRequest};
+use twoqan_service::{bit_identical, CompileService, ServiceConfig, ServiceError};
 
 fn workload(n: usize, seed: u64) -> Circuit {
     trotter_step(&nnn_ising(n, seed), 1.0)
@@ -424,53 +422,4 @@ fn degraded_leader_result_is_shared_but_never_cached() {
     // No stale degraded hit: the next request misses and recompiles.
     started.fetch_add(2, Ordering::SeqCst);
     assert!(!service.request("2QAN", &circuit, &device).unwrap().hit);
-}
-
-/// Property 5: duplicate keys inside one `request_batch` call elect a
-/// single in-batch leader; the duplicates coalesce onto its flight.
-#[test]
-fn request_batch_coalesces_duplicate_keys_onto_one_compile() {
-    let (service, compiles) = counting_service(config());
-    let hot = workload(8, 1);
-    let other = workload(7, 2);
-    let device = Device::montreal();
-    let responses = service.request_batch(&[
-        ServiceRequest {
-            compiler: "2QAN",
-            circuit: &hot,
-            device: &device,
-        },
-        ServiceRequest {
-            compiler: "2QAN",
-            circuit: &hot,
-            device: &device,
-        },
-        ServiceRequest {
-            compiler: "2QAN",
-            circuit: &other,
-            device: &device,
-        },
-        ServiceRequest {
-            compiler: "2QAN",
-            circuit: &hot,
-            device: &device,
-        },
-    ]);
-    assert_eq!(
-        compiles.load(Ordering::SeqCst),
-        2,
-        "two distinct keys, two compiles"
-    );
-    let first = responses[0].as_ref().unwrap();
-    assert!(!first.hit && !first.coalesced && first.cached);
-    for duplicate in [&responses[1], &responses[3]] {
-        let response = duplicate.as_ref().unwrap();
-        assert!(response.coalesced, "in-batch duplicates coalesce");
-        assert!(bit_identical(&response.output, &first.output));
-    }
-    assert!(!responses[2].as_ref().unwrap().hit);
-    let stats = service.stats();
-    assert_eq!(stats.misses, 2);
-    assert_eq!(stats.coalesced, 2);
-    assert_eq!(stats.insertions, 2);
 }

@@ -18,9 +18,9 @@ use twoqan::pipeline::{Compiler, DegradationRung};
 use twoqan::{CompileBudget, TwoQanCompiler, TwoQanConfig};
 use twoqan_baselines::CompilerRegistry;
 use twoqan_circuit::Circuit;
-use twoqan_device::Device;
+use twoqan_device::{Device, DriftDelta};
 use twoqan_ham::{nnn_heisenberg, nnn_ising, trotter_step};
-use twoqan_service::{bit_identical, CompileService, ServiceConfig, ServiceError};
+use twoqan_service::{bit_identical, cache_key, CompileService, ServiceConfig, ServiceError};
 
 fn workload(n: usize, seed: u64) -> Circuit {
     trotter_step(&nnn_ising(n, seed), 1.0)
@@ -45,7 +45,8 @@ fn hits_are_bit_identical_to_cold_compiles_for_every_compiler() {
     let circuit = trotter_step(&nnn_heisenberg(8, 3), 1.0);
     let uniform = Device::montreal();
     let heterogeneous = Device::montreal().with_heterogeneous_calibration(7);
-    for name in service.compiler_names() {
+    let names = CompilerRegistry::NAMES.into_iter().chain(["2QAN-noise"]);
+    for name in names {
         // `2QAN-noise` only diverges from `2QAN` on heterogeneous targets;
         // give it one so the calibration-aware portfolio is what's cached.
         let device = if name == "2QAN-noise" {
@@ -105,20 +106,32 @@ fn lru_eviction_respects_capacity_and_use_order() {
     );
 }
 
-/// Sharded capacity is bounded globally too (shards divide the budget).
+/// Sharded capacity is bounded globally too: the shards divide the budget
+/// without rounding up, also when it does not divide evenly or is smaller
+/// than the shard count.  Forty distinct keys fill every shard.
 #[test]
 fn sharded_cache_stays_within_total_capacity() {
-    let service = small_service(4, 4);
     let device = Device::montreal();
-    for s in 0..12 {
-        let c = workload(6 + s % 3, s as u64);
-        let _ = service.request("2QAN", &c, &device).unwrap();
+    let circuits: Vec<Circuit> = (0..40).map(|s| workload(6, s)).collect();
+    for (capacity, shards) in [(4, 4), (5, 4), (2, 8), (10, 8)] {
+        let service = CompileService::with_compilers(
+            ServiceConfig {
+                capacity,
+                shards,
+                threads: 1,
+                max_in_flight: 0,
+            },
+            vec![CompilerRegistry::by_name("NoMap").unwrap()],
+        );
+        for c in &circuits {
+            let _ = service.request("NoMap", c, &device).unwrap();
+        }
+        assert!(
+            service.len() <= capacity,
+            "cache holds {} entries over a capacity of {capacity} in {shards} shards",
+            service.len()
+        );
     }
-    assert!(
-        service.len() <= 4,
-        "cache holds {} entries over a capacity of 4",
-        service.len()
-    );
 }
 
 /// Property 3: one drifted calibration value — a single per-edge error —
@@ -129,15 +142,19 @@ fn single_calibration_value_changes_the_key() {
     let service = small_service(64, 4);
     let circuit = workload(8, 1);
     let device = Device::montreal().with_heterogeneous_calibration(3);
-    let key = service.key_for("2QAN-noise", &circuit, &device).unwrap();
+    let compiler = CompilerRegistry::by_name("2QAN-noise").unwrap();
+    let key = cache_key(compiler.as_ref(), &circuit, &device);
     // Drift exactly one two-qubit edge error by 10%.
     let (a, b) = device.target().edges()[2];
     let drifted_target = device
         .target()
-        .with_two_qubit_error_on(a, b, device.target().two_qubit_error(a, b) * 1.1)
+        .perturb(&DriftDelta {
+            two_qubit_error: vec![((a, b), device.target().two_qubit_error(a, b) * 1.1)],
+            ..DriftDelta::default()
+        })
         .unwrap();
     let drifted = device.clone().try_with_target(drifted_target).unwrap();
-    let drifted_key = service.key_for("2QAN-noise", &circuit, &drifted).unwrap();
+    let drifted_key = cache_key(compiler.as_ref(), &circuit, &drifted);
     assert_ne!(key, drifted_key, "a drifted target must change the key");
     // And end to end: caching under the old snapshot must not produce a hit
     // for the drifted one.
@@ -150,13 +167,17 @@ fn single_calibration_value_changes_the_key() {
     let response = service.request("2QAN-noise", &circuit, &drifted).unwrap();
     assert!(!response.hit, "a drifted device must recompile");
     // Per-qubit values are part of the snapshot as well.
-    let readout_target = device.target().with_readout_error_on(0, 0.31).unwrap();
+    let readout_target = device
+        .target()
+        .perturb(&DriftDelta {
+            readout_error: vec![(0, 0.31)],
+            ..DriftDelta::default()
+        })
+        .unwrap();
     let readout_drifted = device.clone().try_with_target(readout_target).unwrap();
     assert_ne!(
         key,
-        service
-            .key_for("2QAN-noise", &circuit, &readout_drifted)
-            .unwrap(),
+        cache_key(compiler.as_ref(), &circuit, &readout_drifted),
         "a single readout-error drift must change the key"
     );
 }

@@ -37,9 +37,6 @@
 //! so results are **bit-identical** for any thread count.
 
 use twoqan_circuit::{Circuit, Gate, GateKind, MatrixCache, ScheduledCircuit};
-
-#[cfg(doc)]
-use twoqan_circuit::SingleQubitClass;
 use twoqan_math::{Complex, Matrix2, Matrix4};
 
 /// A classified single-qubit operation ready for kernel dispatch.
@@ -91,11 +88,9 @@ impl SingleKernel {
         }
     }
 
-    /// Classifies a gate kind, reusing `cache` for the matrix.  The
-    /// kind-level [`SingleQubitClass`] documents the structural contract;
-    /// dispatch is on the matrix itself so that any drift between the two
-    /// degrades to the dense kernel instead of panicking (and numerically
-    /// structured kinds like `U3(0, 0, λ)` still get their fast path).
+    /// Classifies a gate kind, reusing `cache` for the matrix.  Dispatch is
+    /// on the matrix itself, so numerically structured kinds like
+    /// `U3(0, 0, λ)` still get their fast path.
     pub fn from_kind(kind: &GateKind, cache: &mut MatrixCache) -> Self {
         SingleKernel::from_matrix(&cache.single(kind))
     }
@@ -819,7 +814,8 @@ pub(crate) mod tests {
                     amps[idx | ba],
                     amps[idx | ba | bb],
                 ];
-                let w = u.mul_vec(v);
+                let w: [Complex; 4] =
+                    std::array::from_fn(|r| (0..4).map(|c| u.data[r][c] * v[c]).sum());
                 amps[idx] = w[0];
                 amps[idx | bb] = w[1];
                 amps[idx | ba] = w[2];
@@ -880,9 +876,17 @@ pub(crate) mod tests {
     fn two_qubit_kernels_match_naive_on_all_pairs() {
         let n = 6;
         for (name, m) in [
-            ("rzz", gates::zz_interaction(0.61)),
+            ("rzz", gates::canonical(0.0, 0.0, 0.61)),
             ("cz", gates::cz()),
-            ("cphase", gates::cphase(0.8)),
+            (
+                "cphase",
+                Matrix4::diagonal([
+                    Complex::one(),
+                    Complex::one(),
+                    Complex::one(),
+                    Complex::cis(0.8),
+                ]),
+            ),
             ("swap", gates::swap()),
             ("iswap", gates::iswap()),
             ("dressed", gates::dressed_swap(0.0, 0.0, 0.35)),
@@ -939,7 +943,7 @@ pub(crate) mod tests {
             SingleKernel::General(_)
         ));
         assert!(matches!(
-            TwoKernel::from_matrix(&gates::zz_interaction(0.4)),
+            TwoKernel::from_matrix(&gates::canonical(0.0, 0.0, 0.4)),
             TwoKernel::Diagonal(_)
         ));
         assert!(matches!(

@@ -2,11 +2,11 @@
 //!
 //! The paper's Fig. 10 runs QAOA benchmarks on the real IBMQ Montreal device
 //! and measures the normalised cost `⟨C⟩ / C_min`.  Real hardware is not
-//! available here, so this crate provides the substitution described in
-//! DESIGN.md: an exact state-vector simulator for the noiseless expectation
-//! values, plus a depolarizing/readout/decoherence noise model calibrated
-//! with the Montreal figures quoted in §IV, and a stochastic Pauli-error
-//! trajectory sampler used to validate the analytic model.
+//! available here, so this crate substitutes a simulation for it: an exact
+//! state-vector simulator for the noiseless expectation values, plus a
+//! depolarizing/readout/decoherence noise model calibrated with the
+//! Montreal figures quoted in §IV, and a stochastic Pauli-error trajectory
+//! sampler used to validate the analytic model.
 //!
 //! The key property the substitution must preserve is the *monotone*
 //! relationship between compilation quality (fewer native two-qubit gates,

@@ -34,11 +34,6 @@ impl NoiseModel {
         }
     }
 
-    /// Builds a noise model from explicit calibration data.
-    pub fn from_calibration(calibration: Calibration) -> Self {
-        Self { calibration }
-    }
-
     /// A noiseless model (fidelity 1 for every circuit).
     pub fn noiseless() -> Self {
         Self {
@@ -337,7 +332,9 @@ mod tests {
 
     #[test]
     fn calibration_accessors() {
-        let model = NoiseModel::from_calibration(Calibration::montreal_october_2021());
+        let model = NoiseModel {
+            calibration: Calibration::montreal_october_2021(),
+        };
         assert!((model.two_qubit_error() - 0.01241).abs() < 1e-12);
         assert!((model.readout_error() - 0.01832).abs() < 1e-12);
     }

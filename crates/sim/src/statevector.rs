@@ -9,11 +9,9 @@
 //! [`crate::kernels`]; the tests compare them against the original
 //! branch-per-index loops, which live in the test code.
 
-use crate::kernels::{
-    apply_single_kernel, apply_two_kernel, auto_threads, CompiledCircuit, SingleKernel, TwoKernel,
-};
-use twoqan_circuit::{Circuit, Gate, ScheduledCircuit};
-use twoqan_math::{Complex, Matrix2, Matrix4};
+use crate::kernels::{apply_single_kernel, auto_threads, CompiledCircuit, SingleKernel};
+use twoqan_circuit::Circuit;
+use twoqan_math::{Complex, Matrix2};
 use twoqan_pool::CompilePool;
 
 /// A pure-state simulator for up to ~24 qubits.
@@ -73,11 +71,6 @@ impl StateVector {
         self.amplitudes.iter().map(|a| a.norm_sqr()).sum()
     }
 
-    /// Probability of measuring the given basis state.
-    pub fn probability(&self, basis_state: usize) -> f64 {
-        self.amplitudes[basis_state].norm_sqr()
-    }
-
     /// Applies a single-qubit unitary to `qubit` through the classified
     /// kernels.
     ///
@@ -95,37 +88,6 @@ impl StateVector {
         );
     }
 
-    /// Applies a two-qubit unitary through the classified kernels;
-    /// `qubit_a` is the most-significant qubit of the matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the qubit indices coincide or are out of range.
-    pub fn apply_two(&mut self, qubit_a: usize, qubit_b: usize, u: &Matrix4) {
-        assert!(
-            qubit_a < self.num_qubits && qubit_b < self.num_qubits,
-            "qubit out of range"
-        );
-        assert_ne!(qubit_a, qubit_b, "two-qubit gate requires distinct qubits");
-        let threads = auto_threads(self.amplitudes.len());
-        apply_two_kernel(
-            &mut self.amplitudes,
-            qubit_a,
-            qubit_b,
-            &TwoKernel::from_matrix(u),
-            threads,
-        );
-    }
-
-    /// Applies a circuit-IR gate.
-    pub fn apply_gate(&mut self, gate: &Gate) {
-        if gate.is_two_qubit() {
-            self.apply_two(gate.qubit0(), gate.qubit1(), &gate.kind.two_qubit_matrix());
-        } else {
-            self.apply_single(gate.qubit0(), &gate.kind.single_qubit_matrix());
-        }
-    }
-
     /// Applies every gate of a circuit in order (classifying and caching
     /// each distinct gate kind once).  The circuit may act on a register
     /// smaller than this state; every gate qubit must be in range.
@@ -133,15 +95,6 @@ impl StateVector {
         self.apply_compiled(&CompiledCircuit::from_gates(
             self.num_qubits,
             circuit.iter(),
-        ));
-    }
-
-    /// Applies every gate of a scheduled circuit in moment order; like
-    /// [`Self::apply_circuit`], smaller registers embed.
-    pub fn apply_scheduled(&mut self, schedule: &ScheduledCircuit) {
-        self.apply_compiled(&CompiledCircuit::from_gates(
-            self.num_qubits,
-            schedule.iter_gates(),
         ));
     }
 
@@ -191,48 +144,32 @@ impl StateVector {
             .sum()
     }
 
-    /// Expectation value `⟨Z_q⟩`.
-    pub fn expectation_z(&self, q: usize) -> f64 {
-        let bq = 1usize << q;
-        self.amplitudes
-            .iter()
-            .enumerate()
-            .map(|(idx, amp)| {
-                if idx & bq != 0 {
-                    -amp.norm_sqr()
-                } else {
-                    amp.norm_sqr()
-                }
-            })
-            .sum()
-    }
-
     /// Expectation of an Ising cost function `C = Σ_{(u,v)} Z_u Z_v` over the
     /// given edge list.
     pub fn ising_cost_expectation(&self, edges: &[(usize, usize)]) -> f64 {
         edges.iter().map(|&(u, v)| self.expectation_zz(u, v)).sum()
-    }
-
-    /// Probability distribution over the `2^n` basis states.
-    pub fn probabilities(&self) -> Vec<f64> {
-        self.amplitudes.iter().map(|a| a.norm_sqr()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twoqan_circuit::GateKind;
+    use twoqan_circuit::{Gate, GateKind};
     use twoqan_math::gates;
+
+    /// Applies `gates` in order through the circuit path.
+    fn apply(s: &mut StateVector, gates: Vec<Gate>) {
+        s.apply_circuit(&Circuit::from_gates(s.num_qubits(), gates));
+    }
 
     #[test]
     fn zero_and_plus_states_are_normalised() {
         let z = StateVector::zero_state(3);
         assert!((z.norm_sqr() - 1.0).abs() < 1e-12);
-        assert!((z.probability(0) - 1.0).abs() < 1e-12);
+        assert!((z.amplitudes()[0].norm_sqr() - 1.0).abs() < 1e-12);
         let p = StateVector::plus_state(3);
         assert!((p.norm_sqr() - 1.0).abs() < 1e-12);
-        assert!((p.probability(5) - 1.0 / 8.0).abs() < 1e-12);
+        assert!((p.amplitudes()[5].norm_sqr() - 1.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -240,9 +177,7 @@ mod tests {
         let mut s = StateVector::zero_state(2);
         s.apply_single(1, &gates::pauli_x());
         // Qubit 1 is bit 1 → state |10⟩ in bit order = index 2.
-        assert!((s.probability(2) - 1.0).abs() < 1e-12);
-        assert!((s.expectation_z(1) + 1.0).abs() < 1e-12);
-        assert!((s.expectation_z(0) - 1.0).abs() < 1e-12);
+        assert!((s.amplitudes()[2].norm_sqr() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -250,21 +185,20 @@ mod tests {
         let mut s = StateVector::zero_state(2);
         s.apply_single(0, &gates::hadamard());
         // CNOT with qubit 0 as control (MSB of the matrix convention).
-        s.apply_two(0, 1, &gates::cnot());
-        assert!((s.probability(0b00) - 0.5).abs() < 1e-12);
-        assert!((s.probability(0b11) - 0.5).abs() < 1e-12);
+        apply(&mut s, vec![Gate::two(GateKind::Cnot, 0, 1)]);
+        assert!((s.amplitudes()[0b00].norm_sqr() - 0.5).abs() < 1e-12);
+        assert!((s.amplitudes()[0b11].norm_sqr() - 0.5).abs() < 1e-12);
         assert!((s.expectation_zz(0, 1) - 1.0).abs() < 1e-12);
-        assert!(s.expectation_z(0).abs() < 1e-12);
     }
 
     #[test]
     fn zz_rotation_preserves_computational_probabilities() {
         let mut s = StateVector::plus_state(2);
-        s.apply_two(0, 1, &gates::zz_interaction(0.7));
+        apply(&mut s, vec![Gate::canonical(0, 1, 0.0, 0.0, 0.7)]);
         assert!((s.norm_sqr() - 1.0).abs() < 1e-12);
         // ZZ rotations only add phases in the computational basis.
-        for p in s.probabilities() {
-            assert!((p - 0.25).abs() < 1e-12);
+        for a in s.amplitudes() {
+            assert!((a.norm_sqr() - 0.25).abs() < 1e-12);
         }
     }
 
@@ -272,15 +206,15 @@ mod tests {
     fn swap_moves_amplitudes_between_qubits() {
         let mut s = StateVector::zero_state(3);
         s.apply_single(0, &gates::pauli_x()); // |001⟩ (bit 0 set)
-        s.apply_two(0, 2, &gates::swap());
-        assert!((s.probability(0b100) - 1.0).abs() < 1e-12);
+        apply(&mut s, vec![Gate::swap(0, 2)]);
+        assert!((s.amplitudes()[0b100].norm_sqr() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn apply_gate_uses_circuit_ir_kinds() {
         let mut s = StateVector::zero_state(2);
-        s.apply_gate(&Gate::single(GateKind::H, 0));
-        s.apply_gate(&Gate::two(GateKind::Cnot, 0, 1));
+        s.apply_single(0, &GateKind::H.single_qubit_matrix());
+        apply(&mut s, vec![Gate::two(GateKind::Cnot, 0, 1)]);
         assert!((s.expectation_zz(0, 1) - 1.0).abs() < 1e-12);
         let mut t = StateVector::zero_state(2);
         t.apply_circuit(&Circuit::from_gates(
@@ -300,9 +234,16 @@ mod tests {
         let mut a = StateVector::plus_state(2);
         a.apply_single(0, &gates::rz(0.3));
         let mut b = a.clone();
-        a.apply_two(0, 1, &gates::dressed_swap(0.0, 0.0, theta));
-        b.apply_two(0, 1, &gates::zz_interaction(theta));
-        b.apply_two(0, 1, &gates::swap());
+        let dressed = GateKind::DressedSwap {
+            xx: 0.0,
+            yy: 0.0,
+            zz: theta,
+        };
+        apply(&mut a, vec![Gate::two(dressed, 0, 1)]);
+        apply(
+            &mut b,
+            vec![Gate::canonical(0, 1, 0.0, 0.0, theta), Gate::swap(0, 1)],
+        );
         for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
             assert!(x.approx_eq(*y, 1e-10));
         }

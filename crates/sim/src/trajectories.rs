@@ -217,6 +217,15 @@ mod tests {
     use twoqan_circuit::{Gate, GateKind, ScheduledCircuit};
     use twoqan_device::{Calibration, Device};
 
+    /// The noise model of Montreal under the given calibration.
+    fn noise_with(calibration: Calibration) -> NoiseModel {
+        NoiseModel::from_device(
+            &Device::montreal()
+                .try_with_calibration(calibration)
+                .unwrap(),
+        )
+    }
+
     /// The pre-kernel reference estimator: branch-per-index loops, matrices
     /// rebuilt per application, one RNG stream for strictly serial shots,
     /// and one read-out pass per edge.
@@ -291,7 +300,7 @@ mod tests {
         let value = sim.ising_cost_expectation(&schedule, &edges);
         // Exact reference.
         let mut state = StateVector::plus_state(4);
-        state.apply_scheduled(&schedule);
+        state.apply_compiled(&CompiledCircuit::from_scheduled(&schedule));
         let exact = state.ising_cost_expectation(&edges);
         assert!(
             (value - exact).abs() < 1e-9,
@@ -307,7 +316,7 @@ mod tests {
     fn noisy_trajectories_shrink_the_signal() {
         let (schedule, edges) = ring_schedule(0.6157, std::f64::consts::FRAC_PI_8);
         let mut state = StateVector::plus_state(4);
-        state.apply_scheduled(&schedule);
+        state.apply_compiled(&CompiledCircuit::from_scheduled(&schedule));
         let exact = state.ising_cost_expectation(&edges);
 
         // An exaggerated error rate so that 60 shots show the effect clearly.
@@ -315,12 +324,8 @@ mod tests {
             two_qubit_error: 0.15,
             ..Calibration::montreal_october_2021()
         };
-        let sim = TrajectorySimulator::new(
-            NoiseModel::from_calibration(noisy_calibration),
-            TwoQubitBasis::Cnot,
-            60,
-            11,
-        );
+        let sim =
+            TrajectorySimulator::new(noise_with(noisy_calibration), TwoQubitBasis::Cnot, 60, 11);
         let noisy = sim.ising_cost_expectation(&schedule, &edges);
         assert!(
             noisy > exact,
@@ -340,7 +345,7 @@ mod tests {
         let metrics =
             twoqan_circuit::HardwareMetrics::of(&schedule, TwoQubitBasis::Cnot.cost_model());
         let mut state = StateVector::plus_state(4);
-        state.apply_scheduled(&schedule);
+        state.apply_compiled(&CompiledCircuit::from_scheduled(&schedule));
         let ideal = state.ising_cost_expectation(&edges);
         let analytic = noise.noisy_expectation(ideal, &metrics, 4);
         let sim = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 200, 3);
@@ -359,7 +364,7 @@ mod tests {
             two_qubit_error: 0.12,
             ..Calibration::montreal_october_2021()
         };
-        let noise = NoiseModel::from_calibration(noisy_calibration);
+        let noise = noise_with(noisy_calibration);
         let on_pool = |workers: usize, sim: &TrajectorySimulator| {
             let pool = twoqan_pool::CompilePool::new(workers);
             let _guard = pool.install();
@@ -384,7 +389,7 @@ mod tests {
             two_qubit_error: 0.1,
             ..Calibration::montreal_october_2021()
         };
-        let noise = NoiseModel::from_calibration(noisy_calibration);
+        let noise = noise_with(noisy_calibration);
         let kernelized = TrajectorySimulator::new(noise, TwoQubitBasis::Cnot, 150, 9)
             .ising_cost_expectation(&schedule, &edges);
         let naive = naive_expectation(
@@ -410,7 +415,7 @@ mod tests {
         assert_eq!(table.cost(0b0101), 1.0);
         let (schedule, _) = ring_schedule(0.4, 0.3);
         let mut state = StateVector::plus_state(4);
-        state.apply_scheduled(&schedule);
+        state.apply_compiled(&CompiledCircuit::from_scheduled(&schedule));
         let direct: f64 = edges.iter().map(|&(u, v)| state.expectation_zz(u, v)).sum();
         assert!((table.expectation(&state) - direct).abs() < 1e-12);
     }

@@ -116,14 +116,6 @@ impl Default for EquivalenceChecker {
 }
 
 impl EquivalenceChecker {
-    /// A checker with the given tolerance and the default trial count.
-    pub fn with_tolerance(tolerance: f64) -> Self {
-        Self {
-            tolerance,
-            ..Self::default()
-        }
-    }
-
     /// Checks that `compiled` implements `original` up to the layout
     /// permutation and a global phase.
     ///

@@ -4,11 +4,12 @@
 //! semantic equivalence on the state-vector simulator.
 
 use twoqan_repro::prelude::*;
-use twoqan_repro::twoqan::decompose::decompose_to_cnot_exact;
+use twoqan_repro::twoqan::decompose::{decompose_to_cnot_exact, timeline_with_target};
 use twoqan_repro::twoqan_baselines::{CompilerRegistry, RegistryOptions};
-use twoqan_repro::twoqan_circuit::GateKind;
+use twoqan_repro::twoqan_circuit::{GateKind, HardwareMetrics};
+use twoqan_repro::twoqan_ham::zz_on_edges;
 use twoqan_repro::twoqan_math::gates;
-use twoqan_repro::twoqan_sim::{evaluate_qaoa, NoiseModel};
+use twoqan_repro::twoqan_sim::{evaluate_qaoa, NoiseModel, TargetNoiseModel};
 use twoqan_repro::twoqan_verify::{verify_one, EquivalenceChecker, EquivalenceMode};
 
 fn compile_2qan(circuit: &Circuit, device: &Device) -> CompiledOutput {
@@ -23,6 +24,18 @@ fn compile_2qan(circuit: &Circuit, device: &Device) -> CompiledOutput {
 /// Asserts equality of every artifact field a compiler decides: circuit,
 /// metrics, basis and placements (not the compiler name or the report,
 /// which carries wall-clock timings).
+/// The estimated success probability of a compiled circuit under the
+/// device target's per-channel noise figures, on its duration-aware
+/// timeline (measuring every qubit the timeline touches).
+fn target_esp(output: &CompiledOutput, device: &Device) -> f64 {
+    let timeline = timeline_with_target(&output.hardware_circuit, output.basis, device.target());
+    TargetNoiseModel::new(device.target(), output.basis.cost_model()).esp(
+        &output.hardware_circuit,
+        &timeline,
+        &timeline.used_qubits(),
+    )
+}
+
 fn assert_same_artifact(a: &CompiledOutput, b: &CompiledOutput, what: &str) {
     assert_eq!(a.hardware_circuit, b.hardware_circuit, "{what}: circuit");
     assert_eq!(a.metrics, b.metrics, "{what}: metrics");
@@ -102,7 +115,7 @@ fn compiled_commuting_circuit_is_exactly_equivalent_on_the_simulator() {
     // compiler chooses implements the same unitary, so the compiled circuit
     // must reproduce the logical correlators exactly.
     let problem = QaoaProblem::random_regular(8, 3, 11);
-    let cost = problem.cost_hamiltonian();
+    let cost = zz_on_edges(problem.num_qubits(), &problem.graph().edges(), || 1.0);
     let circuit = trotterize(&cost, 1, 0.35);
     let device = Device::aspen();
     let result = compile_2qan(&circuit, &device);
@@ -159,7 +172,11 @@ fn every_compiler_is_equivalence_checked_end_to_end() {
         (
             "zz-commuting",
             trotterize(
-                &QaoaProblem::random_regular(8, 3, 9).cost_hamiltonian(),
+                &zz_on_edges(
+                    8,
+                    &QaoaProblem::random_regular(8, 3, 9).graph().edges(),
+                    || 1.0,
+                ),
                 1,
                 0.4,
             ),
@@ -201,7 +218,6 @@ fn legacy_2qan_compile(
 ) -> CompiledOutput {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use twoqan_repro::twoqan::decompose::hardware_metrics_with_target;
     use twoqan_repro::twoqan::mapping::initial_mapping;
     use twoqan_repro::twoqan::routing::route;
     use twoqan_repro::twoqan::scheduling::schedule;
@@ -225,11 +241,10 @@ fn legacy_2qan_compile(
         .unwrap();
         let routed = route(&prepared, device, &map, &config.routing_config(), &mut rng).unwrap();
         let hardware_circuit = schedule(&routed, device, config.scheduling);
-        let metrics = hardware_metrics_with_target(
-            &hardware_circuit,
-            device.default_basis(),
-            device.target(),
-        );
+        let basis = device.default_basis();
+        let mut metrics = HardwareMetrics::of(&hardware_circuit, basis.cost_model());
+        metrics.duration_ns =
+            timeline_with_target(&hardware_circuit, basis, device.target()).total_ns();
         let candidate = CompiledOutput {
             compiler: "2QAN",
             initial_placement: map.assignment().to_vec(),
@@ -352,7 +367,6 @@ fn calibration_aware_compilation_never_loses_esp_on_heterogeneous_targets() {
     // weighted} pipelines selected by estimated success probability, so on
     // any heterogeneous target its ESP is at least the hop-count
     // compiler's; across seeds it must strictly win somewhere.
-    use twoqan_repro::twoqan::decompose::estimated_success_probability;
     use twoqan_repro::twoqan::CostModel;
     let circuit = trotterize(&nnn_ising(12, 7), 1, 1.0);
     let mut strict_win = false;
@@ -368,10 +382,8 @@ fn calibration_aware_compilation_never_loses_esp_on_heterogeneous_targets() {
         .compile(&circuit, &device)
         .unwrap();
         assert!(aware.hardware_compatible(&device), "seed {calib_seed}");
-        let esp_hop =
-            estimated_success_probability(&hop.hardware_circuit, hop.basis, device.target());
-        let esp_aware =
-            estimated_success_probability(&aware.hardware_circuit, aware.basis, device.target());
+        let esp_hop = target_esp(&hop, &device);
+        let esp_aware = target_esp(&aware, &device);
         assert!(
             esp_aware >= esp_hop - 1e-12,
             "seed {calib_seed}: {esp_aware} < {esp_hop}"
@@ -388,21 +400,20 @@ fn calibration_aware_compilation_never_loses_esp_on_heterogeneous_targets() {
 
 #[test]
 fn core_esp_matches_the_sim_target_noise_model() {
-    // The compiler-side ESP scorer and the sim-side per-channel noise model
-    // must agree on the same schedule/target.
-    use twoqan_repro::twoqan::decompose::{estimated_success_probability, timeline_with_target};
-    use twoqan_repro::twoqan_sim::TargetNoiseModel;
+    // The factors the compiler ranks its portfolio by and the sim-side
+    // per-channel noise model must agree on the same schedule/target.
     let device = Device::montreal().with_heterogeneous_calibration(5);
     let circuit = trotterize(&nnn_heisenberg(10, 3), 1, 1.0);
     let result = compile_2qan(&circuit, &device);
-    let core_esp =
-        estimated_success_probability(&result.hardware_circuit, result.basis, device.target());
     let timeline = timeline_with_target(&result.hardware_circuit, result.basis, device.target());
-    let sim_esp = TargetNoiseModel::from_device(&device).esp(
+    let (gate, idle, readout) = device.target().esp_factors(
         &result.hardware_circuit,
         &timeline,
+        result.basis.cost_model(),
         &timeline.used_qubits(),
     );
+    let core_esp = gate * idle * readout;
+    let sim_esp = target_esp(&result, &device);
     assert!(
         (core_esp - sim_esp).abs() < 1e-12,
         "core {core_esp} vs sim {sim_esp}"

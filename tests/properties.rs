@@ -14,8 +14,8 @@ use twoqan_repro::twoqan_graphs::{
     DistanceMatrix, Graph, QapProblem, ScanOutcome, SolverBudget, TabuConfig,
 };
 use twoqan_repro::twoqan_math::cost::TwoQubitBasisCost;
-use twoqan_repro::twoqan_math::weyl::{MakhlinInvariants, WeylCoordinates};
-use twoqan_repro::twoqan_math::{gates, Matrix4};
+use twoqan_repro::twoqan_math::gates;
+use twoqan_repro::twoqan_math::weyl::WeylCoordinates;
 use twoqan_repro::twoqan_sim::kernels::CompiledCircuit;
 use twoqan_repro::twoqan_sim::TrajectorySimulator;
 
@@ -99,7 +99,8 @@ fn weyl_coordinates_stay_in_chamber() {
 }
 
 /// The numeric (spectral) Weyl coordinates of a canonical gate match the
-/// analytic ones, and local invariants agree for locally-dressed copies.
+/// analytic ones, also for locally-dressed copies (the coordinates are
+/// local invariants).
 #[test]
 fn numeric_and_analytic_weyl_agree() {
     for_random_cases(24, 102, |rng| {
@@ -119,9 +120,11 @@ fn numeric_and_analytic_weyl_agree() {
         let dressed = gates::embed_single(&gates::rz(t), 0)
             .mul(&u)
             .mul(&gates::embed_single(&gates::rx(t), 1));
-        let inv_a = MakhlinInvariants::of(&u);
-        let inv_b = MakhlinInvariants::of(&dressed);
-        assert!(inv_a.approx_eq(&inv_b, 1e-7));
+        let dressed = WeylCoordinates::of(&dressed);
+        assert!(
+            dressed.approx_eq(&analytic, 1e-4),
+            "dressed {dressed} vs analytic {analytic}"
+        );
     });
 }
 
@@ -209,6 +212,7 @@ fn duration_schedule_preserves_the_per_qubit_dependency_dag() {
         // non-overlapping, monotonically increasing intervals.
         for q in 0..schedule.num_qubits() {
             let mut last_end = 0.0f64;
+            let mut busy = 0.0f64;
             for (timed, original) in timeline
                 .gates()
                 .iter()
@@ -222,14 +226,13 @@ fn duration_schedule_preserves_the_per_qubit_dependency_dag() {
                     timed.gate
                 );
                 last_end = timed.end_ns();
+                busy += timed.end_ns() - timed.start_ns;
             }
             assert!(last_end <= timeline.total_ns() + 1e-9);
-            // Idle accounting: busy + idle covers the makespan for used
-            // qubits.
+            // Idle accounting: the time spent in gates plus the idle time
+            // covers the makespan for used qubits.
             if timeline.is_used(q) {
-                assert!(
-                    (timeline.busy_ns(q) + timeline.idle_ns(q) - timeline.total_ns()).abs() < 1e-6
-                );
+                assert!((busy + timeline.idle_ns(q) - timeline.total_ns()).abs() < 1e-6);
             }
         }
     });
@@ -317,12 +320,12 @@ fn simulator_preserves_norm_and_commuting_permutations() {
         }
         let mut forward = StateVector::plus_state(6);
         let mut reversed = StateVector::plus_state(6);
-        for &(a, b, theta) in &valid {
-            forward.apply_two(a, b, &gates::zz_interaction(theta));
-        }
-        for &(a, b, theta) in valid.iter().rev() {
-            reversed.apply_two(a, b, &gates::zz_interaction(theta));
-        }
+        let zz = |&(a, b, theta): &(usize, usize, f64)| Gate::canonical(a, b, 0.0, 0.0, theta);
+        forward.apply_circuit(&Circuit::from_gates(6, valid.iter().map(zz).collect()));
+        reversed.apply_circuit(&Circuit::from_gates(
+            6,
+            valid.iter().rev().map(zz).collect(),
+        ));
         assert!((forward.norm_sqr() - 1.0).abs() < 1e-9);
         for (x, y) in forward.amplitudes().iter().zip(reversed.amplitudes()) {
             assert!(x.approx_eq(*y, 1e-9));
@@ -390,9 +393,9 @@ fn apply_gates_naive<'a>(state: &mut StateVector, gates: impl IntoIterator<Item 
             for idx in 0..amps.len() {
                 if idx & ba == 0 && idx & bb == 0 {
                     let quad = [idx, idx | bb, idx | ba, idx | ba | bb];
-                    let w = u.mul_vec(quad.map(|i| amps[i]));
-                    for (i, w) in quad.into_iter().zip(w) {
-                        amps[i] = w;
+                    let v = quad.map(|i| amps[i]);
+                    for (r, i) in quad.into_iter().enumerate() {
+                        amps[i] = (0..4).map(|c| u.data[r][c] * v[c]).sum();
                     }
                 }
             }
@@ -511,8 +514,7 @@ fn metrics_are_monotone_under_gate_addition() {
     });
 }
 
-/// `Matrix4` products of unitaries stay unitary and the Frobenius
-/// distance to the identity is zero only for the identity itself.
+/// `Matrix4` products of unitaries stay unitary.
 #[test]
 fn unitary_products_stay_unitary() {
     for_random_cases(24, 108, |rng| {
@@ -522,8 +524,6 @@ fn unitary_products_stay_unitary() {
             .mul(&gates::embed_single(&gates::rz(t), 1))
             .mul(&gates::iswap());
         assert!(u.is_unitary(1e-9));
-        let d = u.frobenius_distance(&Matrix4::identity());
-        assert!(d >= 0.0);
     });
 }
 
@@ -594,7 +594,10 @@ fn deadline_limited_compiles_always_yield_valid_equivalent_circuits() {
         Duration::from_micros(200),
         Duration::from_millis(2),
     ];
-    let checker = EquivalenceChecker::with_tolerance(1e-9);
+    let checker = EquivalenceChecker {
+        tolerance: 1e-9,
+        ..Default::default()
+    };
     for_random_cases(9, 701, |rng| {
         let n = rng.gen_range(6..=8usize);
         let circuit = arbitrary_circuit(n, rng);
@@ -664,7 +667,10 @@ fn pre_cancelled_token_degrades_to_a_valid_trivial_fallback() {
     use twoqan_repro::twoqan::{CancelToken, CompileBudget};
     use twoqan_repro::twoqan_verify::verify_output;
 
-    let checker = EquivalenceChecker::with_tolerance(1e-9);
+    let checker = EquivalenceChecker {
+        tolerance: 1e-9,
+        ..Default::default()
+    };
     for_random_cases(6, 703, |rng| {
         let n = rng.gen_range(5..=8usize);
         let circuit = arbitrary_circuit(n, rng);
@@ -674,7 +680,10 @@ fn pre_cancelled_token_degrades_to_a_valid_trivial_fallback() {
         let compiler = TwoQanCompiler::new(TwoQanConfig {
             mapping_trials: 2,
             seed: rng.gen::<u64>(),
-            budget: CompileBudget::unlimited().with_cancel_token(token),
+            budget: CompileBudget {
+                cancel: Some(token),
+                ..CompileBudget::unlimited()
+            },
             ..TwoQanConfig::default()
         });
         let output = Compiler::compile(&compiler, &circuit, &device)
