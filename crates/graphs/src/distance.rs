@@ -12,16 +12,28 @@
 //! the reference the BFS is checked against.
 
 use crate::graph::Graph;
+use std::sync::{Arc, OnceLock};
 
 /// Distance value used for disconnected vertex pairs.
 pub const UNREACHABLE: u32 = u32::MAX / 4;
 
 /// A dense all-pairs shortest-path distance matrix (unit edge weights).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct DistanceMatrix {
     n: usize,
     data: Vec<u32>,
+    /// The matrix as `f64`, built once on first use and shared by every
+    /// QAP instance built from this matrix (and from its clones).
+    as_f64: OnceLock<Arc<[f64]>>,
 }
+
+impl PartialEq for DistanceMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.data == other.data
+    }
+}
+
+impl Eq for DistanceMatrix {}
 
 impl DistanceMatrix {
     /// Computes all-pairs shortest paths with one breadth-first search per
@@ -50,7 +62,15 @@ impl DistanceMatrix {
                 }
             }
         }
-        Self { n, data }
+        Self::from_data(n, data)
+    }
+
+    fn from_data(n: usize, data: Vec<u32>) -> Self {
+        Self {
+            n,
+            data,
+            as_f64: OnceLock::new(),
+        }
     }
 
     /// Number of vertices.
@@ -65,16 +85,19 @@ impl DistanceMatrix {
         self.data[a * self.n + b]
     }
 
-    /// Distance as `f64`, convenient for cost functions.
-    #[inline]
-    pub fn distance_f64(&self, a: usize, b: usize) -> f64 {
-        f64::from(self.distance(a, b))
-    }
-
     /// Returns `true` if `a` and `b` are adjacent (distance exactly 1).
     #[inline]
     pub fn adjacent(&self, a: usize, b: usize) -> bool {
         self.distance(a, b) == 1
+    }
+
+    /// The whole row-major matrix as `f64` (the QAP's distance side),
+    /// converted on the first call and shared afterwards.
+    pub(crate) fn shared_f64(&self) -> Arc<[f64]> {
+        let view = self
+            .as_f64
+            .get_or_init(|| self.data.iter().map(|&d| f64::from(d)).collect());
+        Arc::clone(view)
     }
 }
 
@@ -108,7 +131,7 @@ mod tests {
                 }
             }
         }
-        DistanceMatrix { n, data }
+        DistanceMatrix::from_data(n, data)
     }
 
     #[test]

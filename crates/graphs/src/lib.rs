@@ -35,6 +35,7 @@ pub mod graph;
 pub mod qap;
 pub mod random_regular;
 mod simd;
+mod spare;
 pub mod tabu;
 pub mod weighted;
 

@@ -7,28 +7,34 @@
 //! The objective (Eq. 7) is
 //! `min_φ Σ_{i,j} f_{ij} · d_{φ(i)φ(j)}`.
 //!
-//! Both matrices are stored flat in row-major order so the solvers' inner
-//! loops are simple strided reads; `flow_row`/`distance_row` expose whole
-//! rows for cache-friendly scans.  Interaction graphs of 2-local
-//! Hamiltonians and QAOA have bounded degree (about 3–4 non-zeros per row
-//! at n = 200), so each row of the symmetric flow sums also carries a
-//! bitset of its non-zero columns, and the delta-table kernels sum over a
-//! row's support rather than all `n` columns.
+//! Interaction graphs of 2-local Hamiltonians and QAOA have bounded degree
+//! (about 3–4 non-zeros per row at n = 200), so the flows are stored as
+//! sparse rows.  The distances are the device's own row-major matrix,
+//! shared rather than copied, so `distance_row` exposes whole rows for
+//! cache-friendly scans.  The one dense `n × n` table an instance owns is
+//! the symmetric flow sums the Tabu delta kernels read; each of its rows
+//! also carries a bitset of its non-zero columns, and those kernels sum
+//! over a row's support rather than all `n` columns.
 
 use crate::distance::DistanceMatrix;
 use crate::weighted::WeightedDistanceMatrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::Arc;
 
 /// A QAP instance: an `n × n` flow matrix between facilities and an
-/// `m × m` (`m ≥ n`) distance matrix between locations, both stored flat in
-/// row-major order.
+/// `m × m` (`m ≥ n`) distance matrix between locations.
 #[derive(Debug, Clone)]
 pub struct QapProblem {
     n: usize,
     m: usize,
-    flow: Vec<f64>,
-    distance: Vec<f64>,
+    /// The non-zero flows as sparse rows: row `i` is
+    /// `flows[flow_start[i]..flow_start[i + 1]]`, `(column, flow)` pairs in
+    /// ascending column order.
+    flow_start: Vec<usize>,
+    flows: Vec<(usize, f64)>,
+    /// Row-major `m × m` distances, shared with the matrix they came from.
+    distance: Arc<[f64]>,
     /// Symmetric flow sums, `sym[i·n + j] = flow(i, j) + flow(j, i)`.
     sym: Vec<f64>,
     /// Bitsets of the non-zero columns of each `sym` row, `n.div_ceil(64)`
@@ -49,77 +55,6 @@ pub struct QapProblem {
 }
 
 impl QapProblem {
-    /// Creates a QAP instance from explicit (nested) flow and distance
-    /// matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrices are not square or if there are fewer locations
-    /// than facilities.
-    pub fn new(flow: Vec<Vec<f64>>, distance: Vec<Vec<f64>>) -> Self {
-        let n = flow.len();
-        let m = distance.len();
-        assert!(
-            flow.iter().all(|r| r.len() == n),
-            "flow matrix must be square"
-        );
-        assert!(
-            distance.iter().all(|r| r.len() == m),
-            "distance matrix must be square"
-        );
-        Self::from_flat(
-            n,
-            flow.into_iter().flatten().collect(),
-            m,
-            distance.into_iter().flatten().collect(),
-        )
-    }
-
-    /// Creates a QAP instance from flat row-major matrices: `flow` is
-    /// `n × n`, `distance` is `m × m`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer lengths do not match the declared dimensions or
-    /// if there are fewer locations than facilities.
-    pub fn from_flat(n: usize, flow: Vec<f64>, m: usize, distance: Vec<f64>) -> Self {
-        assert_eq!(flow.len(), n * n, "flow matrix must be n × n");
-        assert_eq!(distance.len(), m * m, "distance matrix must be m × m");
-        assert!(
-            m >= n,
-            "need at least as many locations ({m}) as facilities ({n})"
-        );
-        let active: Vec<bool> = (0..n)
-            .map(|i| {
-                flow[i * n..(i + 1) * n].iter().any(|&f| f != 0.0)
-                    || (0..n).any(|k| flow[k * n + i] != 0.0)
-            })
-            .collect();
-        let last_active = active.iter().rposition(|&a| a);
-        let words = n.div_ceil(64);
-        let mut sym = vec![0.0; n * n];
-        let mut sym_support = vec![0u64; n * words];
-        for i in 0..n {
-            for j in 0..n {
-                let s = flow[i * n + j] + flow[j * n + i];
-                sym[i * n + j] = s;
-                if s != 0.0 {
-                    sym_support[i * words + j / 64] |= 1 << (j % 64);
-                }
-            }
-        }
-        Self {
-            n,
-            m,
-            flow,
-            distance,
-            sym,
-            sym_support,
-            active,
-            last_active,
-        }
-    }
-
     /// Builds the qubit-mapping QAP from gate interaction counts and a
     /// hardware distance matrix.
     ///
@@ -130,21 +65,15 @@ impl QapProblem {
         interactions: &[(usize, usize)],
         hardware: &DistanceMatrix,
     ) -> Self {
-        let n = num_circuit_qubits;
-        let mut flow = vec![0.0; n * n];
-        for &(a, b) in interactions {
-            assert!(a < n && b < n, "interaction qubit out of range");
-            flow[a * n + b] += 1.0;
-            flow[b * n + a] += 1.0;
-        }
+        let (flow_start, flows) = interaction_flows(num_circuit_qubits, interactions);
         let m = hardware.num_vertices();
-        let mut distance = vec![0.0; m * m];
-        for i in 0..m {
-            for j in 0..m {
-                distance[i * m + j] = hardware.distance_f64(i, j);
-            }
-        }
-        Self::from_flat(n, flow, m, distance)
+        Self::from_sparse(
+            num_circuit_qubits,
+            flow_start,
+            flows,
+            m,
+            hardware.shared_f64(),
+        )
     }
 
     /// Builds the qubit-mapping QAP with a *weighted* hardware distance
@@ -159,19 +88,60 @@ impl QapProblem {
         interactions: &[(usize, usize)],
         hardware: &WeightedDistanceMatrix,
     ) -> Self {
-        let n = num_circuit_qubits;
-        let mut flow = vec![0.0; n * n];
-        for &(a, b) in interactions {
-            assert!(a < n && b < n, "interaction qubit out of range");
-            flow[a * n + b] += 1.0;
-            flow[b * n + a] += 1.0;
-        }
+        let (flow_start, flows) = interaction_flows(num_circuit_qubits, interactions);
         let m = hardware.num_vertices();
-        let mut distance = vec![0.0; m * m];
-        for i in 0..m {
-            distance[i * m..(i + 1) * m].copy_from_slice(hardware.row(i));
+        Self::from_sparse(num_circuit_qubits, flow_start, flows, m, hardware.shared())
+    }
+
+    /// The instance over sparse flow rows (non-zero flows only, ascending
+    /// columns) and a shared row-major distance matrix.
+    fn from_sparse(
+        n: usize,
+        flow_start: Vec<usize>,
+        flows: Vec<(usize, f64)>,
+        m: usize,
+        distance: Arc<[f64]>,
+    ) -> Self {
+        assert!(
+            m >= n,
+            "need at least as many locations ({m}) as facilities ({n})"
+        );
+        let words = n.div_ceil(64);
+        let mut sym = vec![0.0; n * n];
+        let mut active = vec![false; n];
+        // Each cell receives `flow(i, j)` and `flow(j, i)` in some order;
+        // `0.0 + x` is `x` for the non-zero flows stored here and addition
+        // commutes, so every cell is `flow(i, j) + flow(j, i)` bit for bit.
+        for i in 0..n {
+            for &(j, f) in &flows[flow_start[i]..flow_start[i + 1]] {
+                sym[i * n + j] += f;
+                sym[j * n + i] += f;
+                active[i] = true;
+                active[j] = true;
+            }
         }
-        Self::from_flat(n, flow, m, distance)
+        // Only cells that received a flow can be non-zero.
+        let mut sym_support = vec![0u64; n * words];
+        for i in 0..n {
+            for &(j, _) in &flows[flow_start[i]..flow_start[i + 1]] {
+                if sym[i * n + j] != 0.0 {
+                    sym_support[i * words + j / 64] |= 1 << (j % 64);
+                    sym_support[j * words + i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
+        let last_active = active.iter().rposition(|&a| a);
+        Self {
+            n,
+            m,
+            flow_start,
+            flows,
+            distance,
+            sym,
+            sym_support,
+            active,
+            last_active,
+        }
     }
 
     /// Number of facilities (circuit qubits).
@@ -181,21 +151,23 @@ impl QapProblem {
     }
 
     /// Flow between two facilities.
-    #[inline]
     pub fn flow(&self, i: usize, j: usize) -> f64 {
-        self.flow[i * self.n + j]
+        let row = self.flow_row(i);
+        row.binary_search_by_key(&j, |&(k, _)| k)
+            .map_or(0.0, |at| row[at].1)
+    }
+
+    /// The non-zero flows of row `i`, `(column, flow)` in ascending column
+    /// order.
+    #[inline]
+    fn flow_row(&self, i: usize) -> &[(usize, f64)] {
+        &self.flows[self.flow_start[i]..self.flow_start[i + 1]]
     }
 
     /// Distance between two locations.
     #[inline]
     pub fn distance(&self, a: usize, b: usize) -> f64 {
         self.distance[a * self.m + b]
-    }
-
-    /// The `i`-th row of the flow matrix.
-    #[inline]
-    pub fn flow_row(&self, i: usize) -> &[f64] {
-        &self.flow[i * self.n..(i + 1) * self.n]
     }
 
     /// The `a`-th row of the distance matrix.
@@ -249,51 +221,54 @@ impl QapProblem {
     }
 
     /// The QAP objective (Eq. 7) for an assignment `φ`:
-    /// `Σ_{i,j} f_{ij} · d_{φ(i)φ(j)}`.
+    /// `Σ_{i,j} f_{ij} · d_{φ(i)φ(j)}`, summed over the non-zero flows in
+    /// row-major order.
     ///
     /// `assignment[i]` is the location of facility `i`.
     pub fn cost(&self, assignment: &[usize]) -> f64 {
-        let n = self.n;
-        debug_assert_eq!(assignment.len(), n);
+        debug_assert_eq!(assignment.len(), self.n);
         let mut total = 0.0;
-        for i in 0..n {
-            if !self.active[i] {
-                continue;
-            }
-            let frow = self.flow_row(i);
-            let drow = self.distance_row(assignment[i]);
-            for (j, &f) in frow.iter().enumerate() {
-                if f != 0.0 {
-                    total += f * drow[assignment[j]];
-                }
+        for (i, &loc) in assignment.iter().enumerate() {
+            let drow = self.distance_row(loc);
+            for &(j, f) in self.flow_row(i) {
+                total += f * drow[assignment[j]];
             }
         }
         total
     }
 
     /// Change in cost when the locations of facilities `i` and `j` are
-    /// exchanged (O(n) instead of recomputing the full O(n²) cost).
+    /// exchanged, in O(deg + n/64) instead of recomputing the full cost.
+    ///
+    /// The sum runs over ascending `k` in the union of the two facilities'
+    /// flow supports; every `k` outside it adds two `±0.0` terms, which
+    /// leave a sum that started at `+0.0` unchanged, so the result is the
+    /// dense O(n) sum bit for bit.  Distances must be finite.
     pub fn swap_delta(&self, assignment: &[usize], i: usize, j: usize) -> f64 {
         if i == j {
             return 0.0;
         }
-        let n = self.n;
         let (pi, pj) = (assignment[i], assignment[j]);
-        let fi = self.flow_row(i);
-        let fj = self.flow_row(j);
+        let (sym_i, sym_j) = (self.sym_row(i), self.sym_row(j));
         let di = self.distance_row(pi);
         let dj = self.distance_row(pj);
         let mut delta = 0.0;
-        for k in 0..n {
-            if k == i || k == j {
-                continue;
+        let supports = self.sym_support(i).iter().zip(self.sym_support(j));
+        for (word, (&a, &b)) in supports.enumerate() {
+            let mut bits = a | b;
+            while bits != 0 {
+                let k = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if k == i || k == j {
+                    continue;
+                }
+                let pk = assignment[k];
+                delta += sym_i[k] * (dj[pk] - di[pk]);
+                delta += sym_j[k] * (di[pk] - dj[pk]);
             }
-            let pk = assignment[k];
-            delta += (fi[k] + self.flow(k, i)) * (dj[pk] - di[pk]);
-            delta += (fj[k] + self.flow(k, j)) * (di[pk] - dj[pk]);
         }
-        delta += fi[j] * (dj[pi] - di[pj]);
-        delta += fj[i] * (di[pj] - dj[pi]);
+        delta += self.flow(i, j) * (dj[pi] - di[pj]);
+        delta += self.flow(j, i) * (di[pj] - dj[pi]);
         delta
     }
 
@@ -321,12 +296,56 @@ impl QapProblem {
     }
 }
 
+/// Sparse flow rows of `n` facilities from one `(a, b)` entry per
+/// two-qubit gate: `flow(a, b)` and `flow(b, a)` each count the gates on
+/// the pair.  Returns the row starts and the `(column, flow)` entries.
+fn interaction_flows(n: usize, interactions: &[(usize, usize)]) -> (Vec<usize>, Vec<(usize, f64)>) {
+    let mut directed: Vec<(usize, usize)> = interactions
+        .iter()
+        .flat_map(|&(a, b)| {
+            assert!(a < n && b < n, "interaction qubit out of range");
+            [(a, b), (b, a)]
+        })
+        .collect();
+    directed.sort_unstable();
+    let mut flow_start = vec![0; n + 1];
+    let mut flows = Vec::new();
+    for gates in directed.chunk_by(|x, y| x == y) {
+        let (a, b) = gates[0];
+        flows.push((b, gates.len() as f64));
+        flow_start[a + 1] += 1;
+    }
+    for i in 0..n {
+        flow_start[i + 1] += flow_start[i];
+    }
+    (flow_start, flows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl QapProblem {
+        /// An arbitrary instance from dense row-major matrices, `flow`
+        /// `n × n` and `distance` `m × m`: the tests' constructor for flows
+        /// that no circuit produces (asymmetric, non-integer).
+        pub(crate) fn from_flat(n: usize, flow: Vec<f64>, m: usize, distance: Vec<f64>) -> Self {
+            assert_eq!(flow.len(), n * n, "flow matrix must be n × n");
+            assert_eq!(distance.len(), m * m, "distance matrix must be m × m");
+            let mut flow_start = Vec::with_capacity(n + 1);
+            let mut flows = Vec::new();
+            for i in 0..n {
+                flow_start.push(flows.len());
+                let row = flow[i * n..(i + 1) * n].iter().enumerate();
+                flows.extend(row.filter(|&(_, &f)| f != 0.0).map(|(j, &f)| (j, f)));
+            }
+            flow_start.push(flows.len());
+            Self::from_sparse(n, flow_start, flows, m, distance.into())
+        }
+    }
 
     fn small_problem() -> QapProblem {
         // 3 facilities on a 4-location path graph.
@@ -345,7 +364,7 @@ mod tests {
         let mut distance = vec![0.0; m * m];
         for i in 0..m {
             for j in 0..m {
-                distance[i * m + j] = hw.distance_f64(i, j);
+                distance[i * m + j] = f64::from(hw.distance(i, j));
             }
         }
         QapProblem::from_flat(n, flow, m, distance)
@@ -360,7 +379,7 @@ mod tests {
         assert_eq!(p.flow(0, 2), 0.0);
         assert_eq!(p.num_facilities(), 3);
         assert_eq!(p.m, 4);
-        assert_eq!(p.flow_row(0), &[0.0, 2.0, 0.0]);
+        assert_eq!(p.flow_row(0), &[(1, 2.0)]);
         assert_eq!(p.distance_row(0), &[0.0, 1.0, 2.0, 3.0]);
     }
 
@@ -418,6 +437,87 @@ mod tests {
         }
     }
 
+    /// The dense sums the sparse rows replaced, kept as their oracle:
+    /// `cost` over every non-zero entry of the full flow matrix in
+    /// row-major order, and `swap_delta` over every `k` in index order.
+    fn dense_cost(flow: &[f64], distance: &[f64], m: usize, a: &[usize]) -> f64 {
+        let n = a.len();
+        let mut total = 0.0;
+        for i in 0..n {
+            for j in 0..n {
+                let f = flow[i * n + j];
+                if f != 0.0 {
+                    total += f * distance[a[i] * m + a[j]];
+                }
+            }
+        }
+        total
+    }
+
+    fn dense_swap_delta(
+        flow: &[f64],
+        distance: &[f64],
+        m: usize,
+        a: &[usize],
+        i: usize,
+        j: usize,
+    ) -> f64 {
+        let n = a.len();
+        let f = |x: usize, y: usize| flow[x * n + y];
+        let d = |x: usize, y: usize| distance[x * m + y];
+        let (pi, pj) = (a[i], a[j]);
+        let mut delta = 0.0;
+        for (k, &pk) in a.iter().enumerate() {
+            if k == i || k == j {
+                continue;
+            }
+            delta += (f(i, k) + f(k, i)) * (d(pj, pk) - d(pi, pk));
+            delta += (f(j, k) + f(k, j)) * (d(pi, pk) - d(pj, pk));
+        }
+        delta += f(i, j) * (d(pj, pi) - d(pi, pj));
+        delta += f(j, i) * (d(pi, pj) - d(pj, pi));
+        delta
+    }
+
+    #[test]
+    fn sparse_flows_reproduce_the_dense_sums_bit_for_bit() {
+        // Sparse, asymmetric, non-integer flows (self-flows included) and
+        // non-integer asymmetric distances, so any change of summation
+        // order would show in the low bits; n = 70 spans two support words.
+        let mut rng = StdRng::seed_from_u64(31);
+        for case in 0..8 {
+            let n = rng.gen_range(2..70usize);
+            let m = n + rng.gen_range(0..4usize);
+            let mut flow = vec![0.0; n * n];
+            for _ in 0..3 * n {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                flow[a * n + b] = rng.gen::<f64>() * 3.0 - 1.0;
+            }
+            let distance: Vec<f64> = (0..m * m).map(|_| 0.1 + rng.gen::<f64>() * 4.0).collect();
+            let p = QapProblem::from_flat(n, flow.clone(), m, distance.clone());
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(p.flow(i, j).to_bits(), flow[i * n + j].to_bits());
+                }
+            }
+            for _ in 0..5 {
+                let a = p.random_assignment(&mut rng);
+                let cost = dense_cost(&flow, &distance, m, &a);
+                assert_eq!(p.cost(&a).to_bits(), cost.to_bits(), "case {case}: cost");
+                for i in 0..n {
+                    for j in (0..n).filter(|&j| j != i) {
+                        let delta = dense_swap_delta(&flow, &distance, m, &a, i, j);
+                        assert_eq!(
+                            p.swap_delta(&a, i, j).to_bits(),
+                            delta.to_bits(),
+                            "case {case}: swap_delta({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sym_support_marks_exactly_the_nonzero_symmetric_flows() {
         let mut rng = StdRng::seed_from_u64(13);
@@ -431,7 +531,7 @@ mod tests {
         let mut distance = vec![0.0; 70 * 70];
         for a in 0..70 {
             for b in 0..70 {
-                distance[a * 70 + b] = hw.distance_f64(a, b);
+                distance[a * 70 + b] = f64::from(hw.distance(a, b));
             }
         }
         let p = QapProblem::from_flat(70, flow, 70, distance);

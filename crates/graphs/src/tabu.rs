@@ -24,6 +24,7 @@
 use crate::budget::SolverBudget;
 use crate::qap::QapProblem;
 use crate::simd;
+use crate::spare;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -123,11 +124,10 @@ const BUDGET_CHECK_ROWS: usize = 32;
 /// The table is the hot path of a compile.  With `deg` the largest number
 /// of non-zeros in a row of the symmetric flow matrix:
 ///
-/// * `dloc` caches the assignment-permuted distance matrix
-///   (`dloc[r·n + k] = d(φ(r), φ(k))`), so a delta recomputation
-///   (`delta_pair`) is an O(deg) sum over the union of its two
-///   facilities' flow supports, found by OR-ing [`QapProblem`]'s support
-///   bitsets; the build is O(n²·deg);
+/// * a delta recomputation (`delta_pair`) is an O(deg) sum over the
+///   union of its two facilities' flow supports, found by OR-ing
+///   [`QapProblem`]'s support bitsets, reading the distances through the
+///   assignment; the build is O(n²·deg);
 /// * [`DeltaTable::apply_swap`] applies the Taillard update
 ///   `(sg[i] − sg[j])·(h[i] − h[j])` as a rank-1 vectorized row sweep
 ///   (`simd::update_row`) only on the rows where `sg[i] ≠ 0` — the flow
@@ -136,7 +136,10 @@ const BUDGET_CHECK_ROWS: usize = 32;
 ///   O(n·deg) per accepted move;
 /// * each row's minimum is cached (`row_min`), giving the neighbourhood
 ///   scan a lower bound to early-abort whole rows.  It stays exact: a row
-///   is rescanned only when an entry that held its minimum grew.
+///   is rescanned only when an entry that held its minimum grew;
+/// * the one `n × n` buffer, `delta`, comes from the building thread's
+///   spare and goes back there on drop, so back-to-back restarts on one
+///   thread allocate it once.  The build writes every entry.
 ///
 /// The sparse sums keep the floating-point order of a fixed 4-lane dense
 /// dot product on every host, so every delta is bit-identical to a dense
@@ -148,8 +151,6 @@ pub struct DeltaTable {
     n: usize,
     /// Upper-triangle swap deltas in a full row-major `n × n` buffer.
     delta: Vec<f64>,
-    /// Assignment-permuted distances: `dloc[r·n + k] = d(φ(r), φ(k))`.
-    dloc: Vec<f64>,
     /// `row_min[i] = min over j ∈ (i, span(i)) of delta(i, j)`; `+∞` for
     /// empty rows.  A conservative lower bound for the early-abort scan
     /// (it ignores tabu status, so it never overestimates).
@@ -178,15 +179,16 @@ impl DeltaTable {
         budget: &SolverBudget,
     ) -> Option<Self> {
         let n = problem.num_facilities();
-        let mut dloc = vec![0.0; n * n];
-        for (r, row) in dloc.chunks_exact_mut(n).enumerate() {
-            let drow = problem.distance_row(assignment[r]);
-            for (k, slot) in row.iter_mut().enumerate() {
-                *slot = drow[assignment[k]];
-            }
-        }
-        let mut delta = vec![0.0; n * n];
-        let mut row_min = vec![f64::INFINITY; n];
+        // `delta` comes empty from the thread's spare and is written in
+        // full here; an expired build hands it back on drop.
+        let mut table = Self {
+            n,
+            delta: spare::take(&spare::DELTA),
+            row_min: vec![f64::INFINITY; n],
+            scratch: vec![0.0; 3 * n],
+            touched: Vec::new(),
+        };
+        table.delta.resize(n * n, 0.0);
         for i in 0..n {
             if i % BUDGET_CHECK_ROWS == 0 && budget.expired() {
                 return None;
@@ -197,18 +199,11 @@ impl DeltaTable {
                 continue;
             }
             for j in lo..span {
-                delta[i * n + j] = delta_pair(problem, &dloc, n, i, j);
+                table.delta[i * n + j] = delta_pair(problem, assignment, i, j);
             }
-            row_min[i] = simd::row_min(&delta[i * n + lo..i * n + span]);
+            table.row_min[i] = simd::row_min(&table.delta[i * n + lo..i * n + span]);
         }
-        Some(Self {
-            n,
-            delta,
-            dloc,
-            row_min,
-            scratch: vec![0.0; 3 * n],
-            touched: Vec::new(),
-        })
+        Some(table)
     }
 
     /// The cached cost change of exchanging facilities `i` and `j`
@@ -238,42 +233,32 @@ impl DeltaTable {
         debug_assert_eq!(assignment.len(), n);
         let (u, v) = (u.min(v), u.max(v));
 
-        // 1. Re-permute the cached distance matrix: swapping facilities u, v
-        //    permutes dloc by the transposition (u v) on both axes.
-        for r in 0..n {
-            self.dloc.swap(r * n + u, r * n + v);
-        }
-        let (head, tail) = self.dloc.split_at_mut(v * n);
-        head[u * n..(u + 1) * n].swap_with_slice(&mut tail[..n]);
-        debug_assert_eq!(
-            self.dloc[u * n + v],
-            problem.distance(assignment[u], assignment[v])
-        );
-
-        // 2. Difference vectors for the rank-1 Taillard update: for any pair
+        // 1. Difference vectors for the rank-1 Taillard update: for any pair
         //    {i, j} disjoint from {u, v},
         //    Δ'(i, j) = Δ(i, j) + (sg[i] − sg[j])·(h[i] − h[j])
         //    with sg[i] = sym(i, u) − sym(i, v) (flow side, rows + columns
         //    folded through the symmetric sums) and h[i] = d(φ(i), a) −
         //    d(φ(i), b) (distance side; a/b are u/v's pre-swap locations,
-        //    i.e. φ(v)/φ(u) *after* the swap — dloc columns v/u).  sg is
-        //    non-zero only on the flow neighbours of u and v: `touched`.
+        //    i.e. φ(v)/φ(u) *after* the swap).  sg is non-zero only on the
+        //    flow neighbours of u and v: `touched`.
         let (sg, rest) = self.scratch.split_at_mut(n);
         let (h, sgh) = rest.split_at_mut(n);
         // sym(i, u) = sym(u, i) bit for bit, so rows u and v serve as the
         // columns.
         let (sym_u, sym_v) = (problem.sym_row(u), problem.sym_row(v));
+        let (a, b) = (assignment[v], assignment[u]);
         self.touched.clear();
         for i in 0..n {
+            let drow = problem.distance_row(assignment[i]);
             sg[i] = sym_u[i] - sym_v[i];
-            h[i] = self.dloc[i * n + v] - self.dloc[i * n + u];
+            h[i] = drow[a] - drow[b];
             sgh[i] = sg[i] * h[i];
             if sg[i] != 0.0 {
                 self.touched.push(i);
             }
         }
 
-        // 3. Sweep the rows.  Where sg[i] = sg[j] = 0 the update is
+        // 2. Sweep the rows.  Where sg[i] = sg[j] = 0 the update is
         //    (0 − 0)·(h[i] − h[j]): adding that ±0.0 leaves an entry
         //    unchanged, so those entries are not visited.  Inactive-inactive
         //    pairs stay at exactly 0.0: dummy facilities have all-zero sym
@@ -288,7 +273,7 @@ impl DeltaTable {
             let base = i * n;
             if i == u || i == v {
                 for j in lo..span {
-                    self.delta[base + j] = delta_pair(problem, &self.dloc, n, i, j);
+                    self.delta[base + j] = delta_pair(problem, assignment, i, j);
                 }
                 self.row_min[i] = simd::row_min(&self.delta[base + lo..base + span]);
             } else if sg[i] != 0.0 {
@@ -305,7 +290,7 @@ impl DeltaTable {
                 // overwrite them with exact recomputations.
                 for w in [u, v] {
                     if w > i && w < span {
-                        self.delta[base + w] = delta_pair(problem, &self.dloc, n, i, w);
+                        self.delta[base + w] = delta_pair(problem, assignment, i, w);
                     }
                 }
                 self.row_min[i] = simd::row_min(&self.delta[base + lo..base + span]);
@@ -340,7 +325,7 @@ impl DeltaTable {
                 for w in [u, v] {
                     if w > i && w < span {
                         let old = self.delta[base + w];
-                        let new = delta_pair(problem, &self.dloc, n, i, w);
+                        let new = delta_pair(problem, assignment, i, w);
                         self.delta[base + w] = new;
                         record(old, new);
                     }
@@ -358,11 +343,18 @@ impl DeltaTable {
     }
 }
 
-/// Recomputation of `QapProblem::swap_delta(φ, i, j)` from the permuted
-/// distance cache:
-/// `Σ_{k ≠ i,j} (sym_i[k] − sym_j[k])·(dloc_j[k] − dloc_i[k])` (the direct
-/// `{i, j}` term cancels because hardware distance matrices are symmetric),
-/// evaluated as the full sum over `k` minus its `k = i` and `k = j` terms.
+impl Drop for DeltaTable {
+    /// Hands `delta` to the thread's spare for the next table.
+    fn drop(&mut self) {
+        spare::give_back(&spare::DELTA, std::mem::take(&mut self.delta));
+    }
+}
+
+/// Recomputation of `QapProblem::swap_delta(φ, i, j)`:
+/// `Σ_{k ≠ i,j} (sym_i[k] − sym_j[k])·(d(φ(j), φ(k)) − d(φ(i), φ(k)))`
+/// (the direct `{i, j}` term cancels because hardware distance matrices
+/// are symmetric), evaluated as the full sum over `k` minus its `k = i`
+/// and `k = j` terms.
 ///
 /// Only `k` in the union of the two flow supports can contribute, so the
 /// sum visits the set bits of the OR of the two support bitsets, in
@@ -378,13 +370,16 @@ impl DeltaTable {
 /// differently and can change a placement, so changing it changes the
 /// committed goldens.
 #[inline]
-fn delta_pair(problem: &QapProblem, dloc: &[f64], n: usize, i: usize, j: usize) -> f64 {
+fn delta_pair(problem: &QapProblem, assignment: &[usize], i: usize, j: usize) -> f64 {
     let sym_i = problem.sym_row(i);
     let sym_j = problem.sym_row(j);
-    let dloc_i = &dloc[i * n..(i + 1) * n];
-    let dloc_j = &dloc[j * n..(j + 1) * n];
-    let term = |k: usize| (sym_i[k] - sym_j[k]) * (dloc_j[k] - dloc_i[k]);
-    let body = n & !3;
+    let d_i = problem.distance_row(assignment[i]);
+    let d_j = problem.distance_row(assignment[j]);
+    let term = |k: usize| {
+        let loc = assignment[k];
+        (sym_i[k] - sym_j[k]) * (d_j[loc] - d_i[loc])
+    };
+    let body = assignment.len() & !3;
     let mut lanes = [0.0f64; 4];
     let mut tail = [0.0f64; 3];
     let mut tail_len = 0;
@@ -540,8 +535,10 @@ fn tabu_core(
     let mut current_cost = problem.cost(&current);
     let mut best = current.clone();
     let mut best_cost = current_cost;
-    // tabu_until[i * n + j] = iteration until which swapping (i, j) is forbidden.
-    let mut tabu_until = vec![0usize; n * n];
+    // tabu_until[i * n + j] = iteration until which swapping (i, j) is
+    // forbidden; the buffer comes empty from the thread's spare.
+    let mut tabu_until = spare::take(&spare::TABU);
+    tabu_until.resize(n * n, 0);
     let mut stall = 0usize;
     let mut iterations = 0usize;
     // The delta table costs O(n²·deg) up front — the budgeted build bails out
@@ -598,6 +595,7 @@ fn tabu_core(
             break;
         }
     }
+    spare::give_back(&spare::TABU, tabu_until);
 
     TabuResult {
         assignment: best,

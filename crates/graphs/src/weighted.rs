@@ -15,16 +15,18 @@
 use crate::graph::Graph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Distance value used for disconnected vertex pairs.
 pub const UNREACHABLE_WEIGHTED: f64 = f64::INFINITY;
 
 /// A dense all-pairs shortest-path distance matrix over positive edge
-/// weights.
+/// weights.  The row-major entries are shared, not copied, by every QAP
+/// instance built from the matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedDistanceMatrix {
     n: usize,
-    data: Vec<f64>,
+    data: Arc<[f64]>,
 }
 
 /// A heap entry ordered by path cost (costs are finite and non-NaN, so
@@ -78,10 +80,11 @@ impl WeightedDistanceMatrix {
                     .collect()
             })
             .collect();
-        let mut data = vec![UNREACHABLE_WEIGHTED; n * n];
+        let mut data: Arc<[f64]> = std::iter::repeat_n(UNREACHABLE_WEIGHTED, n * n).collect();
+        let rows = Arc::get_mut(&mut data).expect("a freshly built matrix is not shared");
         let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::with_capacity(n);
         for source in 0..n {
-            let row = &mut data[source * n..(source + 1) * n];
+            let row = &mut rows[source * n..(source + 1) * n];
             row[source] = 0.0;
             heap.clear();
             heap.push(Reverse(HeapEntry {
@@ -119,11 +122,9 @@ impl WeightedDistanceMatrix {
         self.data[a * self.n + b]
     }
 
-    /// The `a`-th row of the matrix (used to build flat QAP distance
-    /// matrices without per-entry bounds checks).
-    #[inline]
-    pub fn row(&self, a: usize) -> &[f64] {
-        &self.data[a * self.n..(a + 1) * self.n]
+    /// The whole row-major matrix, shared.
+    pub(crate) fn shared(&self) -> Arc<[f64]> {
+        Arc::clone(&self.data)
     }
 }
 
@@ -198,7 +199,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(d.row(0).len(), 9);
     }
 
     #[test]

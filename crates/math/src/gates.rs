@@ -52,11 +52,6 @@ pub fn s_gate() -> Matrix2 {
     ])
 }
 
-/// Inverse phase gate S† = diag(1, -i).
-pub fn s_dagger() -> Matrix2 {
-    s_gate().dagger()
-}
-
 /// Rotation about X: `Rx(θ) = exp(-i θ X / 2)`.
 pub fn rx(theta: f64) -> Matrix2 {
     let c = (theta / 2.0).cos();
@@ -105,11 +100,6 @@ pub fn cnot() -> Matrix4 {
         [0.0, 0.0, 0.0, 1.0],
         [0.0, 0.0, 1.0, 0.0],
     ])
-}
-
-/// CNOT with the second qubit as control (first as target).
-pub fn cnot_reversed() -> Matrix4 {
-    cnot().exchange_qubits()
 }
 
 /// Controlled-Z (symmetric in its qubits).
@@ -230,7 +220,7 @@ mod tests {
     fn all_two_qubit_gates_are_unitary() {
         for m in [
             cnot(),
-            cnot_reversed(),
+            cnot().exchange_qubits(),
             cz(),
             swap(),
             iswap(),
@@ -251,7 +241,7 @@ mod tests {
             pauli_z(),
             hadamard(),
             s_gate(),
-            s_dagger(),
+            s_gate().dagger(),
             rx(0.3),
             ry(-1.2),
             rz(2.5),
@@ -304,7 +294,8 @@ mod tests {
         // |00> fixed.
         assert!(cx.data[0][0].approx_eq(Complex::one(), 1e-12));
         // Reversed CNOT: |01> -> |11>.
-        assert!(cnot_reversed().data[3][1].approx_eq(Complex::one(), 1e-12));
+        let reversed = cnot().exchange_qubits();
+        assert!(reversed.data[3][1].approx_eq(Complex::one(), 1e-12));
     }
 
     #[test]

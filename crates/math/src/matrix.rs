@@ -484,11 +484,6 @@ where
         .all(|(x, y)| x.approx_eq(*y * phase, tol * 10.0))
 }
 
-/// Kronecker product of two 2×2 matrices (free function form).
-pub fn kron(a: &Matrix2, b: &Matrix2) -> Matrix4 {
-    a.kron(b)
-}
-
 impl Default for Matrix2 {
     fn default() -> Self {
         Self::identity()

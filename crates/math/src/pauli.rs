@@ -22,9 +22,6 @@ pub enum Pauli {
 }
 
 impl Pauli {
-    /// All four Pauli operators, in `I, X, Y, Z` order.
-    pub const ALL: [Pauli; 4] = [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z];
-
     /// Dense 2×2 matrix of the operator.
     pub fn matrix(self) -> Matrix2 {
         match self {
@@ -73,7 +70,7 @@ mod tests {
 
     #[test]
     fn pauli_matrices_square_to_identity() {
-        for p in Pauli::ALL {
+        for p in [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z] {
             let m = p.matrix();
             assert!(
                 m.mul(&m).approx_eq(&Matrix2::identity(), 1e-12),

@@ -16,9 +16,6 @@
 //!   the optimal count (3) is what the cost model reports and what an
 //!   analytic KAK-based synthesiser would emit.
 
-use crate::gates;
-use crate::matrix::{Matrix2, Matrix4};
-
 /// A gate in a two-qubit synthesis fragment.  Qubit indices are local to the
 /// pair: `0` is the most-significant qubit of the 4×4 matrices in
 /// [`crate::gates`].
@@ -43,31 +40,6 @@ pub enum SynthGate {
         /// Target qubit (0 or 1).
         target: usize,
     },
-}
-
-impl SynthGate {
-    /// Returns `true` if this is a two-qubit (CNOT) gate.
-    pub fn is_two_qubit(&self) -> bool {
-        matches!(self, SynthGate::Cnot { .. })
-    }
-
-    /// The 4×4 matrix of this gate on the qubit pair.
-    pub fn matrix(&self) -> Matrix4 {
-        let embed = |u: &Matrix2, q: usize| gates::embed_single(u, q);
-        match *self {
-            SynthGate::H(q) => embed(&gates::hadamard(), q),
-            SynthGate::S(q) => embed(&gates::s_gate(), q),
-            SynthGate::Sdg(q) => embed(&gates::s_dagger(), q),
-            SynthGate::Rz(q, theta) => embed(&gates::rz(theta), q),
-            SynthGate::Rx(q, theta) => embed(&gates::rx(theta), q),
-            SynthGate::Ry(q, theta) => embed(&gates::ry(theta), q),
-            SynthGate::Cnot { control, target } => match (control, target) {
-                (0, 1) => gates::cnot(),
-                (1, 0) => gates::cnot_reversed(),
-                _ => panic!("CNOT control/target must be the distinct indices 0 and 1"),
-            },
-        }
-    }
 }
 
 /// Exact 2-CNOT circuit for `exp(iθ ZZ)`.
@@ -171,18 +143,40 @@ pub fn canonical_circuit(a: f64, b: f64, c: f64) -> Vec<SynthGate> {
 mod tests {
     use super::*;
     use crate::gates;
+    use crate::matrix::{Matrix2, Matrix4};
+
+    /// The 4×4 matrix of a synthesis gate on the qubit pair.
+    fn gate_matrix(gate: &SynthGate) -> Matrix4 {
+        let embed = |u: &Matrix2, q: usize| gates::embed_single(u, q);
+        match *gate {
+            SynthGate::H(q) => embed(&gates::hadamard(), q),
+            SynthGate::S(q) => embed(&gates::s_gate(), q),
+            SynthGate::Sdg(q) => embed(&gates::s_gate().dagger(), q),
+            SynthGate::Rz(q, theta) => embed(&gates::rz(theta), q),
+            SynthGate::Rx(q, theta) => embed(&gates::rx(theta), q),
+            SynthGate::Ry(q, theta) => embed(&gates::ry(theta), q),
+            SynthGate::Cnot { control, target } => match (control, target) {
+                (0, 1) => gates::cnot(),
+                (1, 0) => gates::cnot().exchange_qubits(),
+                _ => panic!("CNOT control/target must be the distinct indices 0 and 1"),
+            },
+        }
+    }
 
     /// Multiplies out a synthesis fragment (time-ordered: the first element
     /// of the slice is applied first) into its 4×4 unitary.
     fn circuit_matrix(circuit: &[SynthGate]) -> Matrix4 {
         circuit
             .iter()
-            .fold(Matrix4::identity(), |acc, g| g.matrix().mul(&acc))
+            .fold(Matrix4::identity(), |acc, g| gate_matrix(g).mul(&acc))
     }
 
     /// Number of CNOTs in a synthesis fragment.
     fn cnot_count(circuit: &[SynthGate]) -> usize {
-        circuit.iter().filter(|g| g.is_two_qubit()).count()
+        circuit
+            .iter()
+            .filter(|g| matches!(g, SynthGate::Cnot { .. }))
+            .count()
     }
 
     #[test]
@@ -258,10 +252,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "distinct indices")]
     fn cnot_rejects_identical_qubits() {
-        let _ = SynthGate::Cnot {
+        let _ = gate_matrix(&SynthGate::Cnot {
             control: 0,
             target: 0,
-        }
-        .matrix();
+        });
     }
 }

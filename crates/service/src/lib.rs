@@ -93,9 +93,11 @@ use twoqan_device::{Device, Target, TwoQubitBasis};
 /// Configuration of a [`CompileService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// The most cached outputs the service holds, across all shards.  Each
-    /// shard holds at most `capacity / shards` (the shard count is clamped
-    /// to the capacity), so the total never exceeds it.
+    /// The most cached outputs the service holds, across all shards.  The
+    /// shard count is clamped to the capacity, and the capacity is split
+    /// over the shards as evenly as it goes: the first `capacity % shards`
+    /// shards hold one more than `capacity / shards`.  Full shards hold
+    /// exactly `capacity` outputs together.
     pub capacity: usize,
     /// Number of independently locked cache shards; more shards means less
     /// lock contention between concurrent requests.
@@ -502,7 +504,10 @@ impl Drop for FlightLease<'_> {
 pub struct CompileService {
     compilers: Vec<Box<dyn Compiler>>,
     shards: Vec<Mutex<Lru<Entry>>>,
-    shard_capacity: usize,
+    /// The total cache capacity, split over the shards by
+    /// [`CompileService::shard_capacity`]; it also bounds the placement
+    /// index.
+    capacity: usize,
     /// In-flight compiles keyed by cache key, sharded like the cache so
     /// leader registration and follower lookup contend per shard only.
     flights: Vec<Mutex<HashMap<u128, Arc<Flight>>>>,
@@ -513,7 +518,6 @@ pub struct CompileService {
     /// Drift-stable placement index feeding warm-start recompiles, bounded
     /// by the same capacity as the artifact cache.
     placements: Mutex<Lru<PlacementRecord>>,
-    placement_capacity: usize,
     pool: CompilePool,
     stats: Stats,
 }
@@ -538,12 +542,11 @@ impl CompileService {
         Self {
             compilers,
             shards: (0..shards).map(|_| Mutex::new(Lru::default())).collect(),
-            shard_capacity: capacity / shards,
+            capacity,
             flights: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             in_flight: AtomicUsize::new(0),
             max_in_flight: config.max_in_flight,
             placements: Mutex::new(Lru::default()),
-            placement_capacity: capacity,
             pool: CompilePool::new(twoqan::pool::resolve_workers(config.threads)),
             stats: Stats::default(),
         }
@@ -841,7 +844,7 @@ impl CompileService {
                     artifact_key: miss.key,
                     placement: output.initial_placement.clone(),
                 },
-                self.placement_capacity,
+                self.capacity,
             );
     }
 
@@ -991,11 +994,23 @@ impl CompileService {
         dropped
     }
 
-    fn shard(&self, key: u128) -> MutexGuard<'_, Lru<Entry>> {
+    fn shard_index(&self, key: u128) -> usize {
         // Shard by the top bits: the low bits pick the slot inside the
         // shard's hash map, so both selections stay independent.
-        let index = (key >> 96) as usize % self.shards.len();
-        self.shards[index].lock().expect("cache shard poisoned")
+        (key >> 96) as usize % self.shards.len()
+    }
+
+    fn shard(&self, key: u128) -> MutexGuard<'_, Lru<Entry>> {
+        self.shards[self.shard_index(key)]
+            .lock()
+            .expect("cache shard poisoned")
+    }
+
+    /// Shard `index`'s share of the capacity: the first
+    /// `capacity % shards` shards take one slot of the remainder each.
+    fn shard_capacity(&self, index: usize) -> usize {
+        let shards = self.shards.len();
+        self.capacity / shards + usize::from(index < self.capacity % shards)
     }
 
     /// The cached artifact under `key`, marked most recently used: one
@@ -1018,9 +1033,11 @@ impl CompileService {
             output: Arc::clone(output),
             device_fingerprint: miss.device_fingerprint,
         };
-        let evicted = self
-            .shard(miss.key)
-            .insert(miss.key, entry, self.shard_capacity);
+        let index = self.shard_index(miss.key);
+        let evicted = self.shards[index]
+            .lock()
+            .expect("cache shard poisoned")
+            .insert(miss.key, entry, self.shard_capacity(index));
         Stats::bump(&self.stats.insertions);
         self.stats.evictions.fetch_add(evicted, Ordering::Relaxed);
         true

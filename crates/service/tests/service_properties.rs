@@ -106,7 +106,7 @@ fn lru_eviction_respects_capacity_and_use_order() {
     );
 }
 
-/// Sharded capacity is bounded globally too: the shards divide the budget
+/// Sharded capacity is bounded globally too: the shards split the budget
 /// without rounding up, also when it does not divide evenly or is smaller
 /// than the shard count.  Forty distinct keys fill every shard.
 #[test]
@@ -130,6 +130,34 @@ fn sharded_cache_stays_within_total_capacity() {
             service.len() <= capacity,
             "cache holds {} entries over a capacity of {capacity} in {shards} shards",
             service.len()
+        );
+    }
+}
+
+/// ...and full shards use all of it: when the shard count does not divide
+/// the capacity, the first shards take the remainder, so no slot goes
+/// unused.  Eighty distinct keys fill every shard.
+#[test]
+fn sharded_cache_fills_exactly_its_capacity() {
+    let device = Device::montreal();
+    let circuits: Vec<Circuit> = (0..80).map(|s| workload(6, s)).collect();
+    for (capacity, shards) in [(4, 4), (5, 4), (2, 8), (10, 8), (11, 3)] {
+        let service = CompileService::with_compilers(
+            ServiceConfig {
+                capacity,
+                shards,
+                threads: 1,
+                max_in_flight: 0,
+            },
+            vec![CompilerRegistry::by_name("NoMap").unwrap()],
+        );
+        for c in &circuits {
+            let _ = service.request("NoMap", c, &device).unwrap();
+        }
+        assert_eq!(
+            service.len(),
+            capacity,
+            "full cache over a capacity of {capacity} in {shards} shards"
         );
     }
 }

@@ -22,6 +22,9 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 KEEPERS='
 spawned_thread_census  crates/{core,pool,sim}/tests/thread_census.rs count the threads an operation spawns; no other API exposes the pool spawn count
 approx_eq_up_to_phase  the twoqan decompose tests (decomposition_identities_hold_numerically, decomposition_respects_operand_order, sequential_decomposition_matches_matrix_product) check a synthesis that is exact only up to a global phase; twoqan-math has no other phase-insensitive comparison
+embed_single  the twoqan decompose tests (decomposition_identities_hold_numerically, decomposition_respects_operand_order, sequential_decomposition_matches_matrix_product) multiply single-qubit gates into a pair unitary on either operand, and the root tests/properties.rs (numeric_and_analytic_weyl_agree, unitary_products_stay_unitary) dress gates locally; twoqan-math has no other operand-indexed embedding
+exchange_qubits  the twoqan decompose tests (decomposition_respects_operand_order and the three named above through their fragment product) reverse a two-qubit matrix whose operands are swapped; twoqan-math has no other operand exchange
+s_gate  the twoqan-sim kernel test single_kernels_match_naive_on_all_qubits checks the S kernel against the naive loop; twoqan-math has no other S constructor
 try_with_calibration  the twoqan-sim trajectory tests (noisy_trajectories_shrink_the_signal, serial_and_parallel_shots_are_bit_identical, naive_and_kernelized_engines_agree_statistically) need a noise model over an exaggerated calibration; NoiseModel reads Device::calibration(), which nothing else sets
 '
 

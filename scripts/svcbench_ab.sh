@@ -13,8 +13,13 @@
 # is `svcbench --workload W --seed SEED --seconds SECONDS --trace 0`, and its
 # final JSON line is appended to results/svcbench_ab/<parent12>-<UTC stamp>/
 # W.parent or W.change in the repository (results/ is not tracked); that
-# directory is printed at the end.  The second form is the comparison
-# alone, on two files that hold one saved svcbench result line per run.
+# directory is printed at the end.  Each run goes in a subshell of its own,
+# whose `times` builtin gives the run's child system CPU in seconds; it is
+# appended to W.parent.sys or W.change.sys, one number per run, and each
+# side's median `sys_s` is printed under the workload's verdict table, so a
+# change that moves work into or out of the kernel shows in every A/B.  The
+# second form is the comparison alone, on two files that hold one saved
+# svcbench result line per run.
 #
 # For each end-to-end metric the comparison prints the parent and change
 # medians, their ratio, the parent's spread ((max - min) / median of its
@@ -41,9 +46,9 @@ USAGE="usage: $0 PARENT_REV PAIRS SECONDS SEED
 
 # One TSV row per end-to-end metric: name, parent median, change median,
 # ratio, parent spread, bound, verdict, change wins, parent Q1, parent Q3.
-COMPARE_JQ='
-def median: sort | if length % 2 == 1 then .[(length - 1) / 2]
-                   else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+MEDIAN_JQ='def median: sort | if length % 2 == 1 then .[(length - 1) / 2]
+                   else (.[length / 2 - 1] + .[length / 2]) / 2 end;'
+COMPARE_JQ="$MEDIAN_JQ"'
 def quantile($q): sort as $s | (length - 1) * $q | floor as $lo | (. - $lo) as $f
   | if $f == 0 then $s[$lo] else $s[$lo] + $f * ($s[$lo + 1] - $s[$lo]) end;
 def wins($name; $better):
@@ -128,25 +133,39 @@ main() {
 
     local status=0 workload i side tree order out
     for workload in $(jq -r '.workloads[].name' "$BENCHMARK"); do
-        : >"$results/$workload.parent"
-        : >"$results/$workload.change"
+        for side in parent change; do
+            : >"$results/$workload.$side"
+            : >"$results/$workload.$side.sys"
+        done
         for ((i = 1; i <= pairs; i++)); do
             if ((i % 2 == 1)); then order="parent change"; else order="change parent"; fi
             for side in $order; do
                 if [[ $side == parent ]]; then tree=$work/parent; else tree=$REPO; fi
                 out="$work/run.out"
-                if ! "$tree/svcbench/target/release/svcbench" --workload "$workload" \
-                    --seed "$seed" --seconds "$seconds" --trace 0 >"$out" 2>"$work/run.err"; then
+                # `times` prints the subshell's own CPU, then its children's
+                # (user, then system): this run's svcbench alone.
+                if ! (
+                    "$tree/svcbench/target/release/svcbench" --workload "$workload" \
+                        --seed "$seed" --seconds "$seconds" --trace 0 >"$out" 2>"$work/run.err"
+                    run_status=$?
+                    times >"$work/run.times"
+                    exit $run_status
+                ); then
                     echo "svcbench exited non-zero: $workload, pair $i, $side" >&2
                     tail -n 20 "$out" "$work/run.err" >&2
                     status=1
                 fi
                 tail -n 1 "$out" | jq -c 'select(.metrics)' >>"$results/$workload.$side" || true
+                awk 'NR == 2 { split($2, t, /[ms]/); print t[1] * 60 + t[2] }' \
+                    "$work/run.times" >>"$results/$workload.$side.sys"
                 echo "$workload pair $i/$pairs $side done" >&2
             done
         done
         echo "== $workload ($pairs pairs, $seconds s, seed $seed; parent ${rev:0:12})"
         compare "$results/$workload.parent" "$results/$workload.change" || status=1
+        printf 'sys_s (median child system CPU per run, s): parent %.3f, change %.3f\n' \
+            "$(jq -s "$MEDIAN_JQ median" "$results/$workload.parent.sys")" \
+            "$(jq -s "$MEDIAN_JQ median" "$results/$workload.change.sys")"
     done
     echo "per-run result lines: $results"
     if ((status == 0)); then echo "A/B: pass"; else echo "A/B: FAIL"; fi
